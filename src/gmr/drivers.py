@@ -3,7 +3,10 @@
 Supported covariance kernels: fractional Brownian motion (Hurst H),
 standard Brownian motion, and user-supplied kernels pinned to a grid.
 Sampling is exact via dense Cholesky factorization of the grid covariance,
-with a bounded jitter escalation for nearly singular matrices.
+with a bounded jitter escalation for nearly singular matrices. Paths are
+drawn in fixed blocks of ``_BLOCK`` rows, one matrix-matrix product per
+block; the last block is zero-padded so every product has the same shape
+and row i never depends on how many paths were asked for.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ _JITTER_START = 1e-12
 _JITTER_STOP = 1e-8
 
 _GRID_RTOL = 1e-9
+
+# paths per matrix-matrix product; a fixed shape keeps rows count-independent
+_BLOCK = 32
 
 
 class CovarianceError(RuntimeError):
@@ -295,10 +301,7 @@ def sample_paths(
         raise ValueError("grid must be uniform")
     if count < 1:
         raise ValueError("count must be >= 1")
-    factor = driver_factor(kernel, grid)
-    return [
-        _build_path(grid, factor, _path_rng(seed, i)) for i in range(count)
-    ]
+    return [SamplePath(grid, row) for row in sample_path_matrix(kernel, grid, count, seed)]
 
 
 def driver_factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
@@ -312,23 +315,24 @@ def sample_path_matrix(
 ) -> np.ndarray:
     """Like sample_paths but returned as a (count, n+1) array.
 
-    Row i is bitwise identical to sample_paths(kernel, grid, ..., seed)[i]
-    (one matrix-vector product per path, so rows never depend on count).
+    Row i is ``factor @ z_i`` with z_i drawn from the (seed, i) stream.
+    Rows are computed in blocks of _BLOCK paths, one matrix-matrix product
+    per block, and the last block is zero-padded to full size: every
+    product then has the same shape, so row i is bitwise the same whatever
+    ``count`` is (under one BLAS build and thread count).
     """
     grid = np.asarray(grid, dtype=float)
     factor = driver_factor(kernel, grid)
     out = np.empty((count, grid.size))
     out[:, 0] = 0.0
-    for i in range(count):
-        z = _path_rng(seed, i).standard_normal(factor.shape[0])
-        out[i, 1:] = factor @ z
+    z = np.empty((_BLOCK, factor.shape[0]))
+    for start in range(0, count, _BLOCK):
+        rows = min(_BLOCK, count - start)
+        for j in range(rows):
+            _path_rng(seed, start + j).standard_normal(out=z[j])
+        z[rows:] = 0.0
+        out[start:start + rows, 1:] = (z @ factor.T)[:rows]
     return out
-
-
-def _build_path(grid: np.ndarray, factor: np.ndarray, rng: np.random.Generator) -> SamplePath:
-    z = rng.standard_normal(factor.shape[0])
-    values = np.concatenate(([0.0], factor @ z))
-    return SamplePath(grid, values)
 
 
 def empirical_covariance(paths: list[SamplePath], s: float, t: float) -> float:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .drivers import (
     CovarianceKernel,
@@ -327,6 +326,8 @@ def scaling_identity_check(
     right_drivers = sample_path_matrix(kernel, times, M, seed_right)
     x_right, _, _ = _solve_matrix(scaled, times, right_drivers)
     right = x_right[:, -1]
+    from scipy.stats import ks_2samp  # deferred: scipy.stats dominates import time
+
     stat, pvalue = ks_2samp(left, right)
     return ScalingCheck(
         eps=eps,

@@ -146,18 +146,22 @@ def implicit_step_root(A: float, B: float, gamma: float) -> float:
 def _implicit_roots_newton(A: np.ndarray, B: float, gamma: float) -> np.ndarray:
     """Vectorized per-element Newton for the step equation.
 
-    f is concave and increasing on (0, inf), so Newton converges
-    monotonically from either side of the root; elements are masked out
-    as soon as they meet the residual tolerance, which keeps every
-    entry's iterate sequence independent of the rest of the batch.
+    With s = B^(1/(gamma+1)), f(s) = -A, so every element starts where
+    f <= 0: at max(A, s) when A > 0, else at (B/(s+|A|))^(1/gamma), where
+    f equals that point minus s. f is concave and increasing on (0, inf),
+    so from the left Newton climbs monotonically inside (0, root].
+    Elements are masked out once they meet the residual tolerance, which
+    keeps every entry's iterate sequence independent of the rest of the
+    batch; a NaN residual never counts as converged.
     """
     A = np.asarray(A, dtype=float)
     tol = 1e-12 * np.maximum(1.0, np.abs(A))
     scale = B ** (1.0 / (gamma + 1.0))
-    x = np.maximum(A, scale)
+    below = np.minimum(scale, (B / (scale + np.abs(A))) ** (1.0 / gamma))
+    x = np.where(A > 0.0, np.maximum(A, scale), below)
     for _ in range(_MAX_ITER):
         f = x - B * x**-gamma - A
-        active = np.abs(f) > tol
+        active = ~(np.abs(f) <= tol)
         if not active.any():
             return x
         fprime = 1.0 + B * gamma * x ** -(gamma + 1.0)

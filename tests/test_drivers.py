@@ -7,11 +7,13 @@ from gmr.drivers import (
     brownian_kernel,
     covariance_matrix,
     custom_kernel,
+    driver_factor,
     empirical_covariance,
     fbm_kernel,
     kernel_eval,
     sample_path_matrix,
     sample_paths,
+    _path_rng,
     uniform_grid,
 )
 
@@ -95,11 +97,49 @@ def test_sample_paths_index_independent_of_count():
     grid = uniform_grid(16, 1.0)
     k = brownian_kernel()
     lone = sample_paths(k, grid, 1, seed=11)[0]
-    batch = sample_paths(k, grid, 5, seed=11)
+    batch = sample_paths(k, grid, 33, seed=11)
     assert np.array_equal(lone.values, batch[0].values)
-    matrix = sample_path_matrix(k, grid, 5, seed=11)
+    matrix = sample_path_matrix(k, grid, 33, seed=11)
     for i, p in enumerate(batch):
+        assert np.array_equal(p.times, grid)
         assert np.array_equal(matrix[i], p.values)
+
+
+_COUNTS = (1, 31, 32, 33, 65)
+
+
+def _kernels_for(grid):
+    n1 = grid.size
+    custom_cov = 0.5 * (np.minimum.outer(grid, grid) + covariance_matrix(fbm_kernel(0.4), grid))
+    return [
+        fbm_kernel(0.3),
+        fbm_kernel(0.9),
+        brownian_kernel(),
+        custom_kernel(grid, custom_cov, holder_exponent=0.4),
+        custom_kernel(grid, np.zeros((n1, n1)), holder_exponent=1.0),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 16, 255, 1024])
+def test_sample_path_matrix_rows_independent_of_count(n):
+    grid = uniform_grid(n, 1.0)
+    for k in _kernels_for(grid):
+        full = sample_path_matrix(k, grid, 100, seed=19)
+        for count in _COUNTS:
+            assert np.array_equal(sample_path_matrix(k, grid, count, seed=19), full[:count])
+
+
+@pytest.mark.parametrize("n", [16, 255])
+def test_sample_path_matrix_matches_per_path_oracle(n):
+    grid = uniform_grid(n, 1.0)
+    for k in _kernels_for(grid):
+        factor = driver_factor(k, grid)
+        oracle = np.array([factor @ _path_rng(23, i).standard_normal(n) for i in range(40)])
+        rows = sample_path_matrix(k, grid, 40, seed=23)
+        assert np.all(rows[:, 0] == 0.0)
+        # entries near zero come from cancellation, so scale the tolerance by the path size
+        scale = np.abs(oracle).max()
+        np.testing.assert_allclose(rows[:, 1:], oracle, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_sample_paths_zero_kernel_gives_zero_paths():

@@ -279,3 +279,34 @@ def test_exports(tmp_path):
     lines = cpath.read_text().splitlines()
     assert lines[0] == "t,path_0,path_1,path_2,path_3"
     assert len(lines) == spec.n + 2
+
+
+def test_ensemble_brownian_fault_point_stays_positive_and_finite():
+    # a small a with beta = 0.6 drives many steps to A <= 0, where the
+    # vectorized root solver must not overshoot below zero
+    spec = EnsembleSpec(
+        params=ModelParams(x0=1.0, a=0.01, b=1.0, sigma=1.0, beta=0.6),
+        kernel=brownian_kernel(),
+        M=300,
+        n=1024,
+        seed=1,
+    )
+    result = ensemble_simulate(spec)
+    assert np.all(np.isfinite(result.y)) and np.all(result.y > 0.0)
+    assert np.all(np.isfinite(result.x)) and np.all(result.x > 0.0)
+    assert all(math.isfinite(v) for v in result.stats.lp_estimates.values())
+
+
+def test_import_gmr_leaves_scipy_stats_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import gmr
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gmr.__file__)))
+    code = "import sys, gmr; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"

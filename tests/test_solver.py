@@ -97,6 +97,35 @@ def test_vectorized_roots_match_scalar():
         assert x == pytest.approx(implicit_step_root(a, B, gamma), abs=1e-11)
 
 
+def test_vectorized_roots_negative_A_start_left_of_root():
+    from gmr.solver import _implicit_roots_newton
+
+    # plain Newton from B^(1/(gamma+1)) overshoots below 0 here
+    got = _implicit_roots_newton(np.array([-0.49]), 1e-3, 7.0 / 3.0)
+    assert got[0] == pytest.approx(implicit_step_root(-0.49, 1e-3, 7.0 / 3.0), rel=1e-12)
+    assert got[0] == pytest.approx(0.066580, abs=1e-6)
+
+
+def test_vectorized_roots_nan_residual_raises():
+    from gmr.solver import _implicit_roots_newton
+
+    with pytest.raises(RootSolveError):
+        _implicit_roots_newton(np.array([0.5, np.nan]), 1e-3, 1.5)
+
+
+def test_vectorized_roots_sweep_matches_scalar_oracle():
+    from gmr.solver import _implicit_roots_newton
+
+    rng = np.random.default_rng(11)
+    A = rng.uniform(-1.0, 2.0, size=300)
+    B = 10.0 ** rng.uniform(-5.0, 0.0, size=300)
+    beta = rng.uniform(0.2, 0.9, size=300)
+    for a, b, g in zip(A, B, beta / (1.0 - beta)):
+        x = _implicit_roots_newton(np.array([a]), b, g)[0]
+        assert x > 0.0
+        assert x == pytest.approx(implicit_step_root(a, b, g), rel=1e-10)
+
+
 def test_vectorized_euler_matches_scalar_pipeline():
     p = ModelParams(x0=1.0, a=1.0, b=2.0, sigma=0.8, beta=0.7)
     grid = uniform_grid(64, 1.0)
