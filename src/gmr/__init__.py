@@ -62,7 +62,6 @@ from .transform import (
     explicit_solution_a0,
     lift_y_to_x,
     theta_weight,
-    tilde_w_covariance,
     tilde_w_path,
     y0_from_x0,
 )

@@ -11,13 +11,15 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .drivers import (
     CovarianceError,
     CovarianceKernel,
@@ -78,15 +80,36 @@ def _check_keys(obj: dict, allowed: set, ctx: str) -> None:
         raise ConfigError(f"{ctx}: unknown key {sorted(unknown)[0]!r}")
 
 
+@contextlib.contextmanager
+def _config_errors(ctx: str):
+    """Turn a library ValueError into a ConfigError that names ``ctx``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; json.load also parses NaN and Infinity."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
 def _get(obj: dict, key: str, ctx: str, kind=float, required=True, default=None):
+    """Read and type-check ``obj[key]``; kind=tuple reads an array of finite numbers."""
     if key not in obj:
         if required:
             raise ConfigError(f"{ctx}: missing key {key!r}")
         return default
     value = obj[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{ctx}.{key}: expected a number")
+        if not _is_number(value):
+            raise ConfigError(f"{ctx}.{key}: expected a finite number")
         return float(value)
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
@@ -104,6 +127,10 @@ def _get(obj: dict, key: str, ctx: str, kind=float, required=True, default=None)
         if not isinstance(value, list):
             raise ConfigError(f"{ctx}.{key}: expected an array")
         return value
+    if kind is tuple:
+        if not isinstance(value, list) or not all(_is_number(v) for v in value):
+            raise ConfigError(f"{ctx}.{key}: expected an array of finite numbers")
+        return tuple(value)
     if kind is dict:
         if not isinstance(value, dict):
             raise ConfigError(f"{ctx}.{key}: expected an object")
@@ -113,7 +140,7 @@ def _get(obj: dict, key: str, ctx: str, kind=float, required=True, default=None)
 
 def _model_from(cfg: dict, ctx: str = "model") -> ModelParams:
     _check_keys(cfg, {"x0", "a", "b", "sigma", "beta"}, ctx)
-    try:
+    with _config_errors(ctx):
         return ModelParams(
             x0=_get(cfg, "x0", ctx),
             a=_get(cfg, "a", ctx),
@@ -121,10 +148,6 @@ def _model_from(cfg: dict, ctx: str = "model") -> ModelParams:
             sigma=_get(cfg, "sigma", ctx),
             beta=_get(cfg, "beta", ctx),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 def _kernel_from(cfg: dict, ctx: str = "kernel") -> CovarianceKernel:
@@ -155,7 +178,7 @@ def _grid_from(cfg: dict, ctx: str = "grid"):
 
 def _pk_from(cfg: dict, ctx: str = "pk") -> PkParams:
     _check_keys(cfg, {"A0", "v", "Ka", "Ke", "sigma", "beta"}, ctx)
-    try:
+    with _config_errors(ctx):
         return PkParams(
             A0=_get(cfg, "A0", ctx),
             v=_get(cfg, "v", ctx),
@@ -164,10 +187,6 @@ def _pk_from(cfg: dict, ctx: str = "pk") -> PkParams:
             sigma=_get(cfg, "sigma", ctx),
             beta=_get(cfg, "beta", ctx),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 def _seed_from(cfg: dict, args) -> int:
@@ -179,22 +198,7 @@ def _seed_from(cfg: dict, args) -> int:
     return seed
 
 
-def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    print(path)
-
-
-def _write_csv(rows, header, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    print(path)
-
-
-def _cmd_simulate(cfg: dict, args) -> None:
+def _cmd_simulate(cfg: dict, args) -> list:
     _check_keys(cfg, {"model", "kernel", "grid", "seed"}, "config")
     model = _model_from(_get(cfg, "model", "config", kind=dict))
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
@@ -203,14 +207,12 @@ def _cmd_simulate(cfg: dict, args) -> None:
     driver = sample_paths(kernel, uniform_grid(n, horizon), 1, seed)[0]
     solution = solve_gmr(model, driver, n)
     path = solution.path if isinstance(solution, TruncatedPath) else solution
-    _write_csv(
-        [["%.17g" % t, "%.17g" % v] for t, v in zip(path.times, path.values)],
-        ["t", "value"],
-        os.path.join(args.out, "simulate.csv"),
-    )
+    out = os.path.join(args.out, "simulate.csv")
+    path.to_csv(out)
+    return [out]
 
 
-def _cmd_converge(cfg: dict, args) -> None:
+def _cmd_converge(cfg: dict, args) -> list:
     _check_keys(cfg, {"model", "kernel", "T", "n_list", "ref_n", "seed"}, "config")
     model = _model_from(_get(cfg, "model", "config", kind=dict))
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
@@ -221,17 +223,16 @@ def _cmd_converge(cfg: dict, args) -> None:
     if not n_list or not all(isinstance(n, int) and n >= 1 for n in n_list):
         raise ConfigError("n_list: expected a nonempty array of positive integers")
     driver = sample_paths(kernel, uniform_grid(ref_n, horizon), 1, seed)[0]
-    try:
+    with _config_errors("n_list/ref_n"):
         report = convergence_study(model, driver, n_list, ref_n, kernel.holder_exponent)
-    except ValueError as exc:
-        raise ConfigError(f"n_list/ref_n: {exc}") from exc
-    rate_report_to_csv(report, os.path.join(args.out, "converge.csv"))
-    print(os.path.join(args.out, "converge.csv"))
-    rate_report_to_json(report, os.path.join(args.out, "converge.json"))
-    print(os.path.join(args.out, "converge.json"))
+    csv_out = os.path.join(args.out, "converge.csv")
+    json_out = os.path.join(args.out, "converge.json")
+    rate_report_to_csv(report, csv_out)
+    rate_report_to_json(report, json_out)
+    return [csv_out, json_out]
 
 
-def _cmd_ensemble(cfg: dict, args) -> None:
+def _cmd_ensemble(cfg: dict, args) -> list:
     _check_keys(cfg, {"model", "kernel", "grid", "ensemble", "seed", "write_paths"}, "config")
     model = _model_from(_get(cfg, "model", "config", kind=dict))
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
@@ -239,10 +240,12 @@ def _cmd_ensemble(cfg: dict, args) -> None:
     ens = _get(cfg, "ensemble", "config", kind=dict)
     _check_keys(ens, {"M", "p_exponents", "marginal_times"}, "ensemble")
     m_count = _get(ens, "M", "ensemble", kind=int)
-    p_exp = tuple(ens.get("p_exponents", (1.0, 2.0, 4.0, 8.0)))
-    marginal = tuple(ens.get("marginal_times", ()))
+    p_exp = _get(ens, "p_exponents", "ensemble", kind=tuple, required=False,
+                 default=(1.0, 2.0, 4.0, 8.0))
+    marginal = _get(ens, "marginal_times", "ensemble", kind=tuple, required=False, default=())
+    write_paths = _get(cfg, "write_paths", "config", kind=bool, required=False, default=False)
     seed = _seed_from(cfg, args)
-    try:
+    with _config_errors("ensemble"):
         spec = EnsembleSpec(
             params=model,
             kernel=kernel,
@@ -253,49 +256,34 @@ def _cmd_ensemble(cfg: dict, args) -> None:
             marginal_times=marginal,
             p_exponents=p_exp,
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"ensemble: {exc}") from exc
     result = ensemble_simulate(spec)
-    stats_to_json(result.stats, os.path.join(args.out, "ensemble.json"))
-    print(os.path.join(args.out, "ensemble.json"))
-    if _get(cfg, "write_paths", "config", kind=bool, required=False, default=False):
-        paths_to_csv(result, os.path.join(args.out, "ensemble_paths.csv"))
-        print(os.path.join(args.out, "ensemble_paths.csv"))
+    written = [os.path.join(args.out, "ensemble.json")]
+    stats_to_json(result.stats, written[-1])
+    if write_paths:
+        written.append(os.path.join(args.out, "ensemble_paths.csv"))
+        paths_to_csv(result, written[-1])
+    return written
 
 
-def _cmd_hit_times(cfg: dict, args) -> None:
+def _cmd_hit_times(cfg: dict, args) -> list:
     _check_keys(cfg, {"model", "kernel", "horizons", "steps_per_unit", "M", "seed"}, "config")
     model = _model_from(_get(cfg, "model", "config", kind=dict))
     if model.a != 0.0:
         raise ConfigError("model.a: hit-time statistics need a = 0")
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
     horizons = _get(cfg, "horizons", "config", kind=list)
-    if not horizons or any(not isinstance(t, (int, float)) or t <= 0 for t in horizons):
+    if not horizons or any(not _is_number(t) or t <= 0 for t in horizons):
         raise ConfigError("horizons: expected an array of positive numbers")
     spu = _get(cfg, "steps_per_unit", "config", kind=int, required=False, default=64)
     m_count = _get(cfg, "M", "config", kind=int)
     seed = _seed_from(cfg, args)
     rates = hitting_time_stats(model, kernel, m_count, horizons, spu, seed)
-    _write_json(
-        {
-            "M": m_count,
-            "horizons": [
-                {
-                    "horizon": r.horizon,
-                    "fraction": r.fraction,
-                    "ci_low": r.ci_low,
-                    "ci_high": r.ci_high,
-                }
-                for r in rates
-            ],
-        },
-        os.path.join(args.out, "hit_times.json"),
-    )
+    out = os.path.join(args.out, "hit_times.json")
+    write_json(out, {"M": m_count, "horizons": [asdict(r) for r in rates]})
+    return [out]
 
 
-def _cmd_survival(cfg: dict, args) -> None:
+def _cmd_survival(cfg: dict, args) -> list:
     _check_keys(cfg, {"y0", "model", "kernel", "grid", "M", "seed"}, "config")
     y0 = _get(cfg, "y0", "config")
     if y0 <= 0:
@@ -305,7 +293,7 @@ def _cmd_survival(cfg: dict, args) -> None:
     beta = _get(raw, "beta", "model")
     if not 0.0 < beta < 1.0:
         raise ConfigError("model.beta: must lie in (0, 1)")
-    try:
+    with _config_errors("model"):
         model = ModelParams(
             x0=y0 ** (1.0 / (1.0 - beta)),
             a=0.0,
@@ -313,29 +301,17 @@ def _cmd_survival(cfg: dict, args) -> None:
             sigma=_get(raw, "sigma", "model"),
             beta=beta,
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
     n, horizon = _grid_from(_get(cfg, "grid", "config", kind=dict))
     m_count = _get(cfg, "M", "config", kind=int)
     seed = _seed_from(cfg, args)
     report = survival_bound_check(y0, model, kernel, uniform_grid(n, horizon), m_count, seed)
-    _write_json(
-        {
-            "applicable": report.applicable,
-            "empirical": report.empirical,
-            "bound": report.bound,
-            "std_error": report.std_error,
-            "sigma_bar_sq": report.sigma_bar_sq,
-            "passed": report.passed,
-        },
-        os.path.join(args.out, "survival.json"),
-    )
+    out = os.path.join(args.out, "survival.json")
+    write_json(out, asdict(report))
+    return [out]
 
 
-def _cmd_pk_simulate(cfg: dict, args) -> None:
+def _cmd_pk_simulate(cfg: dict, args) -> list:
     _check_keys(cfg, {"pk", "kernel", "grid", "seed"}, "config")
     pk = _pk_from(_get(cfg, "pk", "config", kind=dict))
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
@@ -343,17 +319,16 @@ def _cmd_pk_simulate(cfg: dict, args) -> None:
     seed = _seed_from(cfg, args)
     stochastic = simulate_concentration(pk, kernel, n, seed, horizon).path
     deterministic = deterministic_concentration(pk, stochastic.times)
-    _write_csv(
-        [
-            ["%.17g" % t, "%.17g" % s, "%.17g" % d]
-            for t, s, d in zip(stochastic.times, stochastic.values, deterministic)
-        ],
+    out = os.path.join(args.out, "pk_simulate.csv")
+    write_csv(
+        out,
         ["t", "stochastic", "deterministic"],
-        os.path.join(args.out, "pk_simulate.csv"),
+        zip(stochastic.times, stochastic.values, deterministic),
     )
+    return [out]
 
 
-def _cmd_pk_fit(cfg: dict, args) -> None:
+def _cmd_pk_fit(cfg: dict, args) -> list:
     _check_keys(
         cfg,
         {"pk_constants", "kernel", "observations", "column", "drop_nonpositive",
@@ -385,39 +360,23 @@ def _cmd_pk_fit(cfg: dict, args) -> None:
     )
     bounds_cfg = _get(cfg, "bounds", "config", kind=dict, required=False, default={})
     _check_keys(bounds_cfg, {"ke_max", "sigma_max", "beta_min", "beta_max"}, "bounds")
-    try:
+    with _config_errors("bounds"):
         bounds = ThetaBounds(
             ke_max=_get(bounds_cfg, "ke_max", "bounds", required=False, default=50.0),
             sigma_max=_get(bounds_cfg, "sigma_max", "bounds", required=False, default=20.0),
             beta_min=_get(bounds_cfg, "beta_min", "bounds", required=False, default=0.05),
             beta_max=_get(bounds_cfg, "beta_max", "bounds", required=False, default=0.95),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bounds: {exc}") from exc
     refine = _get(cfg, "quad_refine", "config", kind=int, required=False)
     quad = build_quad_grid(obs.times, refine)
-    try:
+    with _config_errors("init"):
         est = fit_mle(obs, kernel, init, a0, vol, bounds=bounds, quad_grid=quad)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"init: {exc}") from exc
-    _write_json(
-        {
-            "Ke": est.Ke,
-            "sigma": est.sigma,
-            "beta": est.beta,
-            "log_likelihood": est.log_likelihood,
-            "converged": est.converged,
-            "iterations": est.iterations,
-        },
-        os.path.join(args.out, "pk_fit.json"),
-    )
+    out = os.path.join(args.out, "pk_fit.json")
+    write_json(out, asdict(est))
+    return [out]
 
 
-def _cmd_pk_sensitivity(cfg: dict, args) -> None:
+def _cmd_pk_sensitivity(cfg: dict, args) -> list:
     _check_keys(
         cfg,
         {"pk", "kernel", "x", "functional", "tau", "grid", "M", "method", "h", "seed"},
@@ -444,7 +403,7 @@ def _cmd_pk_sensitivity(cfg: dict, args) -> None:
     if method not in ("pathwise", "fd"):
         raise ConfigError("method: expected 'pathwise' or 'fd'")
     seed = _seed_from(cfg, args)
-    try:
+    with _config_errors("tau"):
         spec = SensitivitySpec(
             F=func,
             Fdot=fdot,
@@ -455,10 +414,6 @@ def _cmd_pk_sensitivity(cfg: dict, args) -> None:
             tau_time=tau_time,
             seed=seed,
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"tau: {exc}") from exc
     if method == "pathwise":
         report = sensitivity_plsin(pk, x, spec, kernel)
     else:
@@ -474,7 +429,9 @@ def _cmd_pk_sensitivity(cfg: dict, args) -> None:
         "capped_fraction": report.capped_fraction,
         "method": method,
     }
-    _write_json(payload, os.path.join(args.out, "pk_sensitivity.json"))
+    out = os.path.join(args.out, "pk_sensitivity.json")
+    write_json(out, payload)
+    return [out]
 
 
 _COMMANDS = {
@@ -501,14 +458,20 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--seed", type=int, default=None, help="overrides the config seed")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker budget hint (GMR_THREADS env as fallback); execution "
-            "is sequential and results never depend on it",
-        )
     return parser
+
+
+def _load_config(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path!r} ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config: invalid JSON ({exc})") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config: expected a single top-level JSON object")
+    return cfg
 
 
 def run(argv) -> int:
@@ -517,26 +480,10 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        threads = args.threads
-        if threads is None:
-            env = os.environ.get("GMR_THREADS")
-            if env is not None:
-                if not env.isdigit():
-                    raise ConfigError("GMR_THREADS: expected a positive integer")
-                threads = int(env)
-        if threads is not None and threads < 1:
-            raise ConfigError("threads: must be >= 1")
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"config: cannot read {args.config!r} ({exc})") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON ({exc})") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError("config: expected a single top-level JSON object")
+        cfg = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        _COMMANDS[args.command](cfg, args)
+        for path in _COMMANDS[args.command](cfg, args):
+            print(path)
         return 0
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.linalg import toeplitz
 
+from .artifacts import write_csv
+
 __all__ = [
     "CovarianceError",
     "SamplePath",
@@ -93,12 +95,8 @@ class SamplePath:
         return float(self.values[self.index_of(t)])
 
     def to_csv(self, path) -> None:
-        """Write the path as CSV with header ``t,value`` (%.17g)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\r\n")
-            writer.writerow(["t", "value"])
-            for t, v in zip(self.times, self.values):
-                writer.writerow(["%.17g" % t, "%.17g" % v])
+        """Write the path as CSV with header ``t,value``."""
+        write_csv(path, ["t", "value"], zip(self.times, self.values))
 
     @classmethod
     def from_csv(cls, path) -> "SamplePath":

@@ -10,13 +10,12 @@ only on (seed, i), never on the ensemble size or execution order.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .drivers import (
     CovarianceKernel,
     fbm_kernel,
@@ -25,7 +24,13 @@ from .drivers import (
     uniform_grid,
 )
 from .solver import deterministic_ode_solution, implicit_euler_nodes, sup_bound
-from .transform import ModelParams, tilde_w_covariance_matrix, tilde_w_matrix
+from .transform import (
+    ModelParams,
+    explicit_a0_matrix,
+    lift,
+    tilde_w_covariance_matrix,
+    tilde_w_matrix,
+)
 
 __all__ = [
     "EnsembleSpec",
@@ -101,18 +106,10 @@ def _solve_matrix(p: ModelParams, times: np.ndarray, drivers: np.ndarray):
     index for path i (n+1 when the path never hits; only a = 0 can hit).
     """
     wt = tilde_w_matrix(drivers, times, p)
-    m = times.size
     if p.a == 0.0:
-        y = p.y0 + wt
-        alive = np.cumprod(y > 0.0, axis=1).astype(bool)
-        x = np.where(alive, np.where(alive, y, 1.0) ** (p.gamma + 1.0), 0.0)
-        x *= np.exp(-p.b * times)[None, :]
-        hit_steps = alive.sum(axis=1)
-    else:
-        y = implicit_euler_nodes(p, times, wt)
-        x = y ** (p.gamma + 1.0) * np.exp(-p.b * times)[None, :]
-        hit_steps = np.full(y.shape[0], m)
-    return x, y, hit_steps
+        return explicit_a0_matrix(wt, times, p)
+    y = implicit_euler_nodes(p, times, wt)
+    return lift(y, times, p), y, np.full(y.shape[0], times.size)
 
 
 def ensemble_simulate(spec: EnsembleSpec) -> EnsembleResult:
@@ -177,15 +174,12 @@ def lp_convergence_check(
     times = uniform_grid(ref_n, horizon)
     drivers = sample_path_matrix(kernel, times, M, seed)
     wt = tilde_w_matrix(drivers, times, p)
-    damp = np.exp(-p.b * times)
-    x_ref = implicit_euler_nodes(p, times, wt) ** (p.gamma + 1.0) * damp[None, :]
+    x_ref = lift(implicit_euler_nodes(p, times, wt), times, p)
     errors = []
     for n in n_list:
         stride = ref_n // n
-        xc = (
-            implicit_euler_nodes(p, times[::stride], wt[:, ::stride]) ** (p.gamma + 1.0)
-            * damp[None, ::stride]
-        )
+        coarse = times[::stride]
+        xc = lift(implicit_euler_nodes(p, coarse, wt[:, ::stride]), coarse, p)
         d = np.max(np.abs(xc - x_ref[:, ::stride]), axis=1)
         errors.append(float(np.mean(d**p_exponent) ** (1.0 / p_exponent)))
     return np.array(errors)
@@ -218,6 +212,8 @@ def survival_bound_check(
     """
     if y0 <= 0:
         raise ValueError("y0 must be positive")
+    if M < 1:
+        raise ValueError("M must be >= 1")
     grid = np.asarray(grid, dtype=float)
     sigma_bar_sq = float(np.max(np.diag(tilde_w_covariance_matrix(p, kernel, grid))))
     applicable = 2.0 * sigma_bar_sq * math.log(2.0) < y0**2
@@ -261,6 +257,8 @@ def hitting_time_stats(
     """
     if p.a != 0.0:
         raise ValueError("hitting-time statistics apply to the a = 0 solution")
+    if M < 1:
+        raise ValueError("M must be >= 1")
     horizons = sorted(float(t) for t in horizons)
     if horizons[0] <= 0:
         raise ValueError("horizons must be positive")
@@ -413,26 +411,23 @@ def density_smoke(spec: EnsembleSpec, t: float) -> DensitySmoke:
 
 
 def stats_to_json(stats: EnsembleStats, path) -> None:
-    payload = {
-        "lp_estimates": [
-            {"p": p, "estimate": v} for p, v in sorted(stats.lp_estimates.items())
-        ],
-        "hit_fraction": stats.hit_fraction,
-        "hit_times": [float(t) for t in stats.hit_times],
-        "marginal_samples": {
-            "%.17g" % t: [float(v) for v in vals]
-            for t, vals in sorted(stats.marginal_samples.items())
+    write_json(
+        path,
+        {
+            "lp_estimates": [
+                {"p": p, "estimate": v} for p, v in sorted(stats.lp_estimates.items())
+            ],
+            "hit_fraction": stats.hit_fraction,
+            "hit_times": [float(t) for t in stats.hit_times],
+            "marginal_samples": {
+                "%.17g" % t: [float(v) for v in vals]
+                for t, vals in sorted(stats.marginal_samples.items())
+            },
         },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    )
 
 
 def paths_to_csv(result: EnsembleResult, path) -> None:
     """Raw ensemble matrix as CSV: columns t, path_0, ..., path_{M-1}."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["t"] + [f"path_{i}" for i in range(result.x.shape[0])])
-        for k, t in enumerate(result.times):
-            writer.writerow(["%.17g" % t] + ["%.17g" % v for v in result.x[:, k]])
+    header = ["t"] + [f"path_{i}" for i in range(result.x.shape[0])]
+    write_csv(path, header, np.column_stack([result.times, result.x.T]))

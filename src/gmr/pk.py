@@ -21,6 +21,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
+from .artifacts import write_csv
 from .drivers import (
     CovarianceError,
     CovarianceKernel,
@@ -35,6 +36,8 @@ from .transform import (
     ModelParams,
     TruncatedPath,
     explicit_solution_a0,
+    first_hit,
+    lift,
     tilde_w_covariance_matrix,
     tilde_w_matrix,
 )
@@ -137,11 +140,7 @@ class ConcentrationSeries:
         return self.times.size
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\r\n")
-            writer.writerow(["t", "concentration"])
-            for t, x in zip(self.times, self.concentrations):
-                writer.writerow(["%.17g" % t, "%.17g" % x])
+        write_csv(path, ["t", "concentration"], zip(self.times, self.concentrations))
 
     @classmethod
     def from_csv(cls, path, column: Optional[str] = None,
@@ -489,17 +488,17 @@ class SensitivityReport:
     capped_fraction: float
 
 
-def _tau_and_level(pk: PkParams, x: float, spec: SensitivitySpec, wt: np.ndarray,
+def _tau_and_level(mp: ModelParams, spec: SensitivitySpec, wt: np.ndarray,
                    times: np.ndarray):
-    """Per-path stopping index and clamped transformed level at it.
+    """Per-path stopping time, clamped transformed level and concentration.
 
-    The level x^(1-beta) + wtilde is followed until the requested time or
-    its first nonpositive grid value, whichever comes first; absorbed
-    paths carry level 0 (they contribute F(0) and a vanishing weight).
+    The level x^(1-beta) + wtilde (x = mp.x0) is followed until the
+    requested time or its first nonpositive grid value, whichever comes
+    first; absorbed paths carry level 0 (they contribute F(0) and a
+    vanishing weight).
     """
-    y = x ** (1.0 - pk.beta) + wt
-    alive = np.cumprod(y > 0.0, axis=1).astype(bool)
-    first_dead = alive.sum(axis=1)  # == n+1 when never absorbed
+    y = mp.y0 + wt
+    first_dead = first_hit(y)  # == n+1 when never absorbed
     if spec.tau_kind == "fixed":
         k_star = grid_index(times, spec.tau_time)
         tau_idx = np.minimum(k_star, first_dead)
@@ -509,7 +508,8 @@ def _tau_and_level(pk: PkParams, x: float, spec: SensitivitySpec, wt: np.ndarray
         capped = first_dead < times.size
     rows = np.arange(y.shape[0])
     y_tau = np.where(capped, 0.0, y[rows, np.minimum(tau_idx, times.size - 1)])
-    return times[tau_idx], y_tau, capped
+    tau = times[tau_idx]
+    return tau, y_tau, lift(y_tau, tau, mp), capped
 
 
 def concentration_functional_samples(
@@ -518,11 +518,10 @@ def concentration_functional_samples(
     """Per-path values F(C_tau^x) for the spec's ensemble (for oracles)."""
     if x <= 0:
         raise ValueError("initial concentration must be positive")
+    mp = pk.to_model_params(x0=x)
     times = uniform_grid(spec.n, spec.horizon)
     drivers = sample_path_matrix(kernel, times, spec.M, spec.seed)
-    wt = tilde_w_matrix(drivers, times, pk.to_model_params(x0=x))
-    tau, y_tau, _ = _tau_and_level(pk, x, spec, wt, times)
-    c_tau = y_tau ** (1.0 / (1.0 - pk.beta)) * np.exp(-pk.Ke * tau)
+    _, _, c_tau, _ = _tau_and_level(mp, spec, tilde_w_matrix(drivers, times, mp), times)
     values = np.asarray(spec.F(c_tau), dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("F is not finite on the simulated range")
@@ -545,8 +544,7 @@ def sensitivity_plsin(
     times = uniform_grid(spec.n, spec.horizon)
     drivers = sample_path_matrix(kernel, times, spec.M, spec.seed)
     wt = tilde_w_matrix(drivers, times, mp)
-    tau, y_tau, capped = _tau_and_level(pk, x, spec, wt, times)
-    c_tau = y_tau ** (mp.gamma + 1.0) * np.exp(-pk.Ke * tau)
+    tau, y_tau, c_tau, capped = _tau_and_level(mp, spec, wt, times)
     fdot = np.asarray(spec.Fdot(c_tau), dtype=float)
     if not np.all(np.isfinite(fdot)):
         raise ValueError("Fdot is not finite on the simulated range")
@@ -583,8 +581,7 @@ def sensitivity_fd(
     values = {}
     capped_any = np.zeros(spec.M, dtype=bool)
     for bump in (x + h, x - h):
-        tau, y_tau, capped = _tau_and_level(pk, bump, spec, wt, times)
-        c_tau = y_tau ** (1.0 / (1.0 - pk.beta)) * np.exp(-pk.Ke * tau)
+        _, _, c_tau, capped = _tau_and_level(pk.to_model_params(x0=bump), spec, wt, times)
         vals = np.asarray(spec.F(c_tau), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("F is not finite on the simulated range")

@@ -10,19 +10,19 @@ against a nested fine-grid reference.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .drivers import SamplePath
 from .transform import (
     ModelParams,
     TruncatedPath,
     explicit_solution_a0,
+    lift,
     lift_y_to_x,
     tilde_w_path,
 )
@@ -77,7 +77,7 @@ class EulerSolution:
 
     def x_at(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        return self.y_at(t) ** (self.params.gamma + 1.0) * np.exp(-self.params.b * t)
+        return lift(self.y_at(t), t, self.params)
 
 
 @dataclass(frozen=True)
@@ -315,18 +315,11 @@ def convergence_study(
 
 
 def rate_report_to_csv(report: RateReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["n", "error"])
-        for n, e in zip(report.n_list, report.errors):
-            writer.writerow([str(int(n)), "%.17g" % e])
+    write_csv(path, ["n", "error"], zip(report.n_list, report.errors))
 
 
 def rate_report_to_json(report: RateReport, path) -> None:
-    payload = {
-        "fitted_slope": report.fitted_slope,
-        "theoretical_rate": report.theoretical_rate,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(
+        path,
+        {"fitted_slope": report.fitted_slope, "theoretical_rate": report.theoretical_rate},
+    )

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .drivers import CovarianceKernel, SamplePath, covariance_matrix, grid_index
+from .drivers import CovarianceKernel, SamplePath, covariance_matrix
 
 __all__ = [
     "ModelParams",
@@ -28,11 +28,14 @@ __all__ = [
     "theta_weight",
     "theta_weight_derivative",
     "tilde_w_path",
-    "tilde_w_covariance",
+    "tilde_w_matrix",
     "tilde_w_covariance_matrix",
     "y0_from_x0",
+    "lift",
     "lift_y_to_x",
     "lower_x_to_y",
+    "first_hit",
+    "explicit_a0_matrix",
     "explicit_solution_a0",
 ]
 
@@ -130,22 +133,22 @@ def theta_weight_derivative(t, p: ModelParams):
 def tilde_w_path(driver: SamplePath, p: ModelParams) -> SamplePath:
     """Weighted driver wtilde_t = int_0^t theta_s dw_s on the driver grid.
 
-    Evaluated through integration by parts,
-    wtilde_t = theta_t w_t - int_0^t theta'_s w_s ds, with the remaining
-    Riemann integral done by trapezoid. Exact at the grid points when
-    b = 0 (the weight is then constant).
+    The one-row case of tilde_w_matrix; the driver must start at 0.
     """
     if driver.values[0] != 0.0:
         raise ValueError("driver path must start at 0")
-    t = driver.times
-    w = driver.values
-    th = theta_weight(t, p)
-    correction = cumulative_trapezoid(theta_weight_derivative(t, p) * w, t, initial=0.0)
-    return SamplePath(t, th * w - correction)
+    return SamplePath(driver.times, tilde_w_matrix(driver.values[None], driver.times, p)[0])
 
 
 def tilde_w_matrix(drivers: np.ndarray, times: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Row-wise tilde_w_path for a stack of driver paths (M x (n+1))."""
+    """Weighted drivers for a stack of driver paths (M x (n+1)).
+
+    Evaluated through integration by parts,
+    wtilde_t = theta_t w_t - int_0^t theta'_s w_s ds, with the remaining
+    Riemann integral done by trapezoid. Exact at the grid points when
+    b = 0 (the weight is then constant). Rows are independent of each
+    other.
+    """
     th = theta_weight(times, p)
     correction = cumulative_trapezoid(
         theta_weight_derivative(times, p)[None, :] * drivers, times, axis=1, initial=0.0
@@ -187,21 +190,6 @@ def tilde_w_covariance_matrix(
     return 0.5 * (out + out.T)
 
 
-def tilde_w_covariance(
-    s: float,
-    t: float,
-    p: ModelParams,
-    kernel: CovarianceKernel,
-    grid: np.ndarray,
-) -> float:
-    """Cov(wtilde_s, wtilde_t) for s, t on the quadrature grid."""
-    grid = np.asarray(grid, dtype=float)
-    i = grid_index(grid, s)
-    j = grid_index(grid, t)
-    full = tilde_w_covariance_matrix(p, kernel, grid)
-    return float(full[i, j])
-
-
 def y0_from_x0(x0: float, p: ModelParams) -> float:
     """Transformed initial condition x0^(1-beta)."""
     if x0 <= 0:
@@ -209,12 +197,20 @@ def y0_from_x0(x0: float, p: ModelParams) -> float:
     return x0 ** (1.0 - p.beta)
 
 
+def lift(y, times, p: ModelParams):
+    """The lift x = y^(gamma+1) e^(-bt), elementwise.
+
+    ``times`` broadcasts against ``y``: one grid for (M, n+1) rows, or
+    one time per entry (such as a per-row stopping time).
+    """
+    return y ** (p.gamma + 1.0) * np.exp(-p.b * times)
+
+
 def lift_y_to_x(y: SamplePath, p: ModelParams) -> SamplePath:
-    """Pointwise lift x_t = y_t^(gamma+1) e^(-bt); y must be positive."""
+    """Pointwise lift of a path; y must be positive."""
     if np.any(y.values <= 0.0):
         raise ValueError("y must be strictly positive; truncate before lifting")
-    x = y.values ** (p.gamma + 1.0) * np.exp(-p.b * y.times)
-    return SamplePath(y.times, x)
+    return SamplePath(y.times, lift(y.values, y.times, p))
 
 
 def lower_x_to_y(x: SamplePath, p: ModelParams) -> SamplePath:
@@ -225,25 +221,41 @@ def lower_x_to_y(x: SamplePath, p: ModelParams) -> SamplePath:
     return SamplePath(x.times, y)
 
 
-def explicit_solution_a0(driver: SamplePath, p: ModelParams) -> TruncatedPath:
-    """Closed-form solution for a = 0, absorbed at the first zero hit.
+def first_hit(level: np.ndarray) -> np.ndarray:
+    """First index along the last axis where ``level`` is not > 0.
 
-    x_t = (x0^(1-beta) + wtilde_t)^(gamma+1) e^(-bt) while the bracket is
-    positive; the first grid index where it is <= 0 becomes the hit and
-    the path is 0 from there on. Zero-hit detection is grid-based.
+    The length of that axis where there is no such index. NaN counts as
+    a hit.
+    """
+    dead = ~(level > 0.0)
+    return np.where(dead.any(axis=-1), dead.argmax(axis=-1), dead.shape[-1])
+
+
+def explicit_a0_matrix(tilde_w: np.ndarray, times: np.ndarray, p: ModelParams):
+    """Closed-form a = 0 solution for rows of wtilde, absorbed at the first hit.
+
+    x_t = (x0^(1-beta) + wtilde_t)^(gamma+1) e^(-bt) while the level
+    y = x0^(1-beta) + wtilde is positive. A row hits at the first grid
+    index where y <= 0 or where the lift of a positive y underflows to
+    x == 0.0 (large b t does this, e.g. b = 800 at t = 60/64 with no
+    noise), so x is strictly positive before the hit and exactly 0 from
+    it on. Zero-hit detection is grid-based.
+
+    Returns (x, y, hit): the lifted rows, the untruncated levels and the
+    per-row hit indices (n+1 for a row that never hits).
     """
     if p.a != 0.0:
         raise ValueError("explicit solution requires a = 0")
+    y = p.y0 + tilde_w
+    x = lift(np.where(y > 0.0, y, 0.0), times, p)
+    hit = first_hit(x)
+    x[np.arange(x.shape[-1]) >= hit[..., None]] = 0.0
+    return x, y, hit
+
+
+def explicit_solution_a0(driver: SamplePath, p: ModelParams) -> TruncatedPath:
+    """The one-row case of explicit_a0_matrix, as a TruncatedPath."""
     wt = tilde_w_path(driver, p)
-    y = p.y0 + wt.values
-    hit = np.nonzero(y <= 0.0)[0]
-    hit_index = int(hit[0]) if hit.size else None
-    x = np.zeros_like(y)
-    live = slice(None) if hit_index is None else slice(0, hit_index)
-    x[live] = y[live] ** (p.gamma + 1.0) * np.exp(-p.b * wt.times[live])
-    # y slightly above 0 can underflow to x == 0; fold that into the hit
-    dead = np.nonzero(x[live] == 0.0)[0]
-    if dead.size:
-        hit_index = int(dead[0])
-        x[hit_index:] = 0.0
-    return TruncatedPath(SamplePath(wt.times, x), hit_index)
+    x, _, hit = explicit_a0_matrix(wt.values[None], wt.times, p)
+    k = int(hit[0])
+    return TruncatedPath(SamplePath(wt.times, x[0]), k if k < x.shape[1] else None)

@@ -338,20 +338,47 @@ def test_pk_sensitivity_outputs(tmp_path):
     assert abs(payload["estimate"] - fd_payload["estimate"]) <= 3 * combined
 
 
-def test_threads_env_validation(tmp_path, monkeypatch):
-    cfg = write_config(
-        tmp_path,
-        "sim.json",
-        {
-            "model": {"x0": 1.0, "a": 1.0, "b": 1.0, "sigma": 0.5, "beta": 0.7},
-            "kernel": {"kind": "fbm", "hurst": 0.8},
-            "grid": {"n": 16, "T": 1.0},
-            "seed": 9,
-        },
-    )
-    monkeypatch.setenv("GMR_THREADS", "nope")
-    assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
-    monkeypatch.setenv("GMR_THREADS", "2")
-    assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
-    monkeypatch.delenv("GMR_THREADS")
-    assert run(["simulate", "--config", cfg, "--threads", "0", "--out", str(tmp_path)]) == 1
+SIM_TEXT = (
+    '{"model": {"x0": 1.0, "a": 1.0, "b": 1.0, "sigma": %s, "beta": 0.7},'
+    ' "kernel": {"kind": "fbm", "hurst": 0.8}, "grid": {"n": 16, "T": %s}, "seed": 9}'
+)
+ENS_TEXT = (
+    '{"model": {"x0": 1.0, "a": 1.0, "b": 1.0, "sigma": 0.5, "beta": 0.7},'
+    ' "kernel": {"kind": "fbm", "hurst": 0.8}, "grid": {"n": 16, "T": 1.0},'
+    ' "ensemble": {"M": 4%s}, %s"seed": 9}'
+)
+HIT_TEXT = (
+    '{"model": {"x0": 1.0, "a": 0.0, "b": 1.0, "sigma": 0.3, "beta": 0.7},'
+    ' "kernel": {"kind": "fbm", "hurst": 0.8}, "horizons": [0.5], "M": 0, "seed": 9}'
+)
+SURV_TEXT = (
+    '{"y0": 1.0, "model": {"b": 1.0, "sigma": 0.3, "beta": 0.7},'
+    ' "kernel": {"kind": "fbm", "hurst": 0.8}, "grid": {"n": 16, "T": 1.0}, "M": 0, "seed": 9}'
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("simulate", SIM_TEXT % ("NaN", "1.0"), "sigma"),
+        ("simulate", SIM_TEXT % ("0.5", "Infinity"), "T"),
+        ("ensemble", ENS_TEXT % (', "p_exponents": 2', ""), "p_exponents"),
+        ("ensemble", ENS_TEXT % (', "p_exponents": [2, NaN]', ""), "p_exponents"),
+        ("ensemble", ENS_TEXT % (', "marginal_times": ["0.5"]', ""), "marginal_times"),
+        ("ensemble", ENS_TEXT % ("", '"write_paths": "yes", '), "write_paths"),
+        ("hit-times", HIT_TEXT, "M"),
+        ("survival", SURV_TEXT, "M"),
+    ],
+    ids=["nan-sigma", "infinite-T", "scalar-p_exponents", "nan-p_exponents",
+         "string-marginal_times", "string-write_paths", "hit-times-zero-M",
+         "survival-zero-M"],
+)
+def test_bad_config_values_exit_1_before_writing(tmp_path, capsys, command, text, key):
+    # json.load parses NaN and Infinity, so they must be rejected by key,
+    # and every config error must come before any artifact is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())

@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from gmr.drivers import SamplePath, brownian_kernel, fbm_kernel, uniform_grid
+from gmr.drivers import (
+    SamplePath,
+    brownian_kernel,
+    fbm_kernel,
+    sample_path_matrix,
+    uniform_grid,
+)
 from gmr.montecarlo import (
     EnsembleSpec,
+    _solve_matrix,
     density_smoke,
     ensemble_simulate,
     hitting_time_stats,
@@ -20,7 +27,12 @@ from gmr.montecarlo import (
     survival_bound_check,
 )
 from gmr.solver import convergence_study, deterministic_ode_solution
-from gmr.transform import ModelParams, tilde_w_covariance_matrix
+from gmr.transform import (
+    ModelParams,
+    explicit_solution_a0,
+    lift_y_to_x,
+    tilde_w_covariance_matrix,
+)
 
 
 def _spec(**kw):
@@ -310,3 +322,36 @@ def test_import_gmr_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+def test_solve_matrix_rows_match_single_path_routines():
+    times = uniform_grid(128, 2.0)
+    drivers = sample_path_matrix(fbm_kernel(0.6), times, 40, seed=11)
+    # a = 0: the absorbed rows and their hits are bitwise the one-row solution's
+    p0 = ModelParams(x0=1.0, a=0.0, b=4.0, sigma=2.0, beta=0.8)
+    x, _, hit = _solve_matrix(p0, times, drivers)
+    hits = 0
+    for i, row in enumerate(drivers):
+        sol = explicit_solution_a0(SamplePath(times, row), p0)
+        assert np.array_equal(x[i], sol.path.values)
+        assert hit[i] == (times.size if sol.hit_index is None else sol.hit_index)
+        hits += sol.hit_index is not None
+    assert 0 < hits < len(drivers)
+    # a > 0: the matrix lift is bitwise the single-path lift of each y row
+    p1 = ModelParams(x0=1.0, a=1.0, b=2.0, sigma=0.5, beta=0.7)
+    x, y, hit = _solve_matrix(p1, times, drivers)
+    assert np.all(hit == times.size)
+    for xi, yi in zip(x, y):
+        assert np.array_equal(xi, lift_y_to_x(SamplePath(times, yi), p1).values)
+
+
+def test_lift_underflow_counts_as_hit_in_ensembles():
+    # with b = 800 and no noise the positive level lifts to x == 0.0 from
+    # t = 60/64 on; ensembles and the one-row solution both absorb there
+    p = ModelParams(x0=1.0, a=0.0, b=800.0, sigma=0.0, beta=0.5)
+    res = ensemble_simulate(_spec(params=p, M=3, n=64))
+    single = explicit_solution_a0(SamplePath(res.times, np.zeros(65)), p)
+    assert single.hit_index == 60
+    assert res.stats.hit_fraction == 1.0
+    assert np.all(res.stats.hit_times == res.times[60])
+    assert np.array_equal(res.x, np.tile(single.path.values, (3, 1)))

@@ -15,11 +15,12 @@ from gmr.transform import (
     ModelParams,
     TruncatedPath,
     explicit_solution_a0,
+    first_hit,
     lift_y_to_x,
     lower_x_to_y,
     theta_weight,
-    tilde_w_covariance,
     tilde_w_covariance_matrix,
+    tilde_w_matrix,
     tilde_w_path,
     y0_from_x0,
 )
@@ -94,14 +95,14 @@ def test_tilde_w_smooth_path_oracle():
 def test_tilde_w_covariance_zero_noise():
     p = _params(sigma=0.0, b=1.0, beta=0.6)
     grid = uniform_grid(16, 1.0)
-    assert tilde_w_covariance(0.5, 1.0, p, brownian_kernel(), grid) == 0.0
+    assert tilde_w_covariance_matrix(p, brownian_kernel(), grid)[8, 16] == 0.0
 
 
 def test_tilde_w_covariance_brownian_exact_when_b_zero():
     p = _params(sigma=1.3, b=0.0, beta=0.5)
     grid = uniform_grid(16, 2.0)
     expected = 1.3**2 * 0.25 * 0.5  # sigma^2 (1-beta)^2 min(s, t)
-    got = tilde_w_covariance(0.5, 1.5, p, brownian_kernel(), grid)
+    got = tilde_w_covariance_matrix(p, brownian_kernel(), grid)[4, 12]  # s = 0.5, t = 1.5
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -109,7 +110,7 @@ def test_tilde_w_covariance_brownian_quadrature_oracle():
     # closed form int_0^1 theta_u^2 du = 0.25 (e^2 - 1) / 2 for sigma=1, beta=0.5, b=2
     p = _params(sigma=1.0, b=2.0, beta=0.5)
     grid = uniform_grid(512, 1.0)
-    got = tilde_w_covariance(1.0, 1.0, p, brownian_kernel(), grid)
+    got = tilde_w_covariance_matrix(p, brownian_kernel(), grid)[512, 512]
     assert got == pytest.approx(0.125 * (math.e**2 - 1.0), rel=1e-4)
 
 
@@ -128,6 +129,9 @@ def test_tilde_w_covariance_against_monte_carlo(kernel):
     m = 5000
     drivers = sample_paths(kernel, grid, m, seed=17)
     wt_paths = [tilde_w_path(d, p) for d in drivers]
+    # each single path is bitwise its row of the matrix routine
+    rows = tilde_w_matrix(np.array([d.values for d in drivers]), grid, p)
+    assert all(np.array_equal(w.values, row) for w, row in zip(wt_paths, rows))
     full = tilde_w_covariance_matrix(p, kernel, grid)
     for s, t in ((horizon / 4, horizon / 2), (horizon / 2, horizon), (horizon / 4, horizon)):
         mc = empirical_covariance(wt_paths, s, t)
@@ -243,3 +247,9 @@ def test_explicit_solution_requires_a_zero():
     grid = uniform_grid(4, 1.0)
     with pytest.raises(ValueError, match="a = 0"):
         explicit_solution_a0(SamplePath(grid, np.zeros(5)), p)
+
+
+def test_first_hit_rows():
+    level = np.array([[1.0, 0.5, 0.0, 2.0], [1.0, 2.0, 3.0, 4.0], [np.nan, 1.0, 1.0, 1.0]])
+    assert first_hit(level).tolist() == [2, 4, 0]
+    assert first_hit(level[0]) == 2
