@@ -25,6 +25,7 @@ from .drivers import (
     CovarianceKernel,
     brownian_kernel,
     fbm_kernel,
+    grid_index,
     sample_paths,
     uniform_grid,
 )
@@ -165,14 +166,20 @@ def _kernel_from(cfg: dict, ctx: str = "kernel") -> CovarianceKernel:
     raise ConfigError(f"{ctx}.kind: expected 'fbm' or 'brownian'")
 
 
+def _check_steps(n: int, horizon: float, n_key: str, t_key: str, n_min: int) -> None:
+    if n < n_min:
+        raise ConfigError(f"{n_key}: must be >= {n_min}")
+    if horizon <= 0:
+        raise ConfigError(f"{t_key}: must be positive")
+    if horizon / n < sys.float_info.min:  # subnormal steps: the grid is not uniform
+        raise ConfigError(f"{t_key}: too small for {n} steps")
+
+
 def _grid_from(cfg: dict, ctx: str = "grid"):
     _check_keys(cfg, {"n", "T"}, ctx)
     n = _get(cfg, "n", ctx, kind=int)
     horizon = _get(cfg, "T", ctx)
-    if n < 2:
-        raise ConfigError(f"{ctx}.n: must be >= 2")
-    if horizon <= 0:
-        raise ConfigError(f"{ctx}.T: must be positive")
+    _check_steps(n, horizon, f"{ctx}.n", f"{ctx}.T", 2)
     return n, horizon
 
 
@@ -222,6 +229,7 @@ def _cmd_converge(cfg: dict, args) -> list:
     seed = _seed_from(cfg, args)
     if not n_list or not all(isinstance(n, int) and n >= 1 for n in n_list):
         raise ConfigError("n_list: expected a nonempty array of positive integers")
+    _check_steps(ref_n, horizon, "ref_n", "T", 1)
     driver = sample_paths(kernel, uniform_grid(ref_n, horizon), 1, seed)[0]
     with _config_errors("n_list/ref_n"):
         report = convergence_study(model, driver, n_list, ref_n, kernel.holder_exponent)
@@ -256,6 +264,10 @@ def _cmd_ensemble(cfg: dict, args) -> list:
             marginal_times=marginal,
             p_exponents=p_exp,
         )
+    times = uniform_grid(n, horizon)
+    with _config_errors("ensemble.marginal_times"):
+        for t in marginal:
+            grid_index(times, t)
     result = ensemble_simulate(spec)
     written = [os.path.join(args.out, "ensemble.json")]
     stats_to_json(result.stats, written[-1])

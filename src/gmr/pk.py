@@ -272,6 +272,30 @@ def gamma_matrix(
     )
 
 
+def _likelihood_core(ke, beta, obs, kernel, A0, v, quad_grid, cov):
+    """log det L_1 and q = |L_1^{-1} U|^2, with L_1 the Cholesky factor of Gamma_1.
+
+    Gamma_1 is the observation covariance at sigma = 1. Every entry of the
+    covariance carries two weights sigma(1-beta)e^(Ke(1-beta)t), so
+    Gamma(Ke, sigma, beta) = sigma^2 Gamma_1 and U does not depend on sigma.
+    The jitter ladder is relative to the largest diagonal entry, so Gamma_1
+    needs the jitter that Gamma would, up to rounding.
+    """
+    t = obs.times
+    factor = _cholesky_with_jitter(gamma_matrix_from_theta(
+        (ke, 1.0, beta), t, kernel, quad_grid, A0_over_v=A0 / v, cov=cov))
+    omb = 1.0 - beta
+    u = obs.concentrations**omb - (A0 / v) ** omb * np.exp(-ke * omb * t)
+    half = solve_triangular(factor, u, lower=True)
+    return float(np.sum(np.log(np.diag(factor)))), float(np.dot(half, half))
+
+
+def _log_likelihood_from(sigma, beta, x, logdet, q) -> float:
+    n = x.size
+    return float(n * math.log(1.0 - beta) - 0.5 * n * math.log(2.0 * math.pi) - logdet
+                 - n * math.log(sigma) - 0.5 * q / sigma**2 - beta * np.sum(np.log(x)))
+
+
 def log_likelihood(
     theta,
     obs: ConcentrationSeries,
@@ -283,39 +307,25 @@ def log_likelihood(
 ) -> float:
     """Exact log-likelihood of positive observations under theta = (Ke, sigma, beta).
 
-    Computed stably through a Cholesky factorization of the observation
-    covariance:
+    Computed stably through the Cholesky factor L_1 of the covariance at
+    sigma = 1 (Gamma = sigma^2 Gamma_1):
 
-        n log(2(1-beta)) - (n/2) log(2 pi) - (1/2) logdet Gamma
-        - (1/2) U' Gamma^{-1} U - beta sum log x_i
+        n log(1-beta) - (n/2) log(2 pi) - log det L_1 - n log sigma
+        - q / (2 sigma^2) - beta sum log x_i,    q = U' Gamma_1^{-1} U,
 
-    with U_i = x_i^(1-beta) - (A0/v)^(1-beta) e^(-Ke(1-beta)t_i). Returns
-    -inf when any observation is nonpositive (the indicator factor).
+    with U_i = x_i^(1-beta) - (A0/v)^(1-beta) e^(-Ke(1-beta)t_i); n log(1-beta)
+    and the last term are the Jacobian of x -> x^(1-beta). Returns -inf when
+    any observation is nonpositive (the indicator factor).
     """
     ke, sigma, beta = (float(u) for u in theta)
     if ke <= 0 or sigma <= 0 or not 0.0 < beta < 1.0:
         raise ValueError("theta out of domain: need Ke, sigma > 0 and beta in (0, 1)")
-    x = obs.concentrations
-    if np.any(x <= 0):
+    if np.any(obs.concentrations <= 0):
         return -math.inf
-    t = obs.times
     if quad_grid is None:
-        quad_grid = build_quad_grid(t)
-    gam = gamma_matrix_from_theta(
-        (ke, sigma, beta), t, kernel, quad_grid, A0_over_v=A0 / v, cov=cov
-    )
-    factor = _cholesky_with_jitter(gam)
-    omb = 1.0 - beta
-    u = x**omb - (A0 / v) ** omb * np.exp(-ke * omb * t)
-    half = solve_triangular(factor, u, lower=True)
-    n = x.size
-    return float(
-        n * math.log(2.0 * omb)
-        - 0.5 * n * math.log(2.0 * math.pi)
-        - np.sum(np.log(np.diag(factor)))
-        - 0.5 * np.dot(half, half)
-        - beta * np.sum(np.log(x))
-    )
+        quad_grid = build_quad_grid(obs.times)
+    logdet, q = _likelihood_core(ke, beta, obs, kernel, A0, v, quad_grid, cov)
+    return _log_likelihood_from(sigma, beta, obs.concentrations, logdet, q)
 
 
 @dataclass(frozen=True)
@@ -356,19 +366,15 @@ class ThetaEstimate:
             raise ValueError("estimate out of the admissible domain")
 
 
-def _to_unconstrained(theta, bounds: ThetaBounds) -> np.ndarray:
-    ke, sigma, beta = theta
+def _to_unconstrained(ke, beta, bounds: ThetaBounds) -> np.ndarray:
     frac = (beta - bounds.beta_min) / (bounds.beta_max - bounds.beta_min)
     frac = min(max(frac, 1e-12), 1.0 - 1e-12)
-    return np.array([math.log(ke), math.log(sigma), math.log(frac / (1.0 - frac))])
+    return np.array([math.log(ke), math.log(frac / (1.0 - frac))])
 
 
 def _from_unconstrained(u: np.ndarray, bounds: ThetaBounds):
-    ke = math.exp(u[0])
-    sigma = math.exp(u[1])
-    frac = 1.0 / (1.0 + math.exp(-u[2]))
-    beta = bounds.beta_min + (bounds.beta_max - bounds.beta_min) * frac
-    return ke, sigma, beta
+    frac = 1.0 / (1.0 + math.exp(-u[1]))
+    return math.exp(u[0]), bounds.beta_min + (bounds.beta_max - bounds.beta_min) * frac
 
 
 def fit_mle(
@@ -383,12 +389,14 @@ def fit_mle(
 ) -> ThetaEstimate:
     """Maximize the likelihood over theta = (Ke, sigma, beta).
 
-    Nelder-Mead on a box-transformed parameterization (log for Ke and
-    sigma, logit for beta over its bracket); derivative-free on purpose,
-    the objective goes through a quadrature-built covariance. Convergence
-    means the final simplex has diameter below 1e-6 within the iteration
-    cap; by construction the returned value is at least as likely as the
-    initial point.
+    sigma is profiled out: at each (Ke, beta) the likelihood is unimodal in
+    sigma with its maximum at sqrt(q/n) (see _likelihood_core), clamped to
+    sigma_max. Nelder-Mead then searches (log Ke, logit beta over its
+    bracket); derivative-free on purpose, the objective goes through a
+    quadrature-built covariance. ``init`` is a full theta whose sigma is
+    only checked against the bounds. Convergence means the final simplex
+    has diameter below 1e-6 within the iteration cap; by construction the
+    returned value is at least as likely as the initial point.
     """
     init = tuple(float(u) for u in init)
     if not bounds.contains(init):
@@ -400,49 +408,42 @@ def fit_mle(
         quad_grid = build_quad_grid(obs.times)
     cov = covariance_matrix(kernel, quad_grid)  # theta-independent, reused per eval
 
-    def objective(u):
-        theta = _from_unconstrained(u, bounds)
-        if theta[0] > bounds.ke_max or theta[1] > bounds.sigma_max:
-            return math.inf
+    def profile(u):
+        """(theta, -log-likelihood) with sigma at its profile maximum."""
+        ke, beta = _from_unconstrained(u, bounds)
+        if ke > bounds.ke_max:
+            return None, math.inf
         try:
-            ll = log_likelihood(theta, obs, kernel, A0, v, quad_grid=quad_grid, cov=cov)
+            logdet, q = _likelihood_core(ke, beta, obs, kernel, A0, v, quad_grid, cov)
         except CovarianceError:
-            return math.inf  # degenerate Gamma at an extreme theta: step back
-        return math.inf if ll == -math.inf else -ll
+            return None, math.inf  # degenerate Gamma at an extreme theta: step back
+        sigma = min(math.sqrt(q / len(obs)), bounds.sigma_max)
+        ll = _log_likelihood_from(sigma, beta, obs.concentrations, logdet, q)
+        return (ke, sigma, beta), -ll
 
-    u0 = _to_unconstrained(init, bounds)
-    f0 = objective(u0)
+    u0 = _to_unconstrained(init[0], init[2], bounds)
+    f0 = profile(u0)[1]
     # explicit initial simplex: the default (5% per coordinate, absolute
     # fallback near 0) collapses along coordinates starting at 0, e.g. the
     # logit of a centered beta, and the fit would never leave them
-    simplex = np.vstack([u0] + [u0 + 0.5 * np.eye(3)[i] for i in range(3)])
-    result = minimize(
-        objective,
-        u0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": max_iter,
-            "maxfev": 8 * max_iter,
-            "xatol": 1e-7,
-            "fatol": 1e-10,
-            "initial_simplex": simplex,
-        },
-    )
-    best_u, best_f = result.x, result.fun
-    if best_f > f0:  # Nelder-Mead never worsens the start vertex, but be safe
-        best_u, best_f = u0, f0
+    simplex = np.vstack([u0, u0 + [0.5, 0.0], u0 + [0.0, 0.5]])
+    # stop on the simplex size alone (fatol = inf): with an ill-conditioned
+    # Gamma the objective's rounding noise (~1e-9) can stay above any fatol
+    options = dict(maxiter=max_iter, maxfev=8 * max_iter, xatol=1e-7, fatol=math.inf,
+                   initial_simplex=simplex)
+    result = minimize(lambda u: profile(u)[1], u0, method="Nelder-Mead", options=options)
+    # Nelder-Mead never worsens the start vertex, but be safe
+    theta, best_f = profile(result.x if result.fun <= f0 else u0)
     if not np.isfinite(best_f):
         raise AdmissibilityError("no admissible parameters")
     vertices = result.final_simplex[0]
     diameter = max(
         float(np.linalg.norm(va - vb)) for va in vertices for vb in vertices
     )
-    ke, sigma, beta = _from_unconstrained(best_u, bounds)
+    # -best_f is log_likelihood(theta) bitwise: the same core and the same sum
     return ThetaEstimate(
-        Ke=ke,
-        sigma=sigma,
-        beta=beta,
-        log_likelihood=float(-best_f),
+        *theta,
+        log_likelihood=-best_f,
         converged=bool(diameter < 1e-6 and result.nit <= max_iter),
         iterations=int(result.nit),
     )
@@ -512,20 +513,36 @@ def _tau_and_level(mp: ModelParams, spec: SensitivitySpec, wt: np.ndarray,
     return tau, y_tau, lift(y_tau, tau, mp), capped
 
 
-def concentration_functional_samples(
-    pk: PkParams, x: float, spec: SensitivitySpec, kernel: CovarianceKernel
-) -> np.ndarray:
-    """Per-path values F(C_tau^x) for the spec's ensemble (for oracles)."""
+def _ensemble_wtilde(pk: PkParams, x: float, spec: SensitivitySpec,
+                    kernel: CovarianceKernel):
+    """The model at initial concentration x, the grid and the spec's wtilde rows."""
     if x <= 0:
         raise ValueError("initial concentration must be positive")
     mp = pk.to_model_params(x0=x)
     times = uniform_grid(spec.n, spec.horizon)
     drivers = sample_path_matrix(kernel, times, spec.M, spec.seed)
-    _, _, c_tau, _ = _tau_and_level(mp, spec, tilde_w_matrix(drivers, times, mp), times)
-    values = np.asarray(spec.F(c_tau), dtype=float)
+    return mp, times, tilde_w_matrix(drivers, times, mp)
+
+
+def _finite(values, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
-        raise ValueError("F is not finite on the simulated range")
+        raise ValueError(f"{name} is not finite on the simulated range")
     return values
+
+
+def _report(samples: np.ndarray, spec: SensitivitySpec, capped) -> SensitivityReport:
+    se = float(np.std(samples, ddof=1) / math.sqrt(spec.M)) if spec.M > 1 else 0.0
+    return SensitivityReport(estimate=float(np.mean(samples)), std_error=se, M=spec.M,
+                             tau_kind=spec.tau_kind, capped_fraction=float(np.mean(capped)))
+
+
+def concentration_functional_samples(
+    pk: PkParams, x: float, spec: SensitivitySpec, kernel: CovarianceKernel
+) -> np.ndarray:
+    """Per-path values F(C_tau^x) for the spec's ensemble (for oracles)."""
+    mp, times, wt = _ensemble_wtilde(pk, x, spec, kernel)
+    return _finite(spec.F(_tau_and_level(mp, spec, wt, times)[2]), "F")
 
 
 def sensitivity_plsin(
@@ -538,25 +555,10 @@ def sensitivity_plsin(
     over the driver ensemble; paths absorbed before a fixed tau enter at
     the capped time, where the weight vanishes.
     """
-    if x <= 0:
-        raise ValueError("initial concentration must be positive")
-    mp = pk.to_model_params(x0=x)
-    times = uniform_grid(spec.n, spec.horizon)
-    drivers = sample_path_matrix(kernel, times, spec.M, spec.seed)
-    wt = tilde_w_matrix(drivers, times, mp)
+    mp, times, wt = _ensemble_wtilde(pk, x, spec, kernel)
     tau, y_tau, c_tau, capped = _tau_and_level(mp, spec, wt, times)
-    fdot = np.asarray(spec.Fdot(c_tau), dtype=float)
-    if not np.all(np.isfinite(fdot)):
-        raise ValueError("Fdot is not finite on the simulated range")
-    weights = x**-pk.beta * np.exp(-pk.Ke * tau) * fdot * y_tau**mp.gamma
-    se = float(np.std(weights, ddof=1) / math.sqrt(spec.M)) if spec.M > 1 else 0.0
-    return SensitivityReport(
-        estimate=float(np.mean(weights)),
-        std_error=se,
-        M=spec.M,
-        tau_kind=spec.tau_kind,
-        capped_fraction=float(np.mean(capped)),
-    )
+    fdot = _finite(spec.Fdot(c_tau), "Fdot")
+    return _report(x**-pk.beta * np.exp(-pk.Ke * tau) * fdot * y_tau**mp.gamma, spec, capped)
 
 
 def sensitivity_fd(
@@ -571,28 +573,13 @@ def sensitivity_fd(
     (F(C_tau^{x+h}) - F(C_tau^{x-h})) / (2h) averaged path by path over
     one shared driver ensemble, so the difference variance stays small.
     """
-    if x <= 0:
-        raise ValueError("initial concentration must be positive")
     if not 0.0 < h < x:
         raise ValueError("bump must satisfy 0 < h < x")
-    times = uniform_grid(spec.n, spec.horizon)
-    drivers = sample_path_matrix(kernel, times, spec.M, spec.seed)
-    wt = tilde_w_matrix(drivers, times, pk.to_model_params(x0=x))
+    _, times, wt = _ensemble_wtilde(pk, x, spec, kernel)
     values = {}
     capped_any = np.zeros(spec.M, dtype=bool)
     for bump in (x + h, x - h):
         _, _, c_tau, capped = _tau_and_level(pk.to_model_params(x0=bump), spec, wt, times)
-        vals = np.asarray(spec.F(c_tau), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("F is not finite on the simulated range")
-        values[bump] = vals
+        values[bump] = _finite(spec.F(c_tau), "F")
         capped_any |= capped
-    diff = (values[x + h] - values[x - h]) / (2.0 * h)
-    se = float(np.std(diff, ddof=1) / math.sqrt(spec.M)) if spec.M > 1 else 0.0
-    return SensitivityReport(
-        estimate=float(np.mean(diff)),
-        std_error=se,
-        M=spec.M,
-        tau_kind=spec.tau_kind,
-        capped_fraction=float(np.mean(capped_any)),
-    )
+    return _report((values[x + h] - values[x - h]) / (2.0 * h), spec, capped_any)

@@ -351,6 +351,11 @@ HIT_TEXT = (
     '{"model": {"x0": 1.0, "a": 0.0, "b": 1.0, "sigma": 0.3, "beta": 0.7},'
     ' "kernel": {"kind": "fbm", "hurst": 0.8}, "horizons": [0.5], "M": 0, "seed": 9}'
 )
+CONV_TEXT = (
+    '{"model": {"x0": 1.0, "a": 1.0, "b": 1.0, "sigma": 0.5, "beta": 0.7},'
+    ' "kernel": {"kind": "fbm", "hurst": 0.8}, "T": 1.0, "n_list": [4, 8],'
+    ' "ref_n": 0, "seed": 9}'
+)
 SURV_TEXT = (
     '{"y0": 1.0, "model": {"b": 1.0, "sigma": 0.3, "beta": 0.7},'
     ' "kernel": {"kind": "fbm", "hurst": 0.8}, "grid": {"n": 16, "T": 1.0}, "M": 0, "seed": 9}'
@@ -366,12 +371,15 @@ SURV_TEXT = (
         ("ensemble", ENS_TEXT % (', "p_exponents": [2, NaN]', ""), "p_exponents"),
         ("ensemble", ENS_TEXT % (', "marginal_times": ["0.5"]', ""), "marginal_times"),
         ("ensemble", ENS_TEXT % ("", '"write_paths": "yes", '), "write_paths"),
+        ("ensemble", ENS_TEXT % (', "marginal_times": [0.3]', ""), "marginal_times"),
         ("hit-times", HIT_TEXT, "M"),
         ("survival", SURV_TEXT, "M"),
+        ("converge", CONV_TEXT, "ref_n"),
+        ("simulate", SIM_TEXT % ("0.5", "1e-320"), "T"),
     ],
     ids=["nan-sigma", "infinite-T", "scalar-p_exponents", "nan-p_exponents",
-         "string-marginal_times", "string-write_paths", "hit-times-zero-M",
-         "survival-zero-M"],
+         "string-marginal_times", "string-write_paths", "off-grid-marginal_times",
+         "hit-times-zero-M", "survival-zero-M", "converge-zero-ref_n", "subnormal-T"],
 )
 def test_bad_config_values_exit_1_before_writing(tmp_path, capsys, command, text, key):
     # json.load parses NaN and Infinity, so they must be rejected by key,

@@ -2,8 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as integrate
+from scipy.special import ndtr
 
-from gmr.drivers import brownian_kernel, custom_kernel, fbm_kernel, uniform_grid
+from gmr.drivers import (
+    brownian_kernel,
+    covariance_matrix,
+    custom_kernel,
+    fbm_kernel,
+    uniform_grid,
+)
 from gmr.pk import (
     AdmissibilityError,
     ConcentrationSeries,
@@ -21,6 +29,7 @@ from gmr.pk import (
     sensitivity_plsin,
     simulate_concentration,
     z_mean,
+    _likelihood_core,
 )
 
 FIG1 = dict(A0=1.0, v=1.0, Ke=4.0, sigma=1.0, beta=0.8)
@@ -177,7 +186,7 @@ def test_log_likelihood_single_observation_oracle():
     v1 = gamma_matrix(pk, obs.times, brownian_kernel(), quad)[0, 0]
     u = 0.25**0.2 - z_mean(0.3, pk)
     direct = (
-        math.log(2.0 * 0.2)
+        math.log(0.2)
         - 0.5 * math.log(2.0 * math.pi)
         - 0.5 * math.log(v1)
         - 0.5 * u**2 / v1
@@ -197,13 +206,44 @@ def test_log_likelihood_two_observations_oracle():
     omb = 1.0 - theta[2]
     u = obs.concentrations**omb - np.exp(-theta[0] * omb * obs.times)
     direct = (
-        2.0 * math.log(2.0 * omb)
+        2.0 * math.log(omb)
         - math.log(2.0 * math.pi)
         - 0.5 * math.log(abs(det))
         - 0.5 * float(u @ inv @ u)
         - theta[2] * float(np.sum(np.log(obs.concentrations)))
     )
     assert got == pytest.approx(direct, abs=1e-10)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 4.0])
+def test_log_likelihood_normalized(sigma):
+    # one observation: z = x^(1-beta) is Gaussian and x > 0 exactly when z > 0,
+    # so the density of x integrates to P(z > 0) = Phi(mean / sd)
+    theta = (4.0, sigma, 0.8)
+    t = np.array([0.3])
+    quad = build_quad_grid(t, refine=32)
+    cov = covariance_matrix(brownian_kernel(), quad)
+
+    def density(x):
+        obs = ConcentrationSeries(t, np.array([x]))
+        return math.exp(log_likelihood(theta, obs, brownian_kernel(), 1.0, 1.0,
+                                       quad_grid=quad, cov=cov))
+
+    mass = sum(integrate(density, lo, hi, limit=200, epsabs=1e-13, epsrel=1e-12)[0]
+               for lo, hi in ((0.0, 1.0), (1.0, math.inf)))
+    sd = math.sqrt(gamma_matrix_from_theta(theta, t, brownian_kernel(), quad)[0, 0])
+    mean = z_mean(0.3, PkParams(A0=1.0, v=1.0, Ke=4.0, sigma=sigma, beta=0.8))
+    assert mass == pytest.approx(ndtr(mean / sd), abs=1e-8)
+
+
+def test_gamma_matrix_scales_with_sigma_squared():
+    times = np.array([0.1, 0.35, 0.6, 1.0])
+    grid = build_quad_grid(times)
+    for kernel in (brownian_kernel(), fbm_kernel(0.7)):
+        unit = gamma_matrix_from_theta((3.0, 1.0, 0.6), times, kernel, grid)
+        for sigma in (0.37, 2.5):
+            scaled = gamma_matrix_from_theta((3.0, sigma, 0.6), times, kernel, grid)
+            np.testing.assert_allclose(scaled, sigma**2 * unit, rtol=1e-13, atol=0)
 
 
 def test_log_likelihood_permutation_invariant():
@@ -261,12 +301,36 @@ def test_fit_mle_ascent_and_convergence():
     assert est.log_likelihood >= ll_init
     assert est.converged
     assert 0 < est.iterations <= 2000
+    # the reported value is log_likelihood at the estimate, bitwise, and the
+    # estimate's sigma is the profile maximum at its (Ke, beta)
+    theta = (est.Ke, est.sigma, est.beta)
+    assert est.log_likelihood == log_likelihood(theta, obs, brownian_kernel(), 1, 1,
+                                                quad_grid=quad)
+    for step in (1.0 - 1e-3, 1.0 + 1e-3):
+        moved = (est.Ke, est.sigma * step, est.beta)
+        assert log_likelihood(moved, obs, brownian_kernel(), 1, 1,
+                              quad_grid=quad) < est.log_likelihood
     # restarting from the argmax cannot lose likelihood
     again = fit_mle(
         obs, brownian_kernel(), (est.Ke, est.sigma, est.beta), 1.0, 1.0,
         bounds=bounds, quad_grid=quad,
     )
     assert again.log_likelihood >= est.log_likelihood - 1e-9
+
+
+def test_profiled_sigma_is_clamped_to_the_box():
+    obs = _synthetic_obs(1)
+    quad = build_quad_grid(obs.times)
+    bounds = ThetaBounds(ke_max=20.0, sigma_max=0.3)
+    est = fit_mle(obs, brownian_kernel(), (2.0, 0.2, 0.5), 1.0, 1.0, bounds=bounds,
+                  quad_grid=quad)
+    _, q = _likelihood_core(est.Ke, est.beta, obs, brownian_kernel(), 1.0, 1.0, quad, None)
+    assert math.sqrt(q / len(obs)) > bounds.sigma_max
+    assert est.sigma == bounds.sigma_max
+    # below the unclamped maximum the likelihood still rises towards the box
+    lower = log_likelihood((est.Ke, 0.3 * (1.0 - 1e-3), est.beta), obs, brownian_kernel(),
+                           1, 1, quad_grid=quad)
+    assert lower < est.log_likelihood
 
 
 def test_fit_mle_rejects_nonpositive_data():
