@@ -2,11 +2,21 @@
 
 Supported covariance kernels: fractional Brownian motion (Hurst H),
 standard Brownian motion, and user-supplied kernels pinned to a grid.
-Sampling is exact via dense Cholesky factorization of the grid covariance,
-with a bounded jitter escalation for nearly singular matrices. Paths are
-drawn in fixed blocks of ``_BLOCK`` rows, one matrix-matrix product per
-block; the last block is zero-padded so every product has the same shape
-and row i never depends on how many paths were asked for.
+Every route samples exactly:
+
+- Brownian motion is a scaled running sum of normals, O(n) per path;
+- fBm on ``_CIRCULANT_MIN_N`` steps or more embeds its stationary
+  increments in a circulant of size 2n (Davies & Harte 1987), whose
+  eigenvalues are nonnegative (Dietrich & Newsam 1997), O(n log n) per
+  path after one rfft;
+- fBm on fewer steps and custom kernels go through a dense Cholesky
+  factor of the grid covariance, with a bounded jitter escalation for
+  nearly singular matrices. The Cholesky route is also the tests' oracle.
+
+Paths are drawn in fixed blocks of ``_BLOCK`` rows, one generator keyed
+by (seed, block) and one GEMM or FFT per block; the last block is
+zero-padded so every product has the same shape and row i never depends
+on how many paths were asked for.
 """
 
 from __future__ import annotations
@@ -41,8 +51,18 @@ _JITTER_STOP = 1e-8
 
 _GRID_RTOL = 1e-9
 
-# paths per matrix-matrix product; a fixed shape keeps rows count-independent
+# paths per generator and per GEMM or FFT; a fixed shape keeps rows
+# count-independent
 _BLOCK = 32
+
+# fBm on at least this many steps is sampled by circulant embedding, below it
+# by Cholesky: the circulant needs 2n normals per path against n, and for
+# large ensembles a GEMM with the factor is cheaper up to n of about 900
+# (2-core timings of 2000 and 5000 paths at n = 256 to 2048)
+_CIRCULANT_MIN_N = 1024
+
+# a circulant eigenvalue below -_EIG_RTOL times the largest is not rounding
+_EIG_RTOL = 1e-12
 
 
 class CovarianceError(RuntimeError):
@@ -261,11 +281,14 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     )
 
 
-def _path_rng(seed: int, index: int) -> np.random.Generator:
-    # counter-based generator keyed by (seed, index): path i never depends
-    # on the ensemble size or on iteration order
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
-    return np.random.Generator(np.random.Philox(ss))
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    # one independent stream per (seed, block); it draws the rows of its
+    # block in order, so row i depends on (seed, i) alone and never on the
+    # ensemble size or on iteration order. Normals are most of the sampling
+    # time, and PCG64 draws them faster than Philox (16 against 22 ns each
+    # on a 2-core x86 VM).
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(block),))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def sample_paths(
@@ -290,15 +313,9 @@ def sample_paths(
     Returns
     -------
     list of SamplePath
-        Each with ``values[0] == 0``.
+        Each with ``values[0] == 0``; the rows of sample_path_matrix.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0:
-        raise ValueError("grid must start at 0 with at least 2 points")
-    if not _is_uniform(grid):
-        raise ValueError("grid must be uniform")
-    if count < 1:
-        raise ValueError("count must be >= 1")
     return [SamplePath(grid, row) for row in sample_path_matrix(kernel, grid, count, seed)]
 
 
@@ -308,28 +325,102 @@ def driver_factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
     return _cholesky_with_jitter(cov)
 
 
+def _fgn_circulant_row(hurst: float, n: int, dt: float) -> np.ndarray:
+    """First row of the size-2n circulant embedding of n fBm increments.
+
+    Entry k is the autocovariance of fractional Gaussian noise at lag
+    ``min(k, 2n - k)`` for steps of length dt.
+    """
+    h2 = 2.0 * hurst
+    k = np.arange(n + 1, dtype=float)
+    gamma = 0.5 * dt**h2 * ((k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
+    return np.concatenate((gamma, gamma[n - 1:0:-1]))
+
+
+def _circulant_scale(row: np.ndarray) -> np.ndarray:
+    """Per-frequency scale of the Hermitian spectrum for a circulant row.
+
+    The eigenvalues of the circulant (one rfft of its first row) must be
+    nonnegative up to rounding: below -1e-12 times the largest one the
+    embedding is not a covariance and CovarianceError is raised.
+    """
+    m = row.size
+    lam = np.fft.rfft(row).real
+    if lam.min() < -_EIG_RTOL * lam.max():
+        raise CovarianceError(
+            "circulant embedding is not nonnegative definite "
+            f"(smallest eigenvalue {lam.min():.3e}, largest {lam.max():.3e})"
+        )
+    # a complex mode carries half its variance in each of re and im
+    scale = np.sqrt(0.5 * m * np.maximum(lam, 0.0))
+    scale[[0, -1]] *= np.sqrt(2.0)  # frequencies 0 and n are real
+    return scale
+
+
+def _circulant_paths(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Paths on grid[1:] from rows of 2n normals, one batched Hermitian irfft.
+
+    The first n+1 normals of a row are the real parts of frequencies 0..n,
+    the other n-1 the imaginary parts of frequencies 1..n-1. The irfft
+    gives 2n values whose covariance is the circulant; the first n are the
+    increments, and their running sum is the path.
+    """
+    n = scale.size - 1
+    w = np.empty((z.shape[0], n + 1), dtype=complex)
+    w.real = z[:, :n + 1] * scale
+    w.imag[:, 0] = w.imag[:, n] = 0.0
+    w.imag[:, 1:n] = z[:, n + 1:] * scale[1:n]
+    return np.cumsum(np.fft.irfft(w, 2 * n, axis=1)[:, :n], axis=1)
+
+
+def _block_sampler(kernel: CovarianceKernel, grid: np.ndarray):
+    """(normals per row, map from a block of normal rows to values on grid[1:])."""
+    n = grid.size - 1
+    dt = grid[-1] / n
+    if kernel.kind == "brownian":
+        step = np.sqrt(dt)
+        return n, lambda z: step * np.cumsum(z, axis=1)
+    if kernel.kind == "fbm" and n >= _CIRCULANT_MIN_N:
+        scale = _circulant_scale(_fgn_circulant_row(kernel.hurst, n, dt))
+        return 2 * n, lambda z: _circulant_paths(z, scale)
+    factor = driver_factor(kernel, grid)
+    return n, lambda z: z @ factor.T
+
+
 def sample_path_matrix(
     kernel: CovarianceKernel, grid: np.ndarray, count: int, seed: int
 ) -> np.ndarray:
-    """Like sample_paths but returned as a (count, n+1) array.
+    """Independent driver paths on a uniform grid as a (count, n+1) array.
 
-    Row i is ``factor @ z_i`` with z_i drawn from the (seed, i) stream.
-    Rows are computed in blocks of _BLOCK paths, one matrix-matrix product
-    per block, and the last block is zero-padded to full size: every
-    product then has the same shape, so row i is bitwise the same whatever
-    ``count`` is (under one BLAS build and thread count).
+    Row i is a fixed linear map of the normals drawn for it: row i % _BLOCK
+    of the generator keyed by (seed, i // _BLOCK). The map is one of
+
+    - Brownian motion: ``sqrt(dt) * cumsum(z)`` from n normals;
+    - fBm with n >= _CIRCULANT_MIN_N: the circulant embedding of its
+      increments, from 2n normals (_circulant_paths);
+    - otherwise: the Cholesky factor of the grid covariance, from n normals.
+
+    Rows are mapped in blocks of _BLOCK, and the last block is zero-padded
+    to full size: every GEMM or FFT then has the same shape, so row i is
+    bitwise the same whatever ``count`` is (under one BLAS build and
+    thread count).
     """
     grid = np.asarray(grid, dtype=float)
-    factor = driver_factor(kernel, grid)
+    if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0:
+        raise ValueError("grid must start at 0 with at least 2 points")
+    if not (grid[1] > 0.0 and _is_uniform(grid)):
+        raise ValueError("grid must be uniform and increasing")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    width, rows_from = _block_sampler(kernel, grid)
     out = np.empty((count, grid.size))
     out[:, 0] = 0.0
-    z = np.empty((_BLOCK, factor.shape[0]))
-    for start in range(0, count, _BLOCK):
+    z = np.empty((_BLOCK, width))
+    for block, start in enumerate(range(0, count, _BLOCK)):
         rows = min(_BLOCK, count - start)
-        for j in range(rows):
-            _path_rng(seed, start + j).standard_normal(out=z[j])
+        _block_rng(seed, block).standard_normal(out=z[:rows])
         z[rows:] = 0.0
-        out[start:start + rows, 1:] = (z @ factor.T)[:rows]
+        out[start:start + rows, 1:] = rows_from(z)[:rows]
     return out
 
 

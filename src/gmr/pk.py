@@ -394,9 +394,10 @@ def fit_mle(
     sigma_max. Nelder-Mead then searches (log Ke, logit beta over its
     bracket); derivative-free on purpose, the objective goes through a
     quadrature-built covariance. ``init`` is a full theta whose sigma is
-    only checked against the bounds. Convergence means the final simplex
-    has diameter below 1e-6 within the iteration cap; by construction the
-    returned value is at least as likely as the initial point.
+    only checked against the bounds. Convergence means Nelder-Mead stopped
+    on its own, not at its iteration or evaluation cap, with a final
+    simplex of diameter below 1e-6; by construction the returned value is
+    at least as likely as the initial point.
     """
     init = tuple(float(u) for u in init)
     if not bounds.contains(init):
@@ -444,7 +445,7 @@ def fit_mle(
     return ThetaEstimate(
         *theta,
         log_likelihood=-best_f,
-        converged=bool(diameter < 1e-6 and result.nit <= max_iter),
+        converged=bool(diameter < 1e-6 and result.status == 0),
         iterations=int(result.nit),
     )
 

@@ -13,8 +13,13 @@ from gmr.drivers import (
     kernel_eval,
     sample_path_matrix,
     sample_paths,
-    _path_rng,
     uniform_grid,
+    _BLOCK,
+    _CIRCULANT_MIN_N,
+    _block_rng,
+    _circulant_paths,
+    _circulant_scale,
+    _fgn_circulant_row,
 )
 
 
@@ -120,7 +125,10 @@ def _kernels_for(grid):
     ]
 
 
-@pytest.mark.parametrize("n", [2, 16, 255, 1024])
+# both sides of the fBm circulant crossover, and well above it
+@pytest.mark.parametrize(
+    "n", [2, 16, 255, _CIRCULANT_MIN_N - 1, _CIRCULANT_MIN_N, 2 * _CIRCULANT_MIN_N]
+)
 def test_sample_path_matrix_rows_independent_of_count(n):
     grid = uniform_grid(n, 1.0)
     for k in _kernels_for(grid):
@@ -129,17 +137,114 @@ def test_sample_path_matrix_rows_independent_of_count(n):
             assert np.array_equal(sample_path_matrix(k, grid, count, seed=19), full[:count])
 
 
+def _block_normals(seed, count, width):
+    """Rows 0..count-1 of the normals stream: block b's generator, row by row."""
+    blocks = -(-count // _BLOCK)
+    z = np.concatenate([_block_rng(seed, b).standard_normal((_BLOCK, width)) for b in range(blocks)])
+    return z[:count]
+
+
 @pytest.mark.parametrize("n", [16, 255])
 def test_sample_path_matrix_matches_per_path_oracle(n):
+    # below the crossover every kernel maps n normals per row; Brownian
+    # motion by a running sum, which is its Cholesky factor times z
     grid = uniform_grid(n, 1.0)
+    z = _block_normals(23, 40, n)
     for k in _kernels_for(grid):
         factor = driver_factor(k, grid)
-        oracle = np.array([factor @ _path_rng(23, i).standard_normal(n) for i in range(40)])
+        oracle = np.array([factor @ row for row in z])
         rows = sample_path_matrix(k, grid, 40, seed=23)
         assert np.all(rows[:, 0] == 0.0)
         # entries near zero come from cancellation, so scale the tolerance by the path size
         scale = np.abs(oracle).max()
         np.testing.assert_allclose(rows[:, 1:], oracle, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_circulant_rows_match_one_row_transforms():
+    # above the crossover fBm row i is the circulant map of its own 2n normals
+    n = _CIRCULANT_MIN_N
+    k = fbm_kernel(0.7)
+    grid = uniform_grid(n, 2.0)
+    z = _block_normals(23, 40, 2 * n)
+    scale = _circulant_scale(_fgn_circulant_row(0.7, n, 2.0 / n))
+    oracle = np.concatenate([_circulant_paths(row[None, :], scale) for row in z])
+    rows = sample_path_matrix(k, grid, 40, seed=23)
+    np.testing.assert_allclose(rows[:, 1:], oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+
+
+@pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.75, 0.95])
+def test_fgn_circulant_row_is_the_increment_autocovariance(hurst):
+    n, dt = 16, 0.125
+    k = fbm_kernel(hurst)
+    row = _fgn_circulant_row(hurst, n, dt)
+    assert row.shape == (2 * n,)
+    # Cov(W_dt - W_0, W_(j+1)dt - W_jdt) at lag j = min(i, 2n - i)
+    lag = np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n))
+    oracle = [kernel_eval(k, dt, (j + 1) * dt) - kernel_eval(k, dt, j * dt) for j in lag]
+    np.testing.assert_allclose(row, oracle, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.75, 0.95])
+@pytest.mark.parametrize("n", [1, 7, 32])
+def test_circulant_paths_have_the_fbm_covariance(hurst, n):
+    # the map z -> path is linear, so the rows it gives the unit vectors
+    # are a factor: their Gram matrix is the path covariance, exactly
+    horizon = 1.7
+    grid = uniform_grid(n, horizon)
+    scale = _circulant_scale(_fgn_circulant_row(hurst, n, horizon / n))
+    factor_t = _circulant_paths(np.eye(2 * n), scale)
+    cov = covariance_matrix(fbm_kernel(hurst), grid)[1:, 1:]
+    np.testing.assert_allclose(factor_t.T @ factor_t, cov, rtol=0, atol=1e-14)
+
+
+def test_circulant_negative_eigenvalue_errors():
+    # eigenvalues of this circulant are 3.3, 0.5, 0.5 and -0.3
+    with pytest.raises(CovarianceError, match="circulant embedding"):
+        _circulant_scale(np.array([1.0, 0.9, 0.5, 0.9]))
+
+
+@pytest.mark.parametrize(
+    "grid, count, message",
+    [
+        (np.array([0.5, 1.0, 1.5]), 1, "start at 0"),
+        (np.array([0.0]), 1, "start at 0"),
+        (np.zeros((2, 2)), 1, "start at 0"),
+        (np.array([0.0, 0.1, 0.3]), 1, "uniform"),
+        (np.array([0.0, -0.5, -1.0]), 1, "uniform and increasing"),
+        (uniform_grid(4, 1.0), 0, "count"),
+    ],
+    ids=["late-start", "one-point", "two-d", "nonuniform", "decreasing", "zero-count"],
+)
+def test_sample_path_matrix_rejects_bad_arguments(grid, count, message):
+    for k in (fbm_kernel(0.7), brownian_kernel()):
+        with pytest.raises(ValueError, match=message):
+            sample_path_matrix(k, grid, count, seed=0)
+        with pytest.raises(ValueError, match=message):
+            sample_paths(k, grid, count, seed=0)
+
+
+# H drawn over (0.05, 0.95), from one fixed seed, with H < 1/2 forced in
+_SWEEP_HURSTS = np.concatenate(([0.1, 0.4], np.random.default_rng(2024).uniform(0.05, 0.95, 6)))
+
+
+@pytest.mark.parametrize("n", [_CIRCULANT_MIN_N - 1, _CIRCULANT_MIN_N])
+def test_sampler_covariance_sweep_across_the_crossover(n):
+    # criterion 7's tolerance: every sample covariance on a coarse grid lies
+    # within 4 standard errors of covariance_matrix, for fBm on both sides
+    # of the crossover (Cholesky below, circulant at and above) and Brownian.
+    # The grid spans one step to the horizon, where Var W_t = t^(2H) is
+    # most sensitive to H.
+    m = 1000
+    grid = uniform_grid(n, 1.0)
+    idx = [1, n // 32, n // 4, n // 2, n]
+    kernels = [fbm_kernel(h) for h in _SWEEP_HURSTS] + [brownian_kernel()]
+    for seed, k in enumerate(kernels):
+        rows = sample_path_matrix(k, grid, m, seed=seed)[:, idx]
+        est = np.cov(rows, rowvar=False, ddof=1)
+        truth = covariance_matrix(k, grid[idx])
+        se = np.sqrt((truth**2 + np.outer(np.diag(truth), np.diag(truth))) / (m - 1))
+        z = np.abs(est - truth) / se
+        assert z.max() <= 4.0, (k, z.max())
 
 
 def test_sample_paths_zero_kernel_gives_zero_paths():

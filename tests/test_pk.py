@@ -318,6 +318,21 @@ def test_fit_mle_ascent_and_convergence():
     assert again.log_likelihood >= est.log_likelihood - 1e-9
 
 
+def test_fit_mle_capped_by_max_iter_is_not_converged():
+    obs = _synthetic_obs(1)
+    quad = build_quad_grid(obs.times)
+    bounds = ThetaBounds(ke_max=20.0, sigma_max=10.0)
+    full = fit_mle(obs, brownian_kernel(), (2.0, 0.5, 0.5), 1.0, 1.0, bounds=bounds,
+                   quad_grid=quad)
+    assert full.converged
+    # one iteration short of the natural stop the simplex is already small
+    for cap in (3, full.iterations - 1):
+        est = fit_mle(obs, brownian_kernel(), (2.0, 0.5, 0.5), 1.0, 1.0, bounds=bounds,
+                      quad_grid=quad, max_iter=cap)
+        assert est.iterations == cap
+        assert est.converged is False
+
+
 def test_profiled_sigma_is_clamped_to_the_box():
     obs = _synthetic_obs(1)
     quad = build_quad_grid(obs.times)
