@@ -13,7 +13,6 @@ from .drivers import (
     SamplePath,
     brownian_kernel,
     custom_kernel,
-    empirical_covariance,
     fbm_kernel,
     kernel_eval,
     sample_paths,
@@ -38,7 +37,6 @@ from .pk import (
     ThetaEstimate,
     deterministic_concentration,
     fit_mle,
-    gamma_matrix,
     log_likelihood,
     sensitivity_fd,
     sensitivity_plsin,

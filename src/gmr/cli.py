@@ -15,7 +15,7 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -139,6 +139,11 @@ def _get(obj: dict, key: str, ctx: str, kind=float, required=True, default=None)
     raise AssertionError(kind)
 
 
+def _present(obj: dict, keys, ctx: str, kind=float) -> dict:
+    """The given keys that ``obj`` sets, read with _get; the library owns the defaults."""
+    return {key: _get(obj, key, ctx, kind=kind) for key in keys if key in obj}
+
+
 def _model_from(cfg: dict, ctx: str = "model") -> ModelParams:
     _check_keys(cfg, {"x0", "a", "b", "sigma", "beta"}, ctx)
     with _config_errors(ctx):
@@ -189,7 +194,7 @@ def _pk_from(cfg: dict, ctx: str = "pk") -> PkParams:
         return PkParams(
             A0=_get(cfg, "A0", ctx),
             v=_get(cfg, "v", ctx),
-            Ka=_get(cfg, "Ka", ctx, required=False, default=0.0),
+            **_present(cfg, ("Ka",), ctx),
             Ke=_get(cfg, "Ke", ctx),
             sigma=_get(cfg, "sigma", ctx),
             beta=_get(cfg, "beta", ctx),
@@ -248,9 +253,7 @@ def _cmd_ensemble(cfg: dict, args) -> list:
     ens = _get(cfg, "ensemble", "config", kind=dict)
     _check_keys(ens, {"M", "p_exponents", "marginal_times"}, "ensemble")
     m_count = _get(ens, "M", "ensemble", kind=int)
-    p_exp = _get(ens, "p_exponents", "ensemble", kind=tuple, required=False,
-                 default=(1.0, 2.0, 4.0, 8.0))
-    marginal = _get(ens, "marginal_times", "ensemble", kind=tuple, required=False, default=())
+    optional = _present(ens, ("p_exponents", "marginal_times"), "ensemble", kind=tuple)
     write_paths = _get(cfg, "write_paths", "config", kind=bool, required=False, default=False)
     seed = _seed_from(cfg, args)
     with _config_errors("ensemble"):
@@ -261,12 +264,11 @@ def _cmd_ensemble(cfg: dict, args) -> list:
             n=n,
             seed=seed,
             horizon=horizon,
-            marginal_times=marginal,
-            p_exponents=p_exp,
+            **optional,
         )
     times = uniform_grid(n, horizon)
     with _config_errors("ensemble.marginal_times"):
-        for t in marginal:
+        for t in spec.marginal_times:
             grid_index(times, t)
     result = ensemble_simulate(spec)
     written = [os.path.join(args.out, "ensemble.json")]
@@ -286,10 +288,10 @@ def _cmd_hit_times(cfg: dict, args) -> list:
     horizons = _get(cfg, "horizons", "config", kind=list)
     if not horizons or any(not _is_number(t) or t <= 0 for t in horizons):
         raise ConfigError("horizons: expected an array of positive numbers")
-    spu = _get(cfg, "steps_per_unit", "config", kind=int, required=False, default=64)
+    spu = _present(cfg, ("steps_per_unit",), "config", kind=int)
     m_count = _get(cfg, "M", "config", kind=int)
     seed = _seed_from(cfg, args)
-    rates = hitting_time_stats(model, kernel, m_count, horizons, spu, seed)
+    rates = hitting_time_stats(model, kernel, m_count, horizons, seed=seed, **spu)
     out = os.path.join(args.out, "hit_times.json")
     write_json(out, {"M": m_count, "horizons": [asdict(r) for r in rates]})
     return [out]
@@ -371,14 +373,10 @@ def _cmd_pk_fit(cfg: dict, args) -> list:
         _get(init_cfg, "beta", "init"),
     )
     bounds_cfg = _get(cfg, "bounds", "config", kind=dict, required=False, default={})
-    _check_keys(bounds_cfg, {"ke_max", "sigma_max", "beta_min", "beta_max"}, "bounds")
+    bound_keys = [f.name for f in fields(ThetaBounds)]
+    _check_keys(bounds_cfg, set(bound_keys), "bounds")
     with _config_errors("bounds"):
-        bounds = ThetaBounds(
-            ke_max=_get(bounds_cfg, "ke_max", "bounds", required=False, default=50.0),
-            sigma_max=_get(bounds_cfg, "sigma_max", "bounds", required=False, default=20.0),
-            beta_min=_get(bounds_cfg, "beta_min", "bounds", required=False, default=0.05),
-            beta_max=_get(bounds_cfg, "beta_max", "bounds", required=False, default=0.95),
-        )
+        bounds = ThetaBounds(**_present(bounds_cfg, bound_keys, "bounds"))
     refine = _get(cfg, "quad_refine", "config", kind=int, required=False)
     quad = build_quad_grid(obs.times, refine)
     with _config_errors("init"):

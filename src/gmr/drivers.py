@@ -6,9 +6,9 @@ Every route samples exactly:
 
 - Brownian motion is a scaled running sum of normals, O(n) per path;
 - fBm on ``_CIRCULANT_MIN_N`` steps or more embeds its stationary
-  increments in a circulant of size 2n (Davies & Harte 1987), whose
-  eigenvalues are nonnegative (Dietrich & Newsam 1997), O(n log n) per
-  path after one rfft;
+  increments in a circulant of size 2m, with m = next_fast_len(n) >= n
+  (Davies & Harte 1987), whose eigenvalues are nonnegative (Dietrich &
+  Newsam 1997), O(n log n) per path after one rfft;
 - fBm on fewer steps and custom kernels go through a dense Cholesky
   factor of the grid covariance, with a bounded jitter escalation for
   nearly singular matrices. The Cholesky route is also the tests' oracle.
@@ -21,11 +21,11 @@ on how many paths were asked for.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.linalg import toeplitz
 
 from .artifacts import write_csv
@@ -42,7 +42,6 @@ __all__ = [
     "covariance_matrix",
     "sample_paths",
     "sample_path_matrix",
-    "empirical_covariance",
 ]
 
 # jitter escalation: start at 1e-12 * max diagonal, x10 until 1e-8, then fail
@@ -97,37 +96,12 @@ class SamplePath:
         object.__setattr__(self, "values", values)
 
     @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def n_steps(self) -> int:
         return self.times.size - 1
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def index_of(self, t: float) -> int:
-        """Grid index of time t; raises if t is not a grid point."""
-        return grid_index(self.times, t)
-
-    def value_at(self, t: float) -> float:
-        return float(self.values[self.index_of(t)])
 
     def to_csv(self, path) -> None:
         """Write the path as CSV with header ``t,value``."""
         write_csv(path, ["t", "value"], zip(self.times, self.values))
-
-    @classmethod
-    def from_csv(cls, path) -> "SamplePath":
-        with open(path, "r", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if len(header) < 2:
-                raise ValueError("expected header with at least 't,value'")
-            rows = [(float(r[0]), float(r[1])) for r in reader if r]
-        times, values = zip(*rows)
-        return cls(np.array(times), np.array(values))
 
 
 def uniform_grid(n: int, horizon: float) -> np.ndarray:
@@ -326,15 +300,18 @@ def driver_factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
 
 
 def _fgn_circulant_row(hurst: float, n: int, dt: float) -> np.ndarray:
-    """First row of the size-2n circulant embedding of n fBm increments.
+    """First row of a circulant embedding of n fBm increments, of size 2m.
 
+    m = next_fast_len(n) keeps the FFTs fast whatever the factors of n;
+    the first n increments of the m embedded ones are those of the grid.
     Entry k is the autocovariance of fractional Gaussian noise at lag
-    ``min(k, 2n - k)`` for steps of length dt.
+    ``min(k, 2m - k)`` for steps of length dt.
     """
+    m = next_fast_len(n)
     h2 = 2.0 * hurst
-    k = np.arange(n + 1, dtype=float)
+    k = np.arange(m + 1, dtype=float)
     gamma = 0.5 * dt**h2 * ((k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
-    return np.concatenate((gamma, gamma[n - 1:0:-1]))
+    return np.concatenate((gamma, gamma[m - 1:0:-1]))
 
 
 def _circulant_scale(row: np.ndarray) -> np.ndarray:
@@ -344,7 +321,6 @@ def _circulant_scale(row: np.ndarray) -> np.ndarray:
     nonnegative up to rounding: below -1e-12 times the largest one the
     embedding is not a covariance and CovarianceError is raised.
     """
-    m = row.size
     lam = np.fft.rfft(row).real
     if lam.min() < -_EIG_RTOL * lam.max():
         raise CovarianceError(
@@ -352,25 +328,25 @@ def _circulant_scale(row: np.ndarray) -> np.ndarray:
             f"(smallest eigenvalue {lam.min():.3e}, largest {lam.max():.3e})"
         )
     # a complex mode carries half its variance in each of re and im
-    scale = np.sqrt(0.5 * m * np.maximum(lam, 0.0))
-    scale[[0, -1]] *= np.sqrt(2.0)  # frequencies 0 and n are real
+    scale = np.sqrt(0.5 * row.size * np.maximum(lam, 0.0))
+    scale[[0, -1]] *= np.sqrt(2.0)  # frequencies 0 and m are real
     return scale
 
 
-def _circulant_paths(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Paths on grid[1:] from rows of 2n normals, one batched Hermitian irfft.
+def _circulant_paths(z: np.ndarray, scale: np.ndarray, n: int) -> np.ndarray:
+    """Paths on n steps from rows of 2m normals, one batched Hermitian irfft.
 
-    The first n+1 normals of a row are the real parts of frequencies 0..n,
-    the other n-1 the imaginary parts of frequencies 1..n-1. The irfft
-    gives 2n values whose covariance is the circulant; the first n are the
+    The first m+1 normals of a row are the real parts of frequencies 0..m,
+    the other m-1 the imaginary parts of frequencies 1..m-1. The irfft
+    gives 2m values whose covariance is the circulant; the first n are the
     increments, and their running sum is the path.
     """
-    n = scale.size - 1
-    w = np.empty((z.shape[0], n + 1), dtype=complex)
-    w.real = z[:, :n + 1] * scale
-    w.imag[:, 0] = w.imag[:, n] = 0.0
-    w.imag[:, 1:n] = z[:, n + 1:] * scale[1:n]
-    return np.cumsum(np.fft.irfft(w, 2 * n, axis=1)[:, :n], axis=1)
+    m = scale.size - 1
+    w = np.empty((z.shape[0], m + 1), dtype=complex)
+    w.real = z[:, :m + 1] * scale
+    w.imag[:, 0] = w.imag[:, m] = 0.0
+    w.imag[:, 1:m] = z[:, m + 1:] * scale[1:m]
+    return np.cumsum(np.fft.irfft(w, 2 * m, axis=1)[:, :n], axis=1)
 
 
 def _block_sampler(kernel: CovarianceKernel, grid: np.ndarray):
@@ -381,8 +357,9 @@ def _block_sampler(kernel: CovarianceKernel, grid: np.ndarray):
         step = np.sqrt(dt)
         return n, lambda z: step * np.cumsum(z, axis=1)
     if kernel.kind == "fbm" and n >= _CIRCULANT_MIN_N:
-        scale = _circulant_scale(_fgn_circulant_row(kernel.hurst, n, dt))
-        return 2 * n, lambda z: _circulant_paths(z, scale)
+        row = _fgn_circulant_row(kernel.hurst, n, dt)
+        scale = _circulant_scale(row)
+        return row.size, lambda z: _circulant_paths(z, scale, n)
     factor = driver_factor(kernel, grid)
     return n, lambda z: z @ factor.T
 
@@ -397,7 +374,7 @@ def sample_path_matrix(
 
     - Brownian motion: ``sqrt(dt) * cumsum(z)`` from n normals;
     - fBm with n >= _CIRCULANT_MIN_N: the circulant embedding of its
-      increments, from 2n normals (_circulant_paths);
+      increments, from 2 next_fast_len(n) normals (_circulant_paths);
     - otherwise: the Cholesky factor of the grid covariance, from n normals.
 
     Rows are mapped in blocks of _BLOCK, and the last block is zero-padded
@@ -422,18 +399,3 @@ def sample_path_matrix(
         z[rows:] = 0.0
         out[start:start + rows, 1:] = rows_from(z)[:rows]
     return out
-
-
-def empirical_covariance(paths: list[SamplePath], s: float, t: float) -> float:
-    """Sample covariance (ddof = 1) of path values at times s and t."""
-    if len(paths) < 2:
-        raise ValueError("need at least 2 paths for a sample covariance")
-    grid = paths[0].times
-    for p in paths[1:]:
-        if p.times.shape != grid.shape or np.any(p.times != grid):
-            raise ValueError("all paths must share the same grid")
-    i = grid_index(grid, s)
-    j = grid_index(grid, t)
-    xs = np.array([p.values[i] for p in paths])
-    ys = np.array([p.values[j] for p in paths])
-    return float(np.cov(xs, ys, ddof=1)[0, 1])

@@ -11,7 +11,7 @@ only on (seed, i), never on the ensemble size or execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -392,16 +392,7 @@ def density_smoke(spec: EnsembleSpec, t: float) -> DensitySmoke:
     variance and no repeated values at double precision.
     """
     applicable = spec.params.sigma > 0 and t > 0
-    probe = EnsembleSpec(
-        params=spec.params,
-        kernel=spec.kernel,
-        M=spec.M,
-        n=spec.n,
-        seed=spec.seed,
-        horizon=spec.horizon,
-        marginal_times=(t,),
-        p_exponents=spec.p_exponents,
-    )
+    probe = replace(spec, marginal_times=(t,))
     samples = ensemble_simulate(probe).stats.marginal_samples[float(t)]
     var = float(np.var(samples, ddof=1)) if samples.size > 1 else 0.0
     distinct = float(np.unique(samples).size / samples.size)

@@ -54,7 +54,6 @@ __all__ = [
     "simulate_concentration",
     "z_mean",
     "build_quad_grid",
-    "gamma_matrix",
     "gamma_matrix_from_theta",
     "log_likelihood",
     "fit_mle",
@@ -236,7 +235,6 @@ def gamma_matrix_from_theta(
     times: np.ndarray,
     kernel: CovarianceKernel,
     quad_grid: np.ndarray,
-    A0_over_v: float = 1.0,
     cov: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Covariance of the transformed observations for theta = (Ke, sigma, beta).
@@ -248,28 +246,13 @@ def gamma_matrix_from_theta(
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0) or np.any(np.diff(times) <= 0):
         raise ValueError("observation times must be positive and increasing")
-    p = ModelParams(x0=A0_over_v, a=0.0, b=ke, sigma=sigma, beta=beta)
+    # x0 does not enter the covariance
+    p = ModelParams(x0=1.0, a=0.0, b=ke, sigma=sigma, beta=beta)
     full = tilde_w_covariance_matrix(p, kernel, quad_grid, cov=cov)
     idx = np.array([grid_index(quad_grid, t) for t in times])
     damp = np.exp(-ke * (1.0 - beta) * times)
     out = np.outer(damp, damp) * full[np.ix_(idx, idx)]
     return 0.5 * (out + out.T)
-
-
-def gamma_matrix(
-    pk: PkParams,
-    times: np.ndarray,
-    kernel: CovarianceKernel,
-    quad_grid: np.ndarray,
-) -> np.ndarray:
-    """Observation covariance matrix at the model's own parameters."""
-    return gamma_matrix_from_theta(
-        (pk.Ke, pk.sigma, pk.beta),
-        times,
-        kernel,
-        quad_grid,
-        A0_over_v=pk.initial_concentration,
-    )
 
 
 def _likelihood_core(ke, beta, obs, kernel, A0, v, quad_grid, cov):
@@ -283,7 +266,7 @@ def _likelihood_core(ke, beta, obs, kernel, A0, v, quad_grid, cov):
     """
     t = obs.times
     factor = _cholesky_with_jitter(gamma_matrix_from_theta(
-        (ke, 1.0, beta), t, kernel, quad_grid, A0_over_v=A0 / v, cov=cov))
+        (ke, 1.0, beta), t, kernel, quad_grid, cov=cov))
     omb = 1.0 - beta
     u = obs.concentrations**omb - (A0 / v) ** omb * np.exp(-ke * omb * t)
     half = solve_triangular(factor, u, lower=True)

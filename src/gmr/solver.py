@@ -22,7 +22,6 @@ from .transform import (
     ModelParams,
     TruncatedPath,
     explicit_solution_a0,
-    lift,
     lift_y_to_x,
     tilde_w_path,
 )
@@ -67,17 +66,6 @@ class EulerSolution:
     def __post_init__(self):
         if np.any(self.y_path.values <= 0.0):
             raise ValueError("all Euler nodes must be strictly positive")
-
-    @property
-    def y_nodes(self) -> np.ndarray:
-        return self.y_path.values
-
-    def y_at(self, t) -> np.ndarray:
-        return np.interp(t, self.y_path.times, self.y_path.values)
-
-    def x_at(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return lift(self.y_at(t), t, self.params)
 
 
 @dataclass(frozen=True)

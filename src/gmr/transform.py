@@ -33,7 +33,6 @@ __all__ = [
     "y0_from_x0",
     "lift",
     "lift_y_to_x",
-    "lower_x_to_y",
     "first_hit",
     "explicit_a0_matrix",
     "explicit_solution_a0",
@@ -80,10 +79,6 @@ class ModelParams:
     def y0(self) -> float:
         return y0_from_x0(self.x0, self)
 
-    def beta_admissible(self, holder_exponent: float) -> bool:
-        """Well-posedness condition: the state exponent exceeds 1 - alpha."""
-        return self.beta > 1.0 - holder_exponent
-
 
 @dataclass(frozen=True)
 class TruncatedPath:
@@ -108,12 +103,6 @@ class TruncatedPath:
                 raise ValueError("hit_index out of range")
             if np.any(v[:k] <= 0) or np.any(v[k:] != 0.0):
                 raise ValueError("values must be positive before the hit and 0 after")
-
-    @property
-    def hit_time(self) -> Optional[float]:
-        if self.hit_index is None:
-            return None
-        return float(self.path.times[self.hit_index])
 
 
 def theta_weight(t, p: ModelParams):
@@ -211,14 +200,6 @@ def lift_y_to_x(y: SamplePath, p: ModelParams) -> SamplePath:
     if np.any(y.values <= 0.0):
         raise ValueError("y must be strictly positive; truncate before lifting")
     return SamplePath(y.times, lift(y.values, y.times, p))
-
-
-def lower_x_to_y(x: SamplePath, p: ModelParams) -> SamplePath:
-    """Algebraic inverse of lift_y_to_x: y_t = x_t^(1-beta) e^(b(1-beta)t)."""
-    if np.any(x.values <= 0.0):
-        raise ValueError("x must be strictly positive")
-    y = x.values ** (1.0 - p.beta) * np.exp(p.b * (1.0 - p.beta) * x.times)
-    return SamplePath(x.times, y)
 
 
 def first_hit(level: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from gmr.drivers import (
     SamplePath,
     brownian_kernel,
     custom_kernel,
-    empirical_covariance,
     fbm_kernel,
     sample_path_matrix,
     sample_paths,
@@ -35,7 +34,6 @@ from gmr.pk import (
     ThetaBounds,
     build_quad_grid,
     fit_mle,
-    gamma_matrix,
     gamma_matrix_from_theta,
     log_likelihood,
     sensitivity_fd,
@@ -50,7 +48,7 @@ from gmr.solver import (
     implicit_step_root,
     solve_gmr,
 )
-from gmr.transform import ModelParams, tilde_w_covariance_matrix, tilde_w_matrix, tilde_w_path
+from gmr.transform import ModelParams, tilde_w_covariance_matrix, tilde_w_matrix
 
 FIG1 = PkParams(A0=1.0, v=1.0, Ke=4.0, sigma=1.0, beta=0.8)
 
@@ -229,14 +227,12 @@ def test_criterion_7_covariance_validation():
     ok = True
     worst_z = 0.0
     for kernel in (brownian_kernel(), fbm_kernel(0.7)):
-        drivers = sample_paths(kernel, grid, m, seed=70)
-        wt = [tilde_w_path(d, p) for d in drivers]
+        wt = tilde_w_matrix(sample_path_matrix(kernel, grid, m, seed=70), grid, p)
         full = tilde_w_covariance_matrix(p, kernel, grid)
-        for s, t in ((0.25, 0.5), (0.5, 1.0), (1.0, 1.0)):
-            i, j = wt[0].index_of(s), wt[0].index_of(t)
+        for i, j in ((16, 32), (32, 64), (64, 64)):  # (s, t) = (0.25, 0.5), (0.5, 1), (1, 1)
             truth = full[i, j]
             se = math.sqrt((truth**2 + full[i, i] * full[j, j]) / (m - 1))
-            z = abs(empirical_covariance(wt, s, t) - truth) / se
+            z = abs(np.cov(wt[:, i], wt[:, j], ddof=1)[0, 1] - truth) / se
             worst_z = max(worst_z, z)
             ok &= z <= 4.0
     # Brownian with b = 0: quadrature is exact, sigma^2 (1-beta)^2 min(s,t)
@@ -259,7 +255,7 @@ def test_criterion_8_likelihood_oracle():
     obs1 = ConcentrationSeries(np.array([0.3]), np.array([0.25]))
     quad1 = build_quad_grid(obs1.times)
     got1 = log_likelihood((4.0, 1.0, 0.8), obs1, kern, 1.0, 1.0, quad_grid=quad1)
-    var1 = gamma_matrix(FIG1, obs1.times, kern, quad1)[0, 0]
+    var1 = gamma_matrix_from_theta((FIG1.Ke, FIG1.sigma, FIG1.beta), obs1.times, kern, quad1)[0, 0]
     u1 = 0.25**0.2 - z_mean(0.3, FIG1)
     direct1 = (
         math.log(0.2) - 0.5 * math.log(2 * math.pi) - 0.5 * math.log(var1)

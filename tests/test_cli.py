@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gmr.cli import run
+from gmr.drivers import SamplePath
 from gmr.solver import deterministic_ode_solution
 from gmr.transform import ModelParams
 
@@ -46,27 +47,49 @@ def test_simulate_zero_noise_matches_ode(tmp_path):
     assert np.max(np.abs(rows[:, 1] - ode)) <= 2.0 / 256
 
 
-def test_simulate_byte_identical_reruns(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        "sim.json",
-        {
-            "model": {"x0": 1.0, "a": 1.0, "b": 1.0, "sigma": 0.5, "beta": 0.7},
-            "kernel": {"kind": "fbm", "hurst": 0.8},
-            "grid": {"n": 64, "T": 1.0},
-            "seed": 9,
-        },
-    )
-    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
-    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
-    assert (tmp_path / "a" / "simulate.csv").read_bytes() == (
-        tmp_path / "b" / "simulate.csv"
-    ).read_bytes()
+MODEL = {"x0": 1.0, "a": 1.0, "b": 1.0, "sigma": 0.5, "beta": 0.7}
+PK = {"A0": 1.0, "v": 1.0, "Ke": 4.0, "sigma": 1.0, "beta": 0.8}
+FBM8 = {"kind": "fbm", "hurst": 0.8}
+
+# one small config per subcommand, each writing every artifact it can;
+# pk-fit reads the observations that the test writes next to it
+RERUN_CONFIGS = {
+    "simulate": {"model": MODEL, "kernel": FBM8, "grid": {"n": 64, "T": 1.0}, "seed": 9},
+    "converge": {"model": MODEL, "kernel": FBM8, "T": 1.0, "n_list": [8, 16], "ref_n": 128,
+                 "seed": 9},
+    "ensemble": {"model": MODEL, "kernel": FBM8, "grid": {"n": 32, "T": 1.0},
+                 "ensemble": {"M": 40, "marginal_times": [0.5]}, "write_paths": True, "seed": 9},
+    "hit-times": {"model": {**MODEL, "a": 0.0, "sigma": 1.0}, "kernel": FBM8,
+                  "horizons": [0.5, 1.0], "steps_per_unit": 32, "M": 100, "seed": 9},
+    "survival": {"y0": 2.0, "model": {"b": 1.0, "sigma": 0.5, "beta": 0.7},
+                 "kernel": {"kind": "brownian"}, "grid": {"n": 32, "T": 1.0}, "M": 200, "seed": 9},
+    "pk-simulate": {"pk": PK, "kernel": FBM9, "grid": {"n": 64, "T": 1.0}, "seed": 9},
+    "pk-fit": {"pk_constants": {"A0": 1.0, "v": 1.0}, "kernel": {"kind": "brownian"},
+               "observations": "obs.csv", "init": {"Ke": 2.0, "sigma": 0.5, "beta": 0.5},
+               "bounds": {"ke_max": 20.0}, "seed": 9},
+    "pk-sensitivity": {"pk": PK, "kernel": FBM8, "x": 1.0, "functional": "sin",
+                       "tau": {"kind": "hit_capped"}, "grid": {"n": 32, "T": 1.0}, "M": 100,
+                       "method": "fd", "seed": 9},
+}
+
+
+@pytest.mark.parametrize("command", sorted(RERUN_CONFIGS))
+def test_simulate_byte_identical_reruns(tmp_path, command):
+    payload = dict(RERUN_CONFIGS[command])
+    if command == "pk-fit":
+        obs = tmp_path / "obs.csv"
+        obs.write_text("t,concentration\r\n0.2,0.5\r\n0.4,0.22\r\n0.6,0.1\r\n0.8,0.05\r\n")
+        payload["observations"] = str(obs)
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    names = sorted(path.name for path in (tmp_path / "a").iterdir())
+    assert names and names == sorted(path.name for path in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_simulate_csv_round_trips_via_sample_path(tmp_path):
-    from gmr.drivers import SamplePath
-
     cfg = write_config(
         tmp_path,
         "sim.json",
@@ -79,9 +102,11 @@ def test_simulate_csv_round_trips_via_sample_path(tmp_path):
     )
     out = tmp_path / "out"
     assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    path = SamplePath.from_csv(out / "simulate.csv")
+    header, rows = read_csv(out / "simulate.csv")
+    path = SamplePath(rows[:, 0], rows[:, 1])
+    assert header == ["t", "value"]
     assert path.n_steps == 32
-    assert path.horizon == 1.0
+    assert path.times[-1] == 1.0
 
 
 def test_simulate_seed_flag_overrides(tmp_path):

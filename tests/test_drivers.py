@@ -1,5 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from gmr.drivers import (
     CovarianceError,
@@ -8,7 +11,6 @@ from gmr.drivers import (
     covariance_matrix,
     custom_kernel,
     driver_factor,
-    empirical_covariance,
     fbm_kernel,
     kernel_eval,
     sample_path_matrix,
@@ -161,15 +163,17 @@ def test_sample_path_matrix_matches_per_path_oracle(n):
 
 
 def test_circulant_rows_match_one_row_transforms():
-    # above the crossover fBm row i is the circulant map of its own 2n normals
-    n = _CIRCULANT_MIN_N
+    # above the crossover fBm row i is the circulant map of its own
+    # 2 next_fast_len(n) normals; 1031 is not a fast length, 1024 is
     k = fbm_kernel(0.7)
-    grid = uniform_grid(n, 2.0)
-    z = _block_normals(23, 40, 2 * n)
-    scale = _circulant_scale(_fgn_circulant_row(0.7, n, 2.0 / n))
-    oracle = np.concatenate([_circulant_paths(row[None, :], scale) for row in z])
-    rows = sample_path_matrix(k, grid, 40, seed=23)
-    np.testing.assert_allclose(rows[:, 1:], oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+    for n in (_CIRCULANT_MIN_N, 1031):
+        grid = uniform_grid(n, 2.0)
+        z = _block_normals(23, 40, 2 * next_fast_len(n))
+        scale = _circulant_scale(_fgn_circulant_row(0.7, n, 2.0 / n))
+        oracle = np.concatenate([_circulant_paths(row[None, :], scale, n) for row in z])
+        rows = sample_path_matrix(k, grid, 40, seed=23)
+        np.testing.assert_allclose(rows[:, 1:], oracle, rtol=1e-12,
+                                   atol=1e-12 * np.abs(oracle).max())
 
 
 @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.75, 0.95])
@@ -185,14 +189,16 @@ def test_fgn_circulant_row_is_the_increment_autocovariance(hurst):
 
 
 @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.75, 0.95])
-@pytest.mark.parametrize("n", [1, 7, 32])
+@pytest.mark.parametrize("n", [1, 7, 13, 32])
 def test_circulant_paths_have_the_fbm_covariance(hurst, n):
     # the map z -> path is linear, so the rows it gives the unit vectors
-    # are a factor: their Gram matrix is the path covariance, exactly
+    # are a factor: their Gram matrix is the path covariance, exactly.
+    # n = 13 is embedded at the fast length 14 and keeps 13 increments.
     horizon = 1.7
     grid = uniform_grid(n, horizon)
-    scale = _circulant_scale(_fgn_circulant_row(hurst, n, horizon / n))
-    factor_t = _circulant_paths(np.eye(2 * n), scale)
+    row = _fgn_circulant_row(hurst, n, horizon / n)
+    assert row.size == 2 * next_fast_len(n)
+    factor_t = _circulant_paths(np.eye(row.size), _circulant_scale(row), n)
     cov = covariance_matrix(fbm_kernel(hurst), grid)[1:, 1:]
     np.testing.assert_allclose(factor_t.T @ factor_t, cov, rtol=0, atol=1e-14)
 
@@ -279,21 +285,11 @@ def test_empirical_covariance_against_kernel():
     grid = uniform_grid(16, 2.0)
     k = fbm_kernel(0.75)
     m = 5000
-    paths = sample_paths(k, grid, m, seed=5)
-    est = empirical_covariance(paths, 1.0, 2.0)
+    rows = sample_path_matrix(k, grid, m, seed=5)
+    est = np.cov(rows[:, 8], rows[:, 16], ddof=1)[0, 1]  # t = 1 and 2
     target = kernel_eval(k, 1.0, 2.0)
     var_est = (target**2 + kernel_eval(k, 1, 1) * kernel_eval(k, 2, 2)) / (m - 1)
     assert abs(est - target) <= 3 * np.sqrt(var_est)
-
-
-def test_empirical_covariance_degenerate_cases():
-    grid = uniform_grid(4, 1.0)
-    path = SamplePath(grid, np.array([0.0, 1.0, -2.0, 0.5, 3.0]))
-    with pytest.raises(ValueError, match="2 paths"):
-        empirical_covariance([path], 0.25, 0.5)
-    twin = [path, SamplePath(grid, path.values.copy())]
-    assert empirical_covariance(twin, 0.25, 0.5) == 0.0
-    assert empirical_covariance(twin, 0.0, 0.5) == 0.0
 
 
 def test_fbm_increment_stationarity():
@@ -329,9 +325,12 @@ def test_sample_path_csv_roundtrip(tmp_path):
     path = sample_paths(fbm_kernel(0.65), grid, 1, seed=2)[0]
     out = tmp_path / "path.csv"
     path.to_csv(out)
-    back = SamplePath.from_csv(out)
-    assert np.array_equal(back.times, path.times)
-    assert np.array_equal(back.values, path.values)
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["t", "value"]
+    back = np.array(rows, dtype=float)
+    assert np.array_equal(back[:, 0], path.times)
+    assert np.array_equal(back[:, 1], path.values)
 
 
 def test_sample_path_validation():

@@ -26,12 +26,14 @@ from gmr.montecarlo import (
     sup_bound_violations,
     survival_bound_check,
 )
-from gmr.solver import convergence_study, deterministic_ode_solution
+from gmr.solver import convergence_study, deterministic_ode_solution, implicit_euler
 from gmr.transform import (
     ModelParams,
     explicit_solution_a0,
+    lift,
     lift_y_to_x,
     tilde_w_covariance_matrix,
+    tilde_w_path,
 )
 
 
@@ -355,3 +357,54 @@ def test_lift_underflow_counts_as_hit_in_ensembles():
     assert res.stats.hit_fraction == 1.0
     assert np.all(res.stats.hit_times == res.times[60])
     assert np.array_equal(res.x, np.tile(single.path.values, (3, 1)))
+
+
+def _admissible_draws(count, seed):
+    """Seeded (kernel, params, n) over the box beta > 1 - H, a >= 0, b >= 0."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for i in range(count):
+        hurst = rng.uniform(0.1, 0.5) if i % 3 == 0 else rng.uniform(0.5, 0.95)
+        floor = 1.0 - hurst
+        # every fourth beta sits within 0.02 of the well-posedness boundary
+        beta = floor + rng.uniform(1e-3, 0.02) if i % 4 == 0 else rng.uniform(floor, 0.97)
+        params = ModelParams(
+            x0=10.0 ** rng.uniform(-2.0, 1.0),
+            a=0.0 if i % 5 == 0 else rng.uniform(0.01, 3.0),
+            b=200.0 if i % 7 == 0 else rng.choice([0.0, rng.uniform(0.0, 5.0)]),
+            sigma=0.0 if i % 11 == 0 else rng.uniform(0.0, 5.0),
+            beta=beta,
+        )
+        draws.append((fbm_kernel(hurst), params, 1024 if i % 2 else 64))
+    return draws
+
+
+def test_ensemble_sweep_of_the_admissible_box_against_single_path_oracles():
+    # both driver routes (Cholesky at n = 64, circulant at n = 1024),
+    # H < 1/2, beta at the boundary, b = 200, no noise and a = 0 all occur
+    draws = _admissible_draws(40, seed=2718)
+    assert any(k.hurst < 0.5 for k, _, _ in draws)
+    assert any(p.beta - (1.0 - k.hurst) < 0.02 for k, p, _ in draws)
+    assert {p.b for _, p, _ in draws} >= {0.0, 200.0}
+    assert {p.sigma for _, p, _ in draws} >= {0.0} and max(p.sigma for _, p, _ in draws) > 4.0
+    assert {p.a for _, p, _ in draws} >= {0.0} and {n for _, _, n in draws} == {64, 1024}
+    m = 6
+    for seed, (kernel, p, n) in enumerate(draws):
+        result = ensemble_simulate(EnsembleSpec(params=p, kernel=kernel, M=m, n=n, seed=seed))
+        drivers = sample_path_matrix(kernel, result.times, m, seed)
+        assert all(math.isfinite(v) for v in result.stats.lp_estimates.values())
+        for row, level, driver in zip(result.x, result.y, drivers):
+            path = SamplePath(result.times, driver)
+            if p.a == 0.0:
+                sol = explicit_solution_a0(path, p)
+                assert np.array_equal(row, sol.path.values)
+                hit = row.size if sol.hit_index is None else sol.hit_index
+            else:
+                # both root solvers stop at |f| <= 1e-12 max(1, |A|), so the
+                # levels agree on that scale, and x is the same lift of them
+                y = implicit_euler(p, tilde_w_path(path, p)).y_path.values
+                assert np.all(np.abs(level - y) <= 1e-10 * np.maximum(1.0, y))
+                assert np.array_equal(row, lift(level, result.times, p))
+                hit = row.size
+            assert np.all(np.isfinite(row[:hit])) and np.all(row[:hit] > 0.0)
+            assert np.all(row[hit:] == 0.0)

@@ -22,7 +22,6 @@ from gmr.pk import (
     concentration_functional_samples,
     deterministic_concentration,
     fit_mle,
-    gamma_matrix,
     gamma_matrix_from_theta,
     log_likelihood,
     sensitivity_fd,
@@ -148,7 +147,7 @@ def test_gamma_matrix_brownian_closed_form_with_elimination():
     pk = PkParams(A0=1.0, v=1.0, Ke=2.0, sigma=0.8, beta=0.6)
     times = np.array([0.25, 0.5, 1.0])
     grid = build_quad_grid(times, refine=200)
-    gam = gamma_matrix(pk, times, brownian_kernel(), grid)
+    gam = gamma_matrix_from_theta((pk.Ke, pk.sigma, pk.beta), times, brownian_kernel(), grid)
     omb = 1.0 - pk.beta
     for i, s in enumerate(times):
         for j, t in enumerate(times):
@@ -162,7 +161,7 @@ def test_gamma_matrix_symmetric_psd_and_row_decay():
     pk = PkParams(**FIG1)
     times = np.linspace(0.1, 1.0, 10)
     grid = build_quad_grid(times)
-    gam = gamma_matrix(pk, times, brownian_kernel(), grid)
+    gam = gamma_matrix_from_theta((pk.Ke, pk.sigma, pk.beta), times, brownian_kernel(), grid)
     assert np.array_equal(gam, gam.T)
     np.linalg.cholesky(gam + 1e-15 * np.eye(10))
     # fixed row: the e^{-Ke(1-beta)(ti+tj)} damping wins as tj grows past ti
@@ -183,7 +182,7 @@ def test_log_likelihood_single_observation_oracle():
     obs = ConcentrationSeries(np.array([0.3]), np.array([0.25]))
     quad = build_quad_grid(obs.times)
     got = log_likelihood((4.0, 1.0, 0.8), obs, brownian_kernel(), 1.0, 1.0, quad_grid=quad)
-    v1 = gamma_matrix(pk, obs.times, brownian_kernel(), quad)[0, 0]
+    v1 = gamma_matrix_from_theta((pk.Ke, pk.sigma, pk.beta), obs.times, brownian_kernel(), quad)[0, 0]
     u = 0.25**0.2 - z_mean(0.3, pk)
     direct = (
         math.log(0.2)

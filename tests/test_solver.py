@@ -131,7 +131,7 @@ def test_vectorized_euler_matches_scalar_pipeline():
     grid = uniform_grid(64, 1.0)
     driver = sample_paths(fbm_kernel(0.8), grid, 1, seed=6)[0]
     wt = tilde_w_path(driver, p)
-    scalar = implicit_euler(p, wt).y_nodes
+    scalar = implicit_euler(p, wt).y_path.values
     vectorized = implicit_euler_nodes(p, grid, wt.values[None, :])[0]
     np.testing.assert_allclose(vectorized, scalar, rtol=1e-11)
 
@@ -154,7 +154,7 @@ def test_implicit_euler_first_node():
     # sigma = 0, b = 0, beta = 0.5, a = 1, T = 1, n = 50: B = 0.01, A = 1
     p = ModelParams(x0=1.0, a=1.0, b=0.0, sigma=0.0, beta=0.5)
     sol = implicit_euler(p, tilde_w_path(zero_driver(50, 1.0), p))
-    assert sol.y_nodes[1] == pytest.approx((1.0 + math.sqrt(1.04)) / 2.0, rel=1e-12)
+    assert sol.y_path.values[1] == pytest.approx((1.0 + math.sqrt(1.04)) / 2.0, rel=1e-12)
 
 
 def test_implicit_euler_stationary_point():
@@ -171,7 +171,7 @@ def test_implicit_euler_positivity():
     for seed in range(5):
         driver = sample_paths(fbm_kernel(0.6), grid, 1, seed=seed)[0]
         sol = implicit_euler(p, tilde_w_path(driver, p))
-        assert np.min(sol.y_nodes) > 0.0
+        assert np.min(sol.y_path.values) > 0.0
 
 
 def test_implicit_euler_requires_positive_a():
@@ -244,9 +244,9 @@ def test_pathwise_bounds_hold():
             beta=rng.uniform(0.4, 0.85),
         )
         driver = sample_paths(fbm_kernel(0.75), grid, 1, seed=seed)[0]
-        wsup = driver.sup_norm()
+        wsup = np.max(np.abs(driver.values))
         sol = implicit_euler(p, tilde_w_path(driver, p))
-        assert np.max(sol.y_nodes) <= y_sup_bound(p, wsup, horizon) * (1 + 1e-12)
+        assert np.max(sol.y_path.values) <= y_sup_bound(p, wsup, horizon) * (1 + 1e-12)
         assert np.max(sol.x_path.values) <= sup_bound(p, wsup, horizon) * (1 + 1e-12)
 
 
@@ -317,17 +317,6 @@ def test_rate_report_validation_and_export(tmp_path):
     assert csv_path.read_text().splitlines()[0] == "n,error"
     payload = json.loads(json_path.read_text())
     assert payload == {"fitted_slope": 1.0, "theoretical_rate": 0.9}
-
-
-def test_euler_solution_interpolation():
-    p = ModelParams(x0=1.0, a=1.0, b=0.5, sigma=0.0, beta=0.5)
-    sol = implicit_euler(p, tilde_w_path(zero_driver(16, 1.0), p))
-    mid = 0.5 * (sol.y_path.times[3] + sol.y_path.times[4])
-    expected_y = 0.5 * (sol.y_nodes[3] + sol.y_nodes[4])
-    assert sol.y_at(mid) == pytest.approx(expected_y, rel=1e-14)
-    assert sol.x_at(mid) == pytest.approx(
-        expected_y ** (p.gamma + 1.0) * math.exp(-p.b * mid), rel=1e-14
-    )
 
 
 def test_euler_solution_rejects_nonpositive_nodes():

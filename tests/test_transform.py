@@ -6,7 +6,6 @@ import pytest
 from gmr.drivers import (
     SamplePath,
     brownian_kernel,
-    empirical_covariance,
     fbm_kernel,
     sample_paths,
     uniform_grid,
@@ -17,7 +16,6 @@ from gmr.transform import (
     explicit_solution_a0,
     first_hit,
     lift_y_to_x,
-    lower_x_to_y,
     theta_weight,
     tilde_w_covariance_matrix,
     tilde_w_matrix,
@@ -52,12 +50,6 @@ def test_model_params_derived_exponents():
     q = _params(beta=0.25)
     assert q.gamma == pytest.approx(1.0 / 3.0, rel=1e-15)
     assert q.mu == q.gamma
-
-
-def test_beta_admissibility():
-    p = _params(beta=0.8)
-    assert p.beta_admissible(0.9)       # 0.8 > 1 - 0.9
-    assert not p.beta_admissible(0.15)  # 0.8 <= 1 - 0.15
 
 
 def test_theta_weight_values():
@@ -133,9 +125,8 @@ def test_tilde_w_covariance_against_monte_carlo(kernel):
     rows = tilde_w_matrix(np.array([d.values for d in drivers]), grid, p)
     assert all(np.array_equal(w.values, row) for w, row in zip(wt_paths, rows))
     full = tilde_w_covariance_matrix(p, kernel, grid)
-    for s, t in ((horizon / 4, horizon / 2), (horizon / 2, horizon), (horizon / 4, horizon)):
-        mc = empirical_covariance(wt_paths, s, t)
-        i, j = wt_paths[0].index_of(s), wt_paths[0].index_of(t)
+    for i, j in ((16, 32), (32, 64), (16, 64)):  # (T/4, T/2), (T/2, T), (T/4, T)
+        mc = np.cov(rows[:, i], rows[:, j], ddof=1)[0, 1]
         truth = full[i, j]
         se = np.sqrt((truth**2 + full[i, i] * full[j, j]) / (m - 1))
         assert abs(mc - truth) <= 4 * se
@@ -171,8 +162,10 @@ def test_lift_roundtrip_identity():
     p = _params(beta=0.8, b=2.5, sigma=0.3)
     grid = uniform_grid(64, 1.0)
     y = SamplePath(grid, 1.0 + 0.5 * np.sin(3 * grid) + 0.1 * grid)
-    back = lower_x_to_y(lift_y_to_x(y, p), p)
-    np.testing.assert_allclose(back.values, y.values, rtol=1e-12)
+    x = lift_y_to_x(y, p)
+    # the algebraic inverse y = x^(1-beta) e^(b(1-beta)t)
+    back = x.values ** (1.0 - p.beta) * np.exp(p.b * (1.0 - p.beta) * grid)
+    np.testing.assert_allclose(back, y.values, rtol=1e-12)
 
 
 def test_explicit_solution_zero_noise_decays():
@@ -189,7 +182,7 @@ def test_explicit_solution_polynomial_oracle():
     grid = uniform_grid(10, 2.5)
     sol = explicit_solution_a0(SamplePath(grid, -grid), p)
     assert sol.hit_index == 8
-    assert sol.hit_time == 2.0
+    assert sol.path.times[8] == 2.0
     before = grid[:8]
     np.testing.assert_allclose(sol.path.values[:8], (1 - 0.5 * before) ** 2, rtol=1e-12)
     assert np.all(sol.path.values[8:] == 0.0)
@@ -201,7 +194,7 @@ def test_explicit_solution_quintic_value():
     grid = uniform_grid(8, 1.0)
     sol = explicit_solution_a0(SamplePath(grid, -2.5 * grid), p)
     assert sol.hit_index is None
-    assert sol.path.value_at(1.0) == pytest.approx(0.03125, rel=1e-12)
+    assert sol.path.values[-1] == pytest.approx(0.03125, rel=1e-12)
 
 
 def test_explicit_solution_no_hit_when_inf_above_minus_y0():
@@ -239,7 +232,7 @@ def test_truncated_path_validation():
     with pytest.raises(ValueError, match="stay positive"):
         TruncatedPath(SamplePath(grid, np.array([1.0, 1.0, 0.0, 1.0])), None)
     ok = TruncatedPath(SamplePath(grid, np.array([1.0, 0.5, 0.0, 0.0])), 2)
-    assert ok.hit_time == pytest.approx(2.0 / 3.0)
+    assert ok.path.times[ok.hit_index] == pytest.approx(2.0 / 3.0)
 
 
 def test_explicit_solution_requires_a_zero():
