@@ -498,7 +498,8 @@ def run(argv) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CovarianceError, RootSolveError, AdmissibilityError, np.linalg.LinAlgError) as exc:
+    except (CovarianceError, RootSolveError, AdmissibilityError, np.linalg.LinAlgError,
+            OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

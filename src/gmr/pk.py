@@ -38,7 +38,6 @@ from .transform import (
     explicit_solution_a0,
     first_hit,
     lift,
-    tilde_w_covariance_matrix,
     tilde_w_matrix,
 )
 
@@ -230,6 +229,68 @@ def build_quad_grid(times: np.ndarray, refine: Optional[int] = None) -> np.ndarr
     return np.concatenate(pieces)
 
 
+class _ObservationBlock:
+    """G(kappa) = R C R^T, the damped wtilde covariance at the observation times.
+
+    With kappa = Ke(1-beta) the weight is theta_t = sigma(1-beta) e^(kappa t),
+    its derivative is kappa theta_t and the damping of the transformed
+    observations is e^(-kappa t), so Gamma(Ke, sigma, beta) =
+    sigma^2 (1-beta)^2 G(kappa). C is the driver covariance on the
+    quadrature grid s_0 = 0 < ... < s_N, and row i of the n x (N+1) matrix R
+    is the integration-by-parts quadrature of tilde_w_matrix at t_i = s_k,
+    damped:
+
+        (R w)_i = e^(-kappa t_i) (e^(kappa s_k) w_k - kappa int_0^{s_k} e^(kappa s) w_s ds),
+
+    that is R = diag(e^(-kappa t)) (E - kappa TW) diag(e^(kappa s)) with E the
+    selector of the observation indices and TW the trapezoid weights of the
+    integrals. G therefore equals the damped observation block of
+    tilde_w_covariance_matrix up to rounding. E and TW do not depend on
+    theta and are built once. R C is one matrix product; R^T is applied on
+    the right as a running trapezoid sum along the rows of R C, which costs
+    n N instead of the n^2 N of a second product.
+    """
+
+    def __init__(self, times: np.ndarray, kernel: CovarianceKernel, quad_grid: np.ndarray,
+                 cov: Optional[np.ndarray] = None):
+        times = np.asarray(times, dtype=float)
+        if np.any(times <= 0) or np.any(np.diff(times) <= 0):
+            raise ValueError("observation times must be positive and increasing")
+        grid = np.asarray(quad_grid, dtype=float)
+        if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
+            raise ValueError("grid must be strictly increasing and start at 0")
+        self.times = times
+        self.grid = grid
+        self.cov = covariance_matrix(kernel, grid) if cov is None else cov
+        self.idx = np.array([grid_index(grid, t) for t in times])
+        self.rows = np.arange(times.size)
+        half = 0.5 * np.diff(grid)
+        # a running sum with these weights integrates by trapezoid through
+        # s_k plus the half interval right of s_k, which ``end`` takes back
+        self.weights = np.concatenate(([0.0], half)) + np.concatenate((half, [0.0]))
+        self.end = np.concatenate((half, [0.0]))[self.idx]
+        self.tw = np.where(np.arange(grid.size) <= self.idx[:, None], self.weights, 0.0)
+        self.tw[self.rows, self.idx] -= self.end
+
+    def __call__(self, kappa: float) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ek = np.exp(kappa * self.grid)
+            damp = np.exp(-kappa * self.times)
+            r = self.tw * (-kappa * ek)
+            r[self.rows, self.idx] += ek[self.idx]
+            r *= damp[:, None]
+            rc = r @ self.cov
+            # (R C) R^T: the same quadrature, as a running sum along the rows of R C
+            running = np.cumsum(rc * (ek * self.weights), axis=1)[:, self.idx]
+            g = rc[:, self.idx] * ((1.0 + kappa * self.end) * ek[self.idx]) - kappa * running
+            g *= damp
+        if not np.all(np.isfinite(g)):
+            raise CovarianceError(
+                f"observation covariance overflows at kappa = {kappa!r} "
+                f"(kappa s up to {kappa * self.grid[-1]:.3g})")
+        return 0.5 * (g + g.T)
+
+
 def gamma_matrix_from_theta(
     theta,
     times: np.ndarray,
@@ -241,33 +302,31 @@ def gamma_matrix_from_theta(
 
     The transformed process minus its mean is e^(-Ke(1-beta)t) wtilde_t,
     so entry (i, j) is e^(-Ke(1-beta)(t_i+t_j)) Cov(wtilde_ti, wtilde_tj).
+    It is computed as sigma^2 (1-beta)^2 G(Ke(1-beta)), where G is the
+    observation block R C R^T of _ObservationBlock; it equals the
+    observation rows and columns of tilde_w_covariance_matrix, damped, up
+    to rounding.
     """
     ke, sigma, beta = (float(v) for v in theta)
-    times = np.asarray(times, dtype=float)
-    if np.any(times <= 0) or np.any(np.diff(times) <= 0):
-        raise ValueError("observation times must be positive and increasing")
-    # x0 does not enter the covariance
-    p = ModelParams(x0=1.0, a=0.0, b=ke, sigma=sigma, beta=beta)
-    full = tilde_w_covariance_matrix(p, kernel, quad_grid, cov=cov)
-    idx = np.array([grid_index(quad_grid, t) for t in times])
-    damp = np.exp(-ke * (1.0 - beta) * times)
-    out = np.outer(damp, damp) * full[np.ix_(idx, idx)]
-    return 0.5 * (out + out.T)
+    if ke < 0 or sigma < 0 or not 0.0 < beta < 1.0:
+        raise ValueError("theta out of domain: need Ke, sigma >= 0 and beta in (0, 1)")
+    omb = 1.0 - beta
+    return sigma**2 * omb**2 * _ObservationBlock(times, kernel, quad_grid, cov)(ke * omb)
 
 
-def _likelihood_core(ke, beta, obs, kernel, A0, v, quad_grid, cov):
+def _likelihood_core(ke, beta, obs, block, A0, v):
     """log det L_1 and q = |L_1^{-1} U|^2, with L_1 the Cholesky factor of Gamma_1.
 
-    Gamma_1 is the observation covariance at sigma = 1. Every entry of the
-    covariance carries two weights sigma(1-beta)e^(Ke(1-beta)t), so
-    Gamma(Ke, sigma, beta) = sigma^2 Gamma_1 and U does not depend on sigma.
-    The jitter ladder is relative to the largest diagonal entry, so Gamma_1
-    needs the jitter that Gamma would, up to rounding.
+    Gamma_1 = (1-beta)^2 G(Ke(1-beta)) is the observation covariance at
+    sigma = 1, from ``block``, the _ObservationBlock of obs.times. Every
+    entry of the covariance carries two weights sigma(1-beta)e^(Ke(1-beta)t),
+    so Gamma(Ke, sigma, beta) = sigma^2 Gamma_1 and U does not depend on
+    sigma. The jitter ladder is relative to the largest diagonal entry, so
+    Gamma_1 needs the jitter that Gamma would, up to rounding.
     """
     t = obs.times
-    factor = _cholesky_with_jitter(gamma_matrix_from_theta(
-        (ke, 1.0, beta), t, kernel, quad_grid, cov=cov))
     omb = 1.0 - beta
+    factor = _cholesky_with_jitter(omb**2 * block(ke * omb))
     u = obs.concentrations**omb - (A0 / v) ** omb * np.exp(-ke * omb * t)
     half = solve_triangular(factor, u, lower=True)
     return float(np.sum(np.log(np.diag(factor)))), float(np.dot(half, half))
@@ -307,7 +366,8 @@ def log_likelihood(
         return -math.inf
     if quad_grid is None:
         quad_grid = build_quad_grid(obs.times)
-    logdet, q = _likelihood_core(ke, beta, obs, kernel, A0, v, quad_grid, cov)
+    block = _ObservationBlock(obs.times, kernel, quad_grid, cov)
+    logdet, q = _likelihood_core(ke, beta, obs, block, A0, v)
     return _log_likelihood_from(sigma, beta, obs.concentrations, logdet, q)
 
 
@@ -390,7 +450,7 @@ def fit_mle(
         raise AdmissibilityError("no admissible parameters")
     if quad_grid is None:
         quad_grid = build_quad_grid(obs.times)
-    cov = covariance_matrix(kernel, quad_grid)  # theta-independent, reused per eval
+    block = _ObservationBlock(obs.times, kernel, quad_grid)  # theta-independent
 
     def profile(u):
         """(theta, -log-likelihood) with sigma at its profile maximum."""
@@ -398,7 +458,7 @@ def fit_mle(
         if ke > bounds.ke_max:
             return None, math.inf
         try:
-            logdet, q = _likelihood_core(ke, beta, obs, kernel, A0, v, quad_grid, cov)
+            logdet, q = _likelihood_core(ke, beta, obs, block, A0, v)
         except CovarianceError:
             return None, math.inf  # degenerate Gamma at an extreme theta: step back
         sigma = min(math.sqrt(q / len(obs)), bounds.sigma_max)

@@ -222,15 +222,25 @@ def explicit_a0_matrix(tilde_w: np.ndarray, times: np.ndarray, p: ModelParams):
     noise), so x is strictly positive before the hit and exactly 0 from
     it on. Zero-hit detection is grid-based.
 
+    Raises OverflowError when the lift of a positive level before the hit
+    is not finite: past b t of about 709, y^(gamma+1) can overflow while
+    e^(-bt) underflows, and inf * 0 would otherwise read as a hit.
+
     Returns (x, y, hit): the lifted rows, the untruncated levels and the
     per-row hit indices (n+1 for a row that never hits).
     """
     if p.a != 0.0:
         raise ValueError("explicit solution requires a = 0")
     y = p.y0 + tilde_w
-    x = lift(np.where(y > 0.0, y, 0.0), times, p)
-    hit = first_hit(x)
-    x[np.arange(x.shape[-1]) >= hit[..., None]] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = lift(np.where(y > 0.0, y, 0.0), times, p)
+    finite = np.isfinite(x)
+    hit = first_hit(np.where(finite, x, 1.0))
+    dead = np.arange(x.shape[-1]) >= hit[..., None]
+    if not np.all(finite | dead):
+        raise OverflowError(f"lift y^(gamma+1) e^(-bt) of a positive level is not finite "
+                            f"(b = {p.b!r}, t up to {float(np.max(times)):.6g})")
+    x[dead] = 0.0
     return x, y, hit
 
 

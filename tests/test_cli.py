@@ -337,6 +337,23 @@ def test_pk_fit_numerical_failure_exit_code(tmp_path):
     assert run(["pk-fit", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_overflow_exits_as_numerical_failure(tmp_path, capsys):
+    # b t past ~709: the scheme's e^(b t) overflows a float
+    cfg = write_config(
+        tmp_path,
+        "sim.json",
+        {
+            "model": {"x0": 1.0, "a": 1.0, "b": 800.0, "sigma": 0.5, "beta": 0.7},
+            "kernel": {"kind": "fbm", "hurst": 0.8},
+            "grid": {"n": 64, "T": 1.0},
+            "seed": 1,
+        },
+    )
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "simulate.csv").exists()
+
+
 def test_pk_sensitivity_outputs(tmp_path):
     base = {
         "pk": {"A0": 1.0, "v": 1.0, "Ke": 4.0, "sigma": 1.0, "beta": 0.8},

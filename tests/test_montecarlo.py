@@ -29,6 +29,7 @@ from gmr.montecarlo import (
 from gmr.solver import convergence_study, deterministic_ode_solution, implicit_euler
 from gmr.transform import (
     ModelParams,
+    explicit_a0_matrix,
     explicit_solution_a0,
     lift,
     lift_y_to_x,
@@ -357,6 +358,22 @@ def test_lift_underflow_counts_as_hit_in_ensembles():
     assert res.stats.hit_fraction == 1.0
     assert np.all(res.stats.hit_times == res.times[60])
     assert np.array_equal(res.x, np.tile(single.path.values, (3, 1)))
+
+
+def test_nonfinite_lift_of_a_positive_level_raises():
+    # b t past ~709: y^(gamma+1) overflows while e^(-bt) underflows, and
+    # inf * 0 = NaN used to be recorded as a zero hit of a positive level
+    p = ModelParams(x0=1.0, a=0.0, b=800.0, sigma=1.0, beta=0.7)
+    with pytest.raises(OverflowError, match="not finite"):
+        ensemble_simulate(_spec(params=p, kernel=fbm_kernel(0.9), M=200, n=64, seed=3))
+    # after a hit the level is discarded, so a non-finite lift there is not an error
+    times = uniform_grid(4, 1.0)
+    absorbed = np.array([[0.0, -2.0, 1e150, 1e150, 1e150]])
+    x, _, hit = explicit_a0_matrix(absorbed, times, p)
+    assert hit.tolist() == [1]
+    assert np.all(x[0, 1:] == 0.0)
+    with pytest.raises(OverflowError, match="not finite"):
+        explicit_a0_matrix(np.array([[0.0, 0.0, 0.0, 0.0, 1e150]]), times, p)
 
 
 def _admissible_draws(count, seed):

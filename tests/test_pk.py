@@ -6,11 +6,14 @@ from scipy.integrate import quad as integrate
 from scipy.special import ndtr
 
 from gmr.drivers import (
+    CovarianceError,
     brownian_kernel,
     covariance_matrix,
     custom_kernel,
     fbm_kernel,
+    grid_index,
     uniform_grid,
+    _cholesky_with_jitter,
 )
 from gmr.pk import (
     AdmissibilityError,
@@ -29,7 +32,9 @@ from gmr.pk import (
     simulate_concentration,
     z_mean,
     _likelihood_core,
+    _ObservationBlock,
 )
+from gmr.transform import ModelParams, tilde_w_covariance_matrix
 
 FIG1 = dict(A0=1.0, v=1.0, Ke=4.0, sigma=1.0, beta=0.8)
 
@@ -245,6 +250,66 @@ def test_gamma_matrix_scales_with_sigma_squared():
             np.testing.assert_allclose(scaled, sigma**2 * unit, rtol=1e-13, atol=0)
 
 
+def _full_wtilde_block(theta, times, kernel, grid):
+    """Gamma built as before: the full wtilde covariance, its observation block, damped."""
+    ke, sigma, beta = theta
+    p = ModelParams(x0=1.0, a=0.0, b=ke, sigma=sigma, beta=beta)
+    full = tilde_w_covariance_matrix(p, kernel, grid)
+    idx = np.array([grid_index(grid, t) for t in times])
+    damp = np.exp(-ke * (1.0 - beta) * times)
+    out = np.outer(damp, damp) * full[np.ix_(idx, idx)]
+    return 0.5 * (out + out.T)
+
+
+OBSERVATION_SETS = {
+    # the benchmark's 50 times on a 251-point grid, and a sampling schedule
+    "uniform": (np.arange(1, 51) / 50, 5),
+    "schedule": (np.array([0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5]), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVATION_SETS))
+@pytest.mark.parametrize("kernel", [brownian_kernel(), fbm_kernel(0.3), fbm_kernel(0.9)],
+                         ids=["brownian", "fbm0.3", "fbm0.9"])
+def test_gamma_matrix_is_the_damped_block_of_the_full_wtilde_covariance(kernel, name):
+    # kappa = Ke(1-beta) stays below 8.4: at kappa t = 19 the full six-pass
+    # quadrature is itself off by 1.4e-13 of the largest entry (against long double)
+    times, refine = OBSERVATION_SETS[name]
+    grid = build_quad_grid(times, refine)
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        theta = (rng.uniform(0.2, 12.0), rng.uniform(0.2, 3.0), rng.uniform(0.3, 0.95))
+        got = gamma_matrix_from_theta(theta, times, kernel, grid)
+        want = _full_wtilde_block(theta, times, kernel, grid)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kernel", [brownian_kernel(), fbm_kernel(0.9)], ids=["brownian", "fbm0.9"])
+def test_log_likelihood_matches_the_full_wtilde_covariance_core(kernel):
+    obs = _synthetic_obs(1)
+    quad = build_quad_grid(obs.times)
+    x, n = obs.concentrations, len(obs)
+    for theta in ((4.0, 1.0, 0.8), (1.5, 0.4, 0.5), (12.0, 2.0, 0.3)):
+        ke, sigma, beta = theta
+        omb = 1.0 - beta
+        factor = _cholesky_with_jitter(_full_wtilde_block((ke, 1.0, beta), obs.times, kernel, quad))
+        u = x**omb - np.exp(-ke * omb * obs.times)
+        half = np.linalg.solve(factor, u)
+        want = (n * math.log(omb) - 0.5 * n * math.log(2.0 * math.pi)
+                - float(np.sum(np.log(np.diag(factor)))) - n * math.log(sigma)
+                - 0.5 * float(half @ half) / sigma**2 - beta * float(np.sum(np.log(x))))
+        got = log_likelihood(theta, obs, kernel, 1.0, 1.0, quad_grid=quad)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_gamma_matrix_overflow_raises_covariance_error():
+    # e^(kappa s) overflows past kappa s of about 709: an error, never a NaN block
+    times = np.array([10.0, 20.0])
+    with pytest.raises(CovarianceError, match="overflows"):
+        gamma_matrix_from_theta((50.0, 1.0, 0.05), times, brownian_kernel(),
+                                build_quad_grid(times))
+
+
 def test_log_likelihood_permutation_invariant():
     t = np.array([0.2, 0.5, 0.8])
     x = np.array([0.7, 0.3, 0.1])
@@ -338,7 +403,8 @@ def test_profiled_sigma_is_clamped_to_the_box():
     bounds = ThetaBounds(ke_max=20.0, sigma_max=0.3)
     est = fit_mle(obs, brownian_kernel(), (2.0, 0.2, 0.5), 1.0, 1.0, bounds=bounds,
                   quad_grid=quad)
-    _, q = _likelihood_core(est.Ke, est.beta, obs, brownian_kernel(), 1.0, 1.0, quad, None)
+    block = _ObservationBlock(obs.times, brownian_kernel(), quad)
+    _, q = _likelihood_core(est.Ke, est.beta, obs, block, 1.0, 1.0)
     assert math.sqrt(q / len(obs)) > bounds.sigma_max
     assert est.sigma == bounds.sigma_max
     # below the unclamped maximum the likelihood still rises towards the box
