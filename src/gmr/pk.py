@@ -35,6 +35,7 @@ from .drivers import (
 from .transform import (
     ModelParams,
     TruncatedPath,
+    check_lift,
     explicit_solution_a0,
     first_hit,
     lift,
@@ -146,9 +147,10 @@ class ConcentrationSeries:
         """Read ``t,concentration`` CSV; also accepts simulation output.
 
         Falls back to a ``stochastic`` column (pk simulation files) and
-        then to the second column. Rows at t = 0 are never observations
-        and are dropped; ``drop_nonpositive`` additionally drops rows with
-        concentration <= 0 (post-hit zeros).
+        then to the second column. A time or concentration that is not
+        finite raises ValueError naming its data row. Rows at t = 0 are
+        never observations and are dropped; ``drop_nonpositive``
+        additionally drops rows with concentration <= 0 (post-hit zeros).
         """
         with open(path, "r", newline="") as fh:
             reader = csv.reader(fh)
@@ -169,6 +171,10 @@ class ConcentrationSeries:
             ci = 1 if ti != 1 else 0
         t = np.array([float(r[ti]) for r in rows])
         x = np.array([float(r[ci]) for r in rows])
+        bad = ~(np.isfinite(t) & np.isfinite(x))
+        if bad.any():
+            raise ValueError(f"data row {int(bad.argmax()) + 1}: t and {header[ci]!r} "
+                             f"must be finite")
         keep = t > 0
         if drop_nonpositive:
             keep &= x > 0
@@ -251,8 +257,7 @@ class _ObservationBlock:
     n N instead of the n^2 N of a second product.
     """
 
-    def __init__(self, times: np.ndarray, kernel: CovarianceKernel, quad_grid: np.ndarray,
-                 cov: Optional[np.ndarray] = None):
+    def __init__(self, times: np.ndarray, kernel: CovarianceKernel, quad_grid: np.ndarray):
         times = np.asarray(times, dtype=float)
         if np.any(times <= 0) or np.any(np.diff(times) <= 0):
             raise ValueError("observation times must be positive and increasing")
@@ -261,7 +266,7 @@ class _ObservationBlock:
             raise ValueError("grid must be strictly increasing and start at 0")
         self.times = times
         self.grid = grid
-        self.cov = covariance_matrix(kernel, grid) if cov is None else cov
+        self.cov = covariance_matrix(kernel, grid)
         self.idx = np.array([grid_index(grid, t) for t in times])
         self.rows = np.arange(times.size)
         half = 0.5 * np.diff(grid)
@@ -296,7 +301,6 @@ def gamma_matrix_from_theta(
     times: np.ndarray,
     kernel: CovarianceKernel,
     quad_grid: np.ndarray,
-    cov: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Covariance of the transformed observations for theta = (Ke, sigma, beta).
 
@@ -311,7 +315,7 @@ def gamma_matrix_from_theta(
     if ke < 0 or sigma < 0 or not 0.0 < beta < 1.0:
         raise ValueError("theta out of domain: need Ke, sigma >= 0 and beta in (0, 1)")
     omb = 1.0 - beta
-    return sigma**2 * omb**2 * _ObservationBlock(times, kernel, quad_grid, cov)(ke * omb)
+    return sigma**2 * omb**2 * _ObservationBlock(times, kernel, quad_grid)(ke * omb)
 
 
 def _likelihood_core(ke, beta, obs, block, A0, v):
@@ -345,7 +349,6 @@ def log_likelihood(
     A0: float,
     v: float,
     quad_grid: Optional[np.ndarray] = None,
-    cov: Optional[np.ndarray] = None,
 ) -> float:
     """Exact log-likelihood of positive observations under theta = (Ke, sigma, beta).
 
@@ -366,7 +369,7 @@ def log_likelihood(
         return -math.inf
     if quad_grid is None:
         quad_grid = build_quad_grid(obs.times)
-    block = _ObservationBlock(obs.times, kernel, quad_grid, cov)
+    block = _ObservationBlock(obs.times, kernel, quad_grid)
     logdet, q = _likelihood_core(ke, beta, obs, block, A0, v)
     return _log_likelihood_from(sigma, beta, obs.concentrations, logdet, q)
 
@@ -540,7 +543,7 @@ def _tau_and_level(mp: ModelParams, spec: SensitivitySpec, wt: np.ndarray,
     The level x^(1-beta) + wtilde (x = mp.x0) is followed until the
     requested time or its first nonpositive grid value, whichever comes
     first; absorbed paths carry level 0 (they contribute F(0) and a
-    vanishing weight).
+    vanishing weight). A lift that is not finite raises OverflowError.
     """
     y = mp.y0 + wt
     first_dead = first_hit(y)  # == n+1 when never absorbed
@@ -554,7 +557,9 @@ def _tau_and_level(mp: ModelParams, spec: SensitivitySpec, wt: np.ndarray,
     rows = np.arange(y.shape[0])
     y_tau = np.where(capped, 0.0, y[rows, np.minimum(tau_idx, times.size - 1)])
     tau = times[tau_idx]
-    return tau, y_tau, lift(y_tau, tau, mp), capped
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_tau = lift(y_tau, tau, mp)
+    return tau, y_tau, check_lift(c_tau, tau, mp), capped
 
 
 def _ensemble_wtilde(pk: PkParams, x: float, spec: SensitivitySpec,

@@ -3,8 +3,10 @@
 Each step solves f(x) = x - B x^(-gamma) - A = 0 for the unique positive
 root (f is increasing and concave on (0, inf) with f(0+) = -inf), which
 keeps every node strictly positive whatever the sign of the Gaussian
-increment. The scheme converges uniformly with rate n^(-alpha*min(1,gamma))
-for alpha-Holder drivers; convergence_study measures the empirical slope
+increment. The scalar and the vectorized solver run one algorithm: plain
+Newton from a start where f <= 0, which climbs monotonically to the root.
+The scheme converges uniformly with rate n^(-alpha*min(1,gamma)) for
+alpha-Holder drivers; convergence_study measures the empirical slope
 against a nested fine-grid reference.
 """
 
@@ -88,17 +90,13 @@ class RateReport:
         object.__setattr__(self, "errors", errors)
 
 
-def _step_residual(x: float, A: float, B: float, gamma: float) -> float:
-    return x - B * x**-gamma - A
-
-
 def implicit_step_root(A: float, B: float, gamma: float) -> float:
     """Unique positive root of x - B x^(-gamma) - A = 0.
 
-    Safeguarded Newton: start from max(A, B^(1/(gamma+1))), keep a
-    bracket [lo, hi] with f(lo) < 0 < f(hi) (lo by downward doubling,
-    hi = |A| + B^(1/(gamma+1)) + 1) and bisect whenever the Newton step
-    leaves it. Stops at |f| <= 1e-12 * max(1, |A|).
+    One element of _implicit_roots_newton, with the same start, the same
+    plain Newton steps and the same stopping rule |f| <= 1e-12 * max(1, |A|).
+    The start lies where f <= 0, so the iterates climb monotonically to
+    the root and stay positive.
     """
     if B <= 0:
         raise ValueError("B must be positive")
@@ -106,47 +104,40 @@ def implicit_step_root(A: float, B: float, gamma: float) -> float:
         raise ValueError("gamma must be positive")
     tol = 1e-12 * max(1.0, abs(A))
     scale = B ** (1.0 / (gamma + 1.0))
-    hi = abs(A) + scale + 1.0  # f(hi) >= 1 - A + |A| > 0
-    lo = min(scale, hi)
-    while _step_residual(lo, A, B, gamma) >= 0.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise RootSolveError("failed to bracket the root from below")
-    x = max(A, scale)
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
+    x = max(A, scale) if A > 0.0 else min(scale, (B / (scale + abs(A))) ** (1.0 / gamma))
+    if not x > 0.0:  # the start underflowed, or A is NaN
+        raise RootSolveError(
+            f"Newton start {x!r} is not positive (A={A!r}, B={B!r}, gamma={gamma!r})")
     for _ in range(_MAX_ITER):
-        f = _step_residual(x, A, B, gamma)
+        f = x - B * x**-gamma - A
         if abs(f) <= tol:
             return x
-        if f < 0.0:
-            lo = x
-        else:
-            hi = x
         fprime = 1.0 + B * gamma * x ** -(gamma + 1.0)
-        step = x - f / fprime
-        x = step if lo < step < hi else 0.5 * (lo + hi)
+        x -= f / fprime
     raise RootSolveError(
         f"no convergence after {_MAX_ITER} iterations (A={A!r}, B={B!r}, gamma={gamma!r})"
     )
 
 
 def _implicit_roots_newton(A: np.ndarray, B: float, gamma: float) -> np.ndarray:
-    """Vectorized per-element Newton for the step equation.
+    """implicit_step_root's Newton iteration, run on every element of A at once.
 
     With s = B^(1/(gamma+1)), f(s) = -A, so every element starts where
-    f <= 0: at max(A, s) when A > 0, else at (B/(s+|A|))^(1/gamma), where
-    f equals that point minus s. f is concave and increasing on (0, inf),
-    so from the left Newton climbs monotonically inside (0, root].
-    Elements are masked out once they meet the residual tolerance, which
-    keeps every entry's iterate sequence independent of the rest of the
-    batch; a NaN residual never counts as converged.
+    f <= 0: at max(A, s) when A > 0, else at min(s, z) with
+    z = (B/(s+|A|))^(1/gamma), where f(z) = z - s. f is concave and
+    increasing on (0, inf), so from the left Newton climbs monotonically
+    inside (0, root]. A start that underflows to 0 raises. Elements are
+    masked out once they meet the residual tolerance, which keeps every
+    entry's iterate sequence independent of the rest of the batch; a NaN
+    residual never counts as converged.
     """
     A = np.asarray(A, dtype=float)
     tol = 1e-12 * np.maximum(1.0, np.abs(A))
     scale = B ** (1.0 / (gamma + 1.0))
     below = np.minimum(scale, (B / (scale + np.abs(A))) ** (1.0 / gamma))
     x = np.where(A > 0.0, np.maximum(A, scale), below)
+    if not np.all(x > 0.0):  # a start underflowed, or an A is NaN
+        raise RootSolveError("vectorized Newton start is not positive")
     for _ in range(_MAX_ITER):
         f = x - B * x**-gamma - A
         active = ~(np.abs(f) <= tol)
@@ -269,30 +260,26 @@ def convergence_study(
 ) -> RateReport:
     """Self-convergence rate experiment on a single driver path.
 
-    The reference is the scheme itself at ref_n on a nested grid; every
-    n in n_list must divide ref_n and ref_n must be at least 8 times the
-    largest n. Errors are sup norms over the coarse nodes; the slope is
-    the negated least-squares slope of log error against log n.
+    The reference is solve_gmr at ref_n and each coarse solution is
+    solve_gmr at n on the same driver, which subsamples it, so every n in
+    n_list must divide ref_n; ref_n must be at least 8 times the largest
+    n. Errors are sup norms over the coarse nodes; the slope is the
+    negated least-squares slope of log error against log n.
     """
     n_list = sorted(int(n) for n in n_list)
     if any(n2 <= n1 for n1, n2 in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     if driver.n_steps != ref_n:
         raise ValueError("driver must be sampled on the reference grid")
-    if any(ref_n % n != 0 for n in n_list):
-        raise ValueError("each n must divide ref_n (nested grids)")
     if ref_n < 8 * max(n_list):
         raise ValueError("ref_n must be at least 8 * max(n_list)")
     if p.a <= 0:
         raise ValueError("the rate experiment runs the scheme, which needs a > 0")
-    wt = tilde_w_path(driver, p)
-    ref = implicit_euler(p, wt).x_path.values
-    errors = []
-    for n in n_list:
-        stride = ref_n // n
-        sub = SamplePath(wt.times[::stride], wt.values[::stride])
-        x = implicit_euler(p, sub).x_path.values
-        errors.append(float(np.max(np.abs(x - ref[::stride]))))
+    ref = solve_gmr(p, driver, ref_n).values
+    errors = [
+        float(np.max(np.abs(solve_gmr(p, driver, n).values - ref[:: ref_n // n])))
+        for n in n_list
+    ]
     slope = -np.polyfit(np.log(n_list), np.log(errors), 1)[0]
     return RateReport(
         n_list=np.array(n_list),

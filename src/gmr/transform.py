@@ -33,6 +33,7 @@ __all__ = [
     "y0_from_x0",
     "lift",
     "lift_y_to_x",
+    "check_lift",
     "first_hit",
     "explicit_a0_matrix",
     "explicit_solution_a0",
@@ -149,7 +150,6 @@ def tilde_w_covariance_matrix(
     p: ModelParams,
     kernel: CovarianceKernel,
     grid: np.ndarray,
-    cov: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Covariance of wtilde at all grid pairs, from the driver covariance.
 
@@ -161,15 +161,11 @@ def tilde_w_covariance_matrix(
             + int_0^s int_0^t theta'_u theta'_v c(u,v) du dv
 
     with all integrals by trapezoid on the grid; exact when b = 0.
-    ``cov`` may carry a precomputed driver covariance on the grid (it does
-    not depend on the model parameters, so callers that sweep parameters
-    can reuse it).
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing and start at 0")
-    if cov is None:
-        cov = covariance_matrix(kernel, grid)
+    cov = covariance_matrix(kernel, grid)
     th = theta_weight(grid, p)
     dth = theta_weight_derivative(grid, p)
     inner = cumulative_trapezoid(cov * dth[None, :], grid, axis=1, initial=0.0)
@@ -202,6 +198,20 @@ def lift_y_to_x(y: SamplePath, p: ModelParams) -> SamplePath:
     return SamplePath(y.times, lift(y.values, y.times, p))
 
 
+def check_lift(x, times, p: ModelParams):
+    """Return the lifted values ``x``, raising OverflowError if one is not finite.
+
+    Past b t of about 709, y^(gamma+1) of a positive level can overflow
+    while e^(-bt) underflows, and inf * 0 = NaN must reach neither a hit
+    rule nor a statistic. Callers lift with numpy's overflow and invalid
+    warnings off and leave the report to this check.
+    """
+    if not np.all(np.isfinite(x)):
+        raise OverflowError(f"lift y^(gamma+1) e^(-bt) of a positive level is not finite "
+                            f"(b = {p.b!r}, t up to {float(np.max(times)):.6g})")
+    return x
+
+
 def first_hit(level: np.ndarray) -> np.ndarray:
     """First index along the last axis where ``level`` is not > 0.
 
@@ -222,9 +232,9 @@ def explicit_a0_matrix(tilde_w: np.ndarray, times: np.ndarray, p: ModelParams):
     noise), so x is strictly positive before the hit and exactly 0 from
     it on. Zero-hit detection is grid-based.
 
-    Raises OverflowError when the lift of a positive level before the hit
-    is not finite: past b t of about 709, y^(gamma+1) can overflow while
-    e^(-bt) underflows, and inf * 0 would otherwise read as a hit.
+    Raises OverflowError (check_lift) when the lift of a positive level
+    before the hit is not finite; a NaN there would otherwise read as a
+    hit.
 
     Returns (x, y, hit): the lifted rows, the untruncated levels and the
     per-row hit indices (n+1 for a row that never hits).
@@ -234,13 +244,9 @@ def explicit_a0_matrix(tilde_w: np.ndarray, times: np.ndarray, p: ModelParams):
     y = p.y0 + tilde_w
     with np.errstate(over="ignore", invalid="ignore"):
         x = lift(np.where(y > 0.0, y, 0.0), times, p)
-    finite = np.isfinite(x)
-    hit = first_hit(np.where(finite, x, 1.0))
-    dead = np.arange(x.shape[-1]) >= hit[..., None]
-    if not np.all(finite | dead):
-        raise OverflowError(f"lift y^(gamma+1) e^(-bt) of a positive level is not finite "
-                            f"(b = {p.b!r}, t up to {float(np.max(times)):.6g})")
-    x[dead] = 0.0
+    hit = first_hit(np.where(np.isfinite(x), x, 1.0))
+    x[np.arange(x.shape[-1]) >= hit[..., None]] = 0.0
+    check_lift(x, times, p)  # only values before the hit are left to check
     return x, y, hit
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gmr.cli import run
-from gmr.drivers import SamplePath
+from gmr.drivers import SamplePath, fbm_kernel, sample_path_matrix, uniform_grid
+from gmr.montecarlo import _solve_matrix
 from gmr.solver import deterministic_ode_solution
 from gmr.transform import ModelParams
 
@@ -337,21 +338,58 @@ def test_pk_fit_numerical_failure_exit_code(tmp_path):
     assert run(["pk-fit", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
-def test_overflow_exits_as_numerical_failure(tmp_path, capsys):
+OVERFLOW_CONFIGS = {
     # b t past ~709: the scheme's e^(b t) overflows a float
-    cfg = write_config(
-        tmp_path,
-        "sim.json",
-        {
-            "model": {"x0": 1.0, "a": 1.0, "b": 800.0, "sigma": 0.5, "beta": 0.7},
-            "kernel": {"kind": "fbm", "hurst": 0.8},
-            "grid": {"n": 64, "T": 1.0},
-            "seed": 1,
-        },
-    )
-    assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "numerical failure" in capsys.readouterr().err
-    assert not (tmp_path / "simulate.csv").exists()
+    "simulate": {"model": {"x0": 1.0, "a": 1.0, "b": 800.0, "sigma": 0.5, "beta": 0.7},
+                 "kernel": FBM8, "grid": {"n": 64, "T": 1.0}, "seed": 1},
+    # Ke tau = 800: the lift y^(gamma+1) e^(-Ke tau) is inf * 0
+    "pk-sensitivity": {"pk": {**PK, "Ke": 800.0}, "kernel": FBM8, "x": 1.0,
+                       "functional": "square", "tau": {"kind": "fixed", "time": 1.0},
+                       "grid": {"n": 64, "T": 1.0}, "M": 50, "seed": 3},
+}
+
+
+def test_overflow_exits_as_numerical_failure(tmp_path, capsys):
+    for command, payload in OVERFLOW_CONFIGS.items():
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / command
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "rows, drop",
+    [("0.4,0.22\r\n0.6,nan\r\n", True), ("0.4,0.22\r\nnan,0.1\r\n", False),
+     ("0.4,0.22\r\n0.6,inf\r\n", False)],
+    ids=["nan-concentration", "nan-time", "inf-concentration"],
+)
+def test_pk_fit_nonfinite_observation_exits_1_naming_the_row(tmp_path, capsys, rows, drop):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("t,concentration\r\n0.2,0.5\r\n" + rows)
+    payload = dict(RERUN_CONFIGS["pk-fit"], observations=str(obs), drop_nonpositive=drop)
+    cfg = write_config(tmp_path, "fit.json", payload)
+    assert run(["pk-fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "data row 3" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "pk_fit.json").exists()
+
+
+def test_simulate_small_beta_matches_the_ensemble_route(tmp_path):
+    # beta = 0.05 > 1 - H: negative increments put step roots near 1e-74, left
+    # of the Newton start B^(1/(gamma+1)); every seed solves and agrees with
+    # the vectorized solver on the same driver
+    model = {"x0": 0.05, "a": 0.001, "b": 3.0, "sigma": 3.0, "beta": 0.05}
+    params = ModelParams(**model)
+    grid = uniform_grid(256, 1.0)
+    base = {"model": model, "kernel": {"kind": "fbm", "hurst": 0.97}, "grid": {"n": 256, "T": 1.0}}
+    for seed in range(12):
+        cfg = write_config(tmp_path, "sim.json", dict(base, seed=seed))
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "simulate.csv")
+        drivers = sample_path_matrix(fbm_kernel(0.97), grid, 1, seed)
+        assert np.all(rows[:, 1] > 0.0)
+        np.testing.assert_allclose(rows[:, 1], _solve_matrix(params, grid, drivers)[0][0],
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_pk_sensitivity_outputs(tmp_path):

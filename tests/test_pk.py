@@ -8,7 +8,6 @@ from scipy.special import ndtr
 from gmr.drivers import (
     CovarianceError,
     brownian_kernel,
-    covariance_matrix,
     custom_kernel,
     fbm_kernel,
     grid_index,
@@ -226,12 +225,11 @@ def test_log_likelihood_normalized(sigma):
     theta = (4.0, sigma, 0.8)
     t = np.array([0.3])
     quad = build_quad_grid(t, refine=32)
-    cov = covariance_matrix(brownian_kernel(), quad)
 
     def density(x):
         obs = ConcentrationSeries(t, np.array([x]))
         return math.exp(log_likelihood(theta, obs, brownian_kernel(), 1.0, 1.0,
-                                       quad_grid=quad, cov=cov))
+                                       quad_grid=quad))
 
     mass = sum(integrate(density, lo, hi, limit=200, epsabs=1e-13, epsrel=1e-12)[0]
                for lo, hi in ((0.0, 1.0), (1.0, math.inf)))
@@ -477,6 +475,20 @@ def test_sensitivity_hit_capped_tau():
     pl = sensitivity_plsin(pk, 1.0, spec, fbm_kernel(0.6))
     assert 0.0 < pl.capped_fraction < 1.0
     assert np.isfinite(pl.estimate)
+
+
+def test_sensitivity_nonfinite_lift_raises_overflow():
+    # Ke tau = 800: y^(gamma+1) overflows while e^(-Ke tau) underflows, and
+    # inf * 0 = NaN used to surface as a non-finite F or Fdot (a ValueError)
+    pk = PkParams(A0=1.0, v=1.0, Ke=800.0, sigma=1.0, beta=0.8)
+    spec = _sens_spec(lambda r: r**2, lambda r: 2.0 * r, M=50, n=64, tau_time=1.0, seed=3)
+    for estimate in (
+        lambda: sensitivity_plsin(pk, 1.0, spec, fbm_kernel(0.8)),
+        lambda: sensitivity_fd(pk, 1.0, spec, fbm_kernel(0.8), h=0.01),
+        lambda: concentration_functional_samples(pk, 1.0, spec, fbm_kernel(0.8)),
+    ):
+        with pytest.raises(OverflowError, match="not finite"):
+            estimate()
 
 
 def test_fd_common_random_numbers_beat_independent():

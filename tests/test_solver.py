@@ -37,6 +37,41 @@ def bisect_root(A, B, gamma, iters=200):
     return 0.5 * (lo + hi)
 
 
+def log_bisect_root(A, B, gamma, iters=200):
+    """Oracle accurate in relative terms: bisection in u = log x.
+
+    f(e^u) < 0 is decided as e^u <= A or log(e^u - A) < log B - gamma u,
+    which neither overflows nor loses roots near 1e-300.
+    """
+
+    def below(u):
+        x = math.exp(u)
+        return x <= A or math.log(x - A) < math.log(B) - gamma * u
+
+    hi = math.log(abs(A) + B ** (1.0 / (gamma + 1.0)) + 1.0)
+    lo, step = hi, 1.0
+    while not below(lo):
+        lo -= step
+        step *= 2.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(0.5 * (lo + hi))
+
+
+def root_rtol(root, A, gamma):
+    """Relative distance to the root allowed by the residual tolerance.
+
+    f is concave, so from the left |x - root| <= |f(x)| / f'(root), and
+    root f'(root) = root + gamma (root - A); 1e-12 covers the oracle's
+    rounding of log x (about 1e-13 at log x = -700).
+    """
+    return 1e-12 * max(1.0, abs(A)) / (root + gamma * (root - A)) + 1e-12
+
+
 def zero_driver(n, horizon):
     return SamplePath(uniform_grid(n, horizon), np.zeros(n + 1))
 
@@ -57,11 +92,12 @@ def test_step_root_negative_A_bisection_oracle():
 
 
 def test_step_root_residual_contract():
+    # down to gamma = 0.03 and B = 1e-8, where negative A puts the root near 1e-200
     rng = np.random.default_rng(4)
     for _ in range(200):
-        A = rng.uniform(-2, 5)
-        B = rng.uniform(1e-3, 3)
-        gamma = rng.uniform(0.2, 5)
+        A = rng.uniform(-3, 5)
+        B = 10.0 ** rng.uniform(-8, 0.5)
+        gamma = 10.0 ** rng.uniform(math.log10(0.03), math.log10(5))
         x = implicit_step_root(A, B, gamma)
         assert x > 0
         assert abs(x - B * x**-gamma - A) <= 1e-12 * max(1.0, abs(A))
@@ -116,14 +152,28 @@ def test_vectorized_roots_nan_residual_raises():
 def test_vectorized_roots_sweep_matches_scalar_oracle():
     from gmr.solver import _implicit_roots_newton
 
+    # both solvers against bisection in log x, down to gamma = 0.03 and B = 1e-8
     rng = np.random.default_rng(11)
-    A = rng.uniform(-1.0, 2.0, size=300)
-    B = 10.0 ** rng.uniform(-5.0, 0.0, size=300)
-    beta = rng.uniform(0.2, 0.9, size=300)
-    for a, b, g in zip(A, B, beta / (1.0 - beta)):
-        x = _implicit_roots_newton(np.array([a]), b, g)[0]
-        assert x > 0.0
-        assert x == pytest.approx(implicit_step_root(a, b, g), rel=1e-10)
+    A = rng.uniform(-3.0, 2.0, size=300)
+    B = 10.0 ** rng.uniform(-8.0, 0.0, size=300)
+    gamma = 10.0 ** rng.uniform(math.log10(0.03), math.log10(20.0), size=300)
+    for a, b, g in zip(A, B, gamma):
+        root = log_bisect_root(a, b, g)
+        for x in (_implicit_roots_newton(np.array([a]), b, g)[0], implicit_step_root(a, b, g)):
+            assert x > 0.0
+            assert x == pytest.approx(root, rel=root_rtol(root, a, g))
+
+
+def test_step_roots_raise_when_the_start_underflows():
+    # gamma ~ 0.01 with B ~ 4e-9 and A < 0 (beta = 0.01, a = 1e-6 on 256 steps):
+    # the root (B/|A|)^(1/gamma) is about 1e-578, below the smallest float
+    from gmr.solver import _implicit_roots_newton
+
+    A, B, gamma = -0.0027, 3.9e-9, 0.01 / 0.99
+    with pytest.raises(RootSolveError, match="start"):
+        implicit_step_root(A, B, gamma)
+    with pytest.raises(RootSolveError, match="start"):
+        _implicit_roots_newton(np.array([0.5, A]), B, gamma)
 
 
 def test_vectorized_euler_matches_scalar_pipeline():
