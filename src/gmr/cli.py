@@ -101,6 +101,11 @@ def _is_number(value) -> bool:
     )
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; bool is a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _get(obj: dict, key: str, ctx: str, kind=float, required=True, default=None):
     """Read and type-check ``obj[key]``; kind=tuple reads an array of finite numbers."""
     if key not in obj:
@@ -113,7 +118,7 @@ def _get(obj: dict, key: str, ctx: str, kind=float, required=True, default=None)
             raise ConfigError(f"{ctx}.{key}: expected a finite number")
         return float(value)
     if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise ConfigError(f"{ctx}.{key}: expected an integer")
         return value
     if kind is str:
@@ -205,7 +210,7 @@ def _seed_from(cfg: dict, args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("seed: missing (set it in the config or pass --seed)")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+    if not _is_int(seed) or not 0 <= seed < 2**64:
         raise ConfigError("seed: expected an unsigned 64-bit integer")
     return seed
 
@@ -232,7 +237,7 @@ def _cmd_converge(cfg: dict, args) -> list:
     n_list = _get(cfg, "n_list", "config", kind=list)
     ref_n = _get(cfg, "ref_n", "config", kind=int)
     seed = _seed_from(cfg, args)
-    if not n_list or not all(isinstance(n, int) and n >= 1 for n in n_list):
+    if not n_list or not all(_is_int(n) and n >= 1 for n in n_list):
         raise ConfigError("n_list: expected a nonempty array of positive integers")
     _check_steps(ref_n, horizon, "ref_n", "T", 1)
     driver = sample_paths(kernel, uniform_grid(ref_n, horizon), 1, seed)[0]

@@ -259,6 +259,8 @@ def hitting_time_stats(
         raise ValueError("hitting-time statistics apply to the a = 0 solution")
     if M < 1:
         raise ValueError("M must be >= 1")
+    if steps_per_unit < 1:
+        raise ValueError("steps_per_unit must be >= 1")
     horizons = sorted(float(t) for t in horizons)
     if horizons[0] <= 0:
         raise ValueError("horizons must be positive")

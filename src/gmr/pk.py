@@ -147,8 +147,9 @@ class ConcentrationSeries:
         """Read ``t,concentration`` CSV; also accepts simulation output.
 
         Falls back to a ``stochastic`` column (pk simulation files) and
-        then to the second column. A time or concentration that is not
-        finite raises ValueError naming its data row. Rows at t = 0 are
+        then to the second column. A row without a finite time and
+        concentration (too short, unparsable or not finite) raises
+        ValueError naming its 1-based data row. Rows at t = 0 are
         never observations and are dropped; ``drop_nonpositive``
         additionally drops rows with concentration <= 0 (post-hit zeros).
         """
@@ -169,12 +170,14 @@ class ConcentrationSeries:
             ci = header.index("stochastic")
         else:
             ci = 1 if ti != 1 else 0
-        t = np.array([float(r[ti]) for r in rows])
-        x = np.array([float(r[ci]) for r in rows])
-        bad = ~(np.isfinite(t) & np.isfinite(x))
-        if bad.any():
-            raise ValueError(f"data row {int(bad.argmax()) + 1}: t and {header[ci]!r} "
-                             f"must be finite")
+        t, x = np.empty(len(rows)), np.empty(len(rows))
+        for k, r in enumerate(rows):
+            try:
+                t[k], x[k] = float(r[ti]), float(r[ci])
+            except (IndexError, ValueError):
+                t[k] = math.nan
+            if not (math.isfinite(t[k]) and math.isfinite(x[k])):
+                raise ValueError(f"data row {k + 1}: t and {header[ci]!r} must be finite numbers")
         keep = t > 0
         if drop_nonpositive:
             keep &= x > 0
@@ -251,10 +254,8 @@ class _ObservationBlock:
     that is R = diag(e^(-kappa t)) (E - kappa TW) diag(e^(kappa s)) with E the
     selector of the observation indices and TW the trapezoid weights of the
     integrals. G therefore equals the damped observation block of
-    tilde_w_covariance_matrix up to rounding. E and TW do not depend on
-    theta and are built once. R C is one matrix product; R^T is applied on
-    the right as a running trapezoid sum along the rows of R C, which costs
-    n N instead of the n^2 N of a second product.
+    tilde_w_covariance_matrix up to rounding. C, E and TW do not depend on
+    theta and are built once; G is the two products (R C) R^T.
     """
 
     def __init__(self, times: np.ndarray, kernel: CovarianceKernel, quad_grid: np.ndarray):
@@ -270,25 +271,18 @@ class _ObservationBlock:
         self.idx = np.array([grid_index(grid, t) for t in times])
         self.rows = np.arange(times.size)
         half = 0.5 * np.diff(grid)
-        # a running sum with these weights integrates by trapezoid through
-        # s_k plus the half interval right of s_k, which ``end`` takes back
-        self.weights = np.concatenate(([0.0], half)) + np.concatenate((half, [0.0]))
-        self.end = np.concatenate((half, [0.0]))[self.idx]
-        self.tw = np.where(np.arange(grid.size) <= self.idx[:, None], self.weights, 0.0)
-        self.tw[self.rows, self.idx] -= self.end
+        left, right = np.append(0.0, half), np.append(half, 0.0)
+        # trapezoid through s_k: both half intervals inside, the left one at s_k
+        col, k = np.arange(grid.size), self.idx[:, None]
+        self.tw = np.where(col < k, left + right, np.where(col == k, left, 0.0))
 
     def __call__(self, kappa: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             ek = np.exp(kappa * self.grid)
-            damp = np.exp(-kappa * self.times)
             r = self.tw * (-kappa * ek)
             r[self.rows, self.idx] += ek[self.idx]
-            r *= damp[:, None]
-            rc = r @ self.cov
-            # (R C) R^T: the same quadrature, as a running sum along the rows of R C
-            running = np.cumsum(rc * (ek * self.weights), axis=1)[:, self.idx]
-            g = rc[:, self.idx] * ((1.0 + kappa * self.end) * ek[self.idx]) - kappa * running
-            g *= damp
+            r *= np.exp(-kappa * self.times)[:, None]
+            g = (r @ self.cov) @ r.T
         if not np.all(np.isfinite(g)):
             raise CovarianceError(
                 f"observation covariance overflows at kappa = {kappa!r} "
@@ -306,10 +300,10 @@ def gamma_matrix_from_theta(
 
     The transformed process minus its mean is e^(-Ke(1-beta)t) wtilde_t,
     so entry (i, j) is e^(-Ke(1-beta)(t_i+t_j)) Cov(wtilde_ti, wtilde_tj).
-    It is computed as sigma^2 (1-beta)^2 G(Ke(1-beta)), where G is the
-    observation block R C R^T of _ObservationBlock; it equals the
-    observation rows and columns of tilde_w_covariance_matrix, damped, up
-    to rounding.
+    It is computed as sigma^2 (1-beta)^2 G(Ke(1-beta)) with G = R C R^T
+    from _ObservationBlock. R is the damped observation rows of the map A
+    that tilde_w_covariance_matrix applies on both sides of C, so this is
+    that covariance's observation block, damped, up to rounding.
     """
     ke, sigma, beta = (float(v) for v in theta)
     if ke < 0 or sigma < 0 or not 0.0 < beta < 1.0:
@@ -322,9 +316,10 @@ def _likelihood_core(ke, beta, obs, block, A0, v):
     """log det L_1 and q = |L_1^{-1} U|^2, with L_1 the Cholesky factor of Gamma_1.
 
     Gamma_1 = (1-beta)^2 G(Ke(1-beta)) is the observation covariance at
-    sigma = 1, from ``block``, the _ObservationBlock of obs.times. Every
-    entry of the covariance carries two weights sigma(1-beta)e^(Ke(1-beta)t),
-    so Gamma(Ke, sigma, beta) = sigma^2 Gamma_1 and U does not depend on
+    sigma = 1, from ``block``, the _ObservationBlock of obs.times; its two
+    matrix products are most of the cost of a call. Every entry of the
+    covariance carries two weights sigma(1-beta)e^(Ke(1-beta)t), so
+    Gamma(Ke, sigma, beta) = sigma^2 Gamma_1 and U does not depend on
     sigma. The jitter ladder is relative to the largest diagonal entry, so
     Gamma_1 needs the jitter that Gamma would, up to rounding.
     """

@@ -26,7 +26,6 @@ __all__ = [
     "ModelParams",
     "TruncatedPath",
     "theta_weight",
-    "theta_weight_derivative",
     "tilde_w_path",
     "tilde_w_matrix",
     "tilde_w_covariance_matrix",
@@ -113,13 +112,6 @@ def theta_weight(t, p: ModelParams):
     return float(out) if out.ndim == 0 else out
 
 
-def theta_weight_derivative(t, p: ModelParams):
-    """Time derivative of the weight: b(1-beta) * theta_weight."""
-    t = np.asarray(t, dtype=float)
-    out = p.b * (1.0 - p.beta) * theta_weight(t, p)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def tilde_w_path(driver: SamplePath, p: ModelParams) -> SamplePath:
     """Weighted driver wtilde_t = int_0^t theta_s dw_s on the driver grid.
 
@@ -134,14 +126,15 @@ def tilde_w_matrix(drivers: np.ndarray, times: np.ndarray, p: ModelParams) -> np
     """Weighted drivers for a stack of driver paths (M x (n+1)).
 
     Evaluated through integration by parts,
-    wtilde_t = theta_t w_t - int_0^t theta'_s w_s ds, with the remaining
-    Riemann integral done by trapezoid. Exact at the grid points when
-    b = 0 (the weight is then constant). Rows are independent of each
-    other.
+    wtilde_t = theta_t w_t - int_0^t theta'_s w_s ds with
+    theta' = b(1-beta) theta, the remaining Riemann integral done by
+    trapezoid. Exact at the grid points when b = 0 (the weight is then
+    constant). The map is linear and acts on each row alone: it returns
+    drivers A^T for one (n+1) x (n+1) matrix A.
     """
     th = theta_weight(times, p)
     correction = cumulative_trapezoid(
-        theta_weight_derivative(times, p)[None, :] * drivers, times, axis=1, initial=0.0
+        (p.b * (1.0 - p.beta) * th)[None, :] * drivers, times, axis=1, initial=0.0
     )
     return th[None, :] * drivers - correction
 
@@ -151,27 +144,17 @@ def tilde_w_covariance_matrix(
     kernel: CovarianceKernel,
     grid: np.ndarray,
 ) -> np.ndarray:
-    """Covariance of wtilde at all grid pairs, from the driver covariance.
+    """Covariance of wtilde at all grid pairs, from the driver covariance C.
 
-    Uses the same integration-by-parts representation as tilde_w_path:
-
-        Cov(wtilde_s, wtilde_t) = theta_s theta_t c(s,t)
-            - theta_s int_0^t theta'_v c(s,v) dv
-            - theta_t int_0^s theta'_u c(u,t) du
-            + int_0^s int_0^t theta'_u theta'_v c(u,v) du dv
-
-    with all integrals by trapezoid on the grid; exact when b = 0.
+    wtilde = A w for the matrix A that tilde_w_matrix applies to each
+    path, so Cov(wtilde) = A C A^T: tilde_w_matrix on the rows of C gives
+    C A^T, and on the rows of its transpose A C, A C A^T. Exact when b = 0.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing and start at 0")
-    cov = covariance_matrix(kernel, grid)
-    th = theta_weight(grid, p)
-    dth = theta_weight_derivative(grid, p)
-    inner = cumulative_trapezoid(cov * dth[None, :], grid, axis=1, initial=0.0)
-    double = cumulative_trapezoid(inner * dth[:, None], grid, axis=0, initial=0.0)
-    cross = th[:, None] * inner
-    out = np.outer(th, th) * cov - cross - cross.T + double
+    cov_at = tilde_w_matrix(covariance_matrix(kernel, grid), grid, p)
+    out = tilde_w_matrix(cov_at.T, grid, p)
     return 0.5 * (out + out.T)
 
 

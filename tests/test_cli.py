@@ -361,8 +361,9 @@ def test_overflow_exits_as_numerical_failure(tmp_path, capsys):
 @pytest.mark.parametrize(
     "rows, drop",
     [("0.4,0.22\r\n0.6,nan\r\n", True), ("0.4,0.22\r\nnan,0.1\r\n", False),
-     ("0.4,0.22\r\n0.6,inf\r\n", False)],
-    ids=["nan-concentration", "nan-time", "inf-concentration"],
+     ("0.4,0.22\r\n0.6,inf\r\n", False), ("0.4,0.22\r\n0.6\r\n", True),
+     ("0.4,0.22\r\n0.6,abc\r\n", True)],
+    ids=["nan-concentration", "nan-time", "inf-concentration", "short-row", "unparsable-cell"],
 )
 def test_pk_fit_nonfinite_observation_exits_1_naming_the_row(tmp_path, capsys, rows, drop):
     obs = tmp_path / "obs.csv"
@@ -429,12 +430,12 @@ ENS_TEXT = (
 )
 HIT_TEXT = (
     '{"model": {"x0": 1.0, "a": 0.0, "b": 1.0, "sigma": 0.3, "beta": 0.7},'
-    ' "kernel": {"kind": "fbm", "hurst": 0.8}, "horizons": [0.5], "M": 0, "seed": 9}'
+    ' "kernel": {"kind": "fbm", "hurst": 0.8}, "horizons": [0.5], "M": %s, %s"seed": 9}'
 )
 CONV_TEXT = (
     '{"model": {"x0": 1.0, "a": 1.0, "b": 1.0, "sigma": 0.5, "beta": 0.7},'
-    ' "kernel": {"kind": "fbm", "hurst": 0.8}, "T": 1.0, "n_list": [4, 8],'
-    ' "ref_n": 0, "seed": 9}'
+    ' "kernel": {"kind": "fbm", "hurst": 0.8}, "T": 1.0, "n_list": %s,'
+    ' "ref_n": %s, "seed": 9}'
 )
 SURV_TEXT = (
     '{"y0": 1.0, "model": {"b": 1.0, "sigma": 0.3, "beta": 0.7},'
@@ -452,14 +453,18 @@ SURV_TEXT = (
         ("ensemble", ENS_TEXT % (', "marginal_times": ["0.5"]', ""), "marginal_times"),
         ("ensemble", ENS_TEXT % ("", '"write_paths": "yes", '), "write_paths"),
         ("ensemble", ENS_TEXT % (', "marginal_times": [0.3]', ""), "marginal_times"),
-        ("hit-times", HIT_TEXT, "M"),
+        ("hit-times", HIT_TEXT % ("0", ""), "M"),
+        ("hit-times", HIT_TEXT % ("4", '"steps_per_unit": 0, '), "steps_per_unit"),
+        ("hit-times", HIT_TEXT % ("4", '"steps_per_unit": -3, '), "steps_per_unit"),
         ("survival", SURV_TEXT, "M"),
-        ("converge", CONV_TEXT, "ref_n"),
+        ("converge", CONV_TEXT % ("[4, 8]", "0"), "ref_n"),
+        ("converge", CONV_TEXT % ("[true, 8]", "64"), "n_list"),
         ("simulate", SIM_TEXT % ("0.5", "1e-320"), "T"),
     ],
     ids=["nan-sigma", "infinite-T", "scalar-p_exponents", "nan-p_exponents",
          "string-marginal_times", "string-write_paths", "off-grid-marginal_times",
-         "hit-times-zero-M", "survival-zero-M", "converge-zero-ref_n", "subnormal-T"],
+         "hit-times-zero-M", "hit-times-zero-steps_per_unit", "hit-times-negative-steps_per_unit",
+         "survival-zero-M", "converge-zero-ref_n", "converge-boolean-n_list", "subnormal-T"],
 )
 def test_bad_config_values_exit_1_before_writing(tmp_path, capsys, command, text, key):
     # json.load parses NaN and Infinity, so they must be rejected by key,

@@ -260,9 +260,11 @@ def _full_wtilde_block(theta, times, kernel, grid):
 
 
 OBSERVATION_SETS = {
-    # the benchmark's 50 times on a 251-point grid, and a sampling schedule
+    # the benchmark's 50 times on a 251-point grid, a sampling schedule, and
+    # every grid point observed (n = N, where the product R^T costs the most)
     "uniform": (np.arange(1, 51) / 50, 5),
     "schedule": (np.array([0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5]), None),
+    "every-point": (np.arange(1, 65) / 64, 1),
 }
 
 

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from gmr.drivers import (
     SamplePath,
     brownian_kernel,
+    covariance_matrix,
     fbm_kernel,
     sample_paths,
     uniform_grid,
 )
+from gmr.pk import build_quad_grid
 from gmr.transform import (
     ModelParams,
     TruncatedPath,
@@ -111,6 +114,43 @@ def test_tilde_w_covariance_matrix_symmetric():
     grid = uniform_grid(32, 1.0)
     mat = tilde_w_covariance_matrix(p, fbm_kernel(0.7), grid)
     assert np.array_equal(mat, mat.T)
+
+
+def _four_term_covariance(p, kernel, grid):
+    """Cov(wtilde) expanded by hand, each integral by trapezoid on the grid:
+
+        theta_s theta_t c(s,t) - theta_s int_0^t theta'_v c(s,v) dv
+            - theta_t int_0^s theta'_u c(u,t) du
+            + int_0^s int_0^t theta'_u theta'_v c(u,v) du dv
+    """
+    cov = covariance_matrix(kernel, grid)
+    th = theta_weight(grid, p)
+    dth = p.b * (1.0 - p.beta) * th
+    inner = cumulative_trapezoid(cov * dth[None, :], grid, axis=1, initial=0.0)
+    double = cumulative_trapezoid(inner * dth[:, None], grid, axis=0, initial=0.0)
+    cross = th[:, None] * inner
+    out = np.outer(th, th) * cov - cross - cross.T + double
+    return 0.5 * (out + out.T)
+
+
+COVARIANCE_GRIDS = {
+    "uniform": uniform_grid(128, 1.0),
+    "schedule": build_quad_grid(np.array([0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVARIANCE_GRIDS))
+@pytest.mark.parametrize("kernel", [brownian_kernel(), fbm_kernel(0.3), fbm_kernel(0.9)],
+                         ids=["brownian", "fbm0.3", "fbm0.9"])
+def test_tilde_w_covariance_matches_the_four_term_expansion(kernel, name):
+    # A C A^T against the expansion, with b(1-beta)T <= 9 on both grids
+    grid = COVARIANCE_GRIDS[name]
+    for b in (0.0, 1.0, 4.0, 12.0):
+        for beta in (0.5, 0.8):
+            p = _params(sigma=1.3, b=b, beta=beta)
+            got = tilde_w_covariance_matrix(p, kernel, grid)
+            want = _four_term_covariance(p, kernel, grid)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("kernel", [brownian_kernel(), fbm_kernel(0.7)])
