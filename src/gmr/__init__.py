@@ -15,6 +15,7 @@ from .drivers import (
     custom_kernel,
     fbm_kernel,
     kernel_eval,
+    sample_path_matrix,
     sample_paths,
     uniform_grid,
 )
@@ -52,14 +53,14 @@ from .solver import (
     implicit_euler,
     implicit_step_root,
     solve_gmr,
+    solve_matrix,
     sup_bound,
 )
 from .transform import (
     ModelParams,
-    TruncatedPath,
-    explicit_solution_a0,
-    lift_y_to_x,
+    first_hit,
     theta_weight,
+    tilde_w_matrix,
     tilde_w_path,
     y0_from_x0,
 )

@@ -57,7 +57,7 @@ from .solver import (
     rate_report_to_json,
     solve_gmr,
 )
-from .transform import ModelParams, TruncatedPath
+from .transform import ModelParams
 
 __all__ = ["main", "run", "ConfigError"]
 
@@ -222,10 +222,8 @@ def _cmd_simulate(cfg: dict, args) -> list:
     n, horizon = _grid_from(_get(cfg, "grid", "config", kind=dict))
     seed = _seed_from(cfg, args)
     driver = sample_paths(kernel, uniform_grid(n, horizon), 1, seed)[0]
-    solution = solve_gmr(model, driver, n)
-    path = solution.path if isinstance(solution, TruncatedPath) else solution
     out = os.path.join(args.out, "simulate.csv")
-    path.to_csv(out)
+    solve_gmr(model, driver, n).to_csv(out)
     return [out]
 
 
@@ -336,7 +334,7 @@ def _cmd_pk_simulate(cfg: dict, args) -> list:
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
     n, horizon = _grid_from(_get(cfg, "grid", "config", kind=dict))
     seed = _seed_from(cfg, args)
-    stochastic = simulate_concentration(pk, kernel, n, seed, horizon).path
+    stochastic = simulate_concentration(pk, kernel, n, seed, horizon)
     deterministic = deterministic_concentration(pk, stochastic.times)
     out = os.path.join(args.out, "pk_simulate.csv")
     write_csv(

@@ -25,6 +25,7 @@ from .artifacts import write_csv
 from .drivers import (
     CovarianceError,
     CovarianceKernel,
+    SamplePath,
     covariance_matrix,
     grid_index,
     sample_path_matrix,
@@ -32,15 +33,8 @@ from .drivers import (
     uniform_grid,
     _cholesky_with_jitter,
 )
-from .transform import (
-    ModelParams,
-    TruncatedPath,
-    check_lift,
-    explicit_solution_a0,
-    first_hit,
-    lift,
-    tilde_w_matrix,
-)
+from .solver import solve_gmr
+from .transform import ModelParams, check_lift, first_hit, lift, tilde_w_matrix
 
 __all__ = [
     "AdmissibilityError",
@@ -126,6 +120,8 @@ class ConcentrationSeries:
         x = np.asarray(self.concentrations, dtype=float)
         if t.ndim != 1 or t.shape != x.shape or t.size == 0:
             raise ValueError("times and concentrations must be equal-length 1-d arrays")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(x))):
+            raise ValueError("times and concentrations must be finite")
         order = np.argsort(t, kind="stable")
         t, x = t[order], x[order]
         if t[0] <= 0:
@@ -206,11 +202,10 @@ def deterministic_concentration(pk: PkParams, t):
 
 def simulate_concentration(
     pk: PkParams, kernel: CovarianceKernel, n: int, seed: int, horizon: float = 1.0
-) -> TruncatedPath:
-    """One stochastic concentration path, absorbed at its first zero hit."""
-    grid = uniform_grid(n, horizon)
-    driver = sample_paths(kernel, grid, 1, seed)[0]
-    return explicit_solution_a0(driver, pk.to_model_params())
+) -> SamplePath:
+    """One stochastic concentration path on n steps, absorbed at its first zero hit."""
+    driver = sample_paths(kernel, uniform_grid(n, horizon), 1, seed)[0]
+    return solve_gmr(pk.to_model_params(), driver, n)
 
 
 def z_mean(t, pk: PkParams):

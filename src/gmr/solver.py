@@ -5,28 +5,23 @@ root (f is increasing and concave on (0, inf) with f(0+) = -inf), which
 keeps every node strictly positive whatever the sign of the Gaussian
 increment. The scalar and the vectorized solver run one algorithm: plain
 Newton from a start where f <= 0, which climbs monotonically to the root.
-The scheme converges uniformly with rate n^(-alpha*min(1,gamma)) for
-alpha-Holder drivers; convergence_study measures the empirical slope
-against a nested fine-grid reference.
+One path is one row: solve_matrix solves (M, n+1) rows of wtilde, and the
+scheme picks its Newton kernel from the row count. The scheme converges
+uniformly with rate n^(-alpha*min(1,gamma)) for alpha-Holder drivers;
+convergence_study measures the empirical slope against a nested
+fine-grid reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .artifacts import write_csv, write_json
 from .drivers import SamplePath
-from .transform import (
-    ModelParams,
-    TruncatedPath,
-    explicit_solution_a0,
-    lift_y_to_x,
-    tilde_w_path,
-)
+from .transform import ModelParams, explicit_a0_matrix, lift, tilde_w_path
 
 __all__ = [
     "RootSolveError",
@@ -35,7 +30,9 @@ __all__ = [
     "implicit_step_root",
     "implicit_euler",
     "implicit_euler_nodes",
+    "solve_matrix",
     "solve_gmr",
+    "nested_sup_errors",
     "deterministic_ode_solution",
     "sup_bound",
     "y_sup_bound",
@@ -104,7 +101,9 @@ def implicit_step_root(A: float, B: float, gamma: float) -> float:
         raise ValueError("gamma must be positive")
     tol = 1e-12 * max(1.0, abs(A))
     scale = B ** (1.0 / (gamma + 1.0))
-    x = max(A, scale) if A > 0.0 else min(scale, (B / (scale + abs(A))) ** (1.0 / gamma))
+    # min returns its first argument when it compares with NaN, so a NaN A
+    # gives a NaN start here, as np.minimum does in the vectorized solver
+    x = max(A, scale) if A > 0.0 else min((B / (scale + abs(A))) ** (1.0 / gamma), scale)
     if not x > 0.0:  # the start underflowed, or A is NaN
         raise RootSolveError(
             f"Newton start {x!r} is not positive (A={A!r}, B={B!r}, gamma={gamma!r})")
@@ -149,40 +148,22 @@ def _implicit_roots_newton(A: np.ndarray, B: float, gamma: float) -> np.ndarray:
 
 
 def implicit_euler(p: ModelParams, tilde_w: SamplePath) -> EulerSolution:
-    """Run the implicit scheme on a precomputed weighted driver.
-
-    Parameters
-    ----------
-    p : ModelParams
-        Coefficients with a > 0 (a = 0 has the explicit solution).
-    tilde_w : SamplePath
-        Weighted driver on n + 1 uniform times; the step at k solves the
-        root equation with A = y_k + (wtilde_{k+1} - wtilde_k) and
-        B = a(1-beta) (T/n) e^(b t_{k+1}).
-    """
-    if p.a <= 0:
-        raise ValueError("implicit Euler requires a > 0")
+    """implicit_euler_nodes on one weighted driver path, with its lift."""
     t = tilde_w.times
-    n = tilde_w.n_steps
-    dt = t[-1] / n
-    if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0):
-        raise ValueError("tilde_w must live on a uniform grid")
-    dw = np.diff(tilde_w.values)
-    coef = p.a * (1.0 - p.beta) * dt
-    y = np.empty(n + 1)
-    y[0] = p.y0
-    for k in range(n):
-        y[k + 1] = implicit_step_root(y[k] + dw[k], coef * math.exp(p.b * t[k + 1]), p.gamma)
-    y_path = SamplePath(t, y)
-    return EulerSolution(n=n, params=p, y_path=y_path, x_path=lift_y_to_x(y_path, p))
+    y = implicit_euler_nodes(p, t, tilde_w.values[None])[0]
+    return EulerSolution(n=tilde_w.n_steps, params=p, y_path=SamplePath(t, y),
+                         x_path=SamplePath(t, lift(y, t, p)))
 
 
 def implicit_euler_nodes(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray) -> np.ndarray:
-    """Vectorized scheme across an ensemble of weighted drivers.
+    """The implicit scheme on (M, n+1) rows of wtilde on one uniform grid.
 
-    ``tilde_w`` has shape (M, n+1); returns the (M, n+1) array of y nodes.
-    Produces the same roots (to the shared residual tolerance) as running
-    implicit_euler path by path.
+    Returns the (M, n+1) y nodes. The step at k solves the root equation
+    with A = y_k + (wtilde_{k+1} - wtilde_k) and B = a(1-beta) (T/n)
+    e^(b t_{k+1}). The kernel follows the row count: one row runs
+    implicit_step_root (a one-row vectorized solve is 8-10x slower at
+    n = 4096), more rows run _implicit_roots_newton on a column at a time.
+    Both run one Newton iteration to one residual tolerance.
     """
     if p.a <= 0:
         raise ValueError("implicit Euler requires a > 0")
@@ -190,36 +171,73 @@ def implicit_euler_nodes(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray)
     tilde_w = np.atleast_2d(np.asarray(tilde_w, dtype=float))
     n = times.size - 1
     dt = times[-1] / n
+    if tilde_w.shape[1] != times.size:
+        raise ValueError("tilde_w must have one column per grid time")
+    if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=0.0):
+        raise ValueError("tilde_w must live on a uniform grid")
     dw = np.diff(tilde_w, axis=1)
     coef = p.a * (1.0 - p.beta) * dt
     y = np.empty_like(tilde_w)
     y[:, 0] = p.y0
+    # nodes[k] is node k of the one row, or the column of node k across rows
+    if y.shape[0] == 1:
+        step, nodes, inc = implicit_step_root, y[0], dw[0]
+    else:
+        step, nodes, inc = _implicit_roots_newton, y.T, dw.T
     for k in range(n):
-        y[:, k + 1] = _implicit_roots_newton(
-            y[:, k] + dw[:, k], coef * math.exp(p.b * times[k + 1]), p.gamma
-        )
+        nodes[k + 1] = step(nodes[k] + inc[k], coef * math.exp(p.b * times[k + 1]), p.gamma)
     return y
 
 
-def solve_gmr(
-    p: ModelParams, driver: SamplePath, n: int
-) -> Union[SamplePath, TruncatedPath]:
-    """Solve the equation along one driver path.
+def solve_matrix(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray):
+    """Solve the equation on (M, n+1) rows of wtilde on one grid.
 
-    a > 0 routes through the implicit Euler scheme (n steps; the driver
-    grid must be nested over the scheme grid) and returns the lifted
-    x path. a = 0 routes through the explicit truncated formula and
-    returns a TruncatedPath.
+    a > 0 runs implicit_euler_nodes and lifts the nodes; a = 0 is the
+    explicit solution absorbed at its first zero hit (explicit_a0_matrix).
+    Returns (x, y, hit): the lifted rows, the levels (before truncation
+    for a = 0) and each row's first absorbed index, n+1 for a row that
+    never hits (only a = 0 can hit). One path is one row.
     """
     if p.a == 0.0:
-        return explicit_solution_a0(driver, p)
-    wt = tilde_w_path(driver, p)
-    fine = wt.n_steps
+        return explicit_a0_matrix(tilde_w, times, p)
+    y = implicit_euler_nodes(p, times, tilde_w)
+    return lift(y, times, p), y, np.full(y.shape[0], times.size)
+
+
+def _stride(fine: int, n: int) -> int:
     if n < 1 or fine % n != 0:
-        raise ValueError("driver grid must refine the scheme grid (n must divide it)")
-    stride = fine // n
-    sub = SamplePath(wt.times[::stride], wt.values[::stride])
-    return implicit_euler(p, sub).x_path
+        raise ValueError("the driver grid must refine the scheme grid (n must divide its steps)")
+    return fine // n
+
+
+def solve_gmr(p: ModelParams, driver: SamplePath, n: int) -> SamplePath:
+    """Solve the equation along one driver path on n steps.
+
+    Row 0 of solve_matrix on every (N/n)-th point of the driver's wtilde,
+    where N is the driver's step count, which n must divide. An a = 0
+    path is absorbed: its values are positive before first_hit(values)
+    and exactly 0 from there on.
+    """
+    wt = tilde_w_path(driver, p)
+    stride = _stride(wt.n_steps, n)
+    times = wt.times[::stride]
+    return SamplePath(times, solve_matrix(p, times, wt.values[None, ::stride])[0][0])
+
+
+def nested_sup_errors(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray, n_list):
+    """Sup distance of each row's n-step solution to its reference, per n.
+
+    The reference solves the (M, N+1) rows of wtilde on the whole grid;
+    the n-step solution solves every (N/n)-th point of the same rows, so
+    each n must divide N. Returns a (len(n_list), M) array.
+    """
+    x_ref = solve_matrix(p, times, tilde_w)[0]
+    out = np.empty((len(n_list), x_ref.shape[0]))
+    for i, n in enumerate(n_list):
+        stride = _stride(times.size - 1, n)
+        x = solve_matrix(p, times[::stride], tilde_w[:, ::stride])[0]
+        out[i] = np.max(np.abs(x - x_ref[:, ::stride]), axis=1)
+    return out
 
 
 def deterministic_ode_solution(p: ModelParams, t):
@@ -260,11 +278,12 @@ def convergence_study(
 ) -> RateReport:
     """Self-convergence rate experiment on a single driver path.
 
-    The reference is solve_gmr at ref_n and each coarse solution is
-    solve_gmr at n on the same driver, which subsamples it, so every n in
-    n_list must divide ref_n; ref_n must be at least 8 times the largest
-    n. Errors are sup norms over the coarse nodes; the slope is the
-    negated least-squares slope of log error against log n.
+    Row 0 of nested_sup_errors on the driver's wtilde, built once: the
+    reference solves it at ref_n steps and each coarse solution at n
+    steps on its subsample, so every n in n_list must divide ref_n;
+    ref_n must be at least 8 times the largest n. Errors are sup norms
+    over the coarse nodes; the slope is the negated least-squares slope
+    of log error against log n.
     """
     n_list = sorted(int(n) for n in n_list)
     if any(n2 <= n1 for n1, n2 in zip(n_list, n_list[1:])):
@@ -275,15 +294,12 @@ def convergence_study(
         raise ValueError("ref_n must be at least 8 * max(n_list)")
     if p.a <= 0:
         raise ValueError("the rate experiment runs the scheme, which needs a > 0")
-    ref = solve_gmr(p, driver, ref_n).values
-    errors = [
-        float(np.max(np.abs(solve_gmr(p, driver, n).values - ref[:: ref_n // n])))
-        for n in n_list
-    ]
+    wt = tilde_w_path(driver, p)
+    errors = nested_sup_errors(p, wt.times, wt.values[None], n_list)[:, 0]
     slope = -np.polyfit(np.log(n_list), np.log(errors), 1)[0]
     return RateReport(
         n_list=np.array(n_list),
-        errors=np.array(errors),
+        errors=errors,
         fitted_slope=float(slope),
         theoretical_rate=float(holder_exponent * p.mu),
     )

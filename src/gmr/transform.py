@@ -15,7 +15,6 @@ absolutely continuous remainder; this is exact when b = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -24,18 +23,15 @@ from .drivers import CovarianceKernel, SamplePath, covariance_matrix
 
 __all__ = [
     "ModelParams",
-    "TruncatedPath",
     "theta_weight",
     "tilde_w_path",
     "tilde_w_matrix",
     "tilde_w_covariance_matrix",
     "y0_from_x0",
     "lift",
-    "lift_y_to_x",
     "check_lift",
     "first_hit",
     "explicit_a0_matrix",
-    "explicit_solution_a0",
 ]
 
 
@@ -78,31 +74,6 @@ class ModelParams:
     @property
     def y0(self) -> float:
         return y0_from_x0(self.x0, self)
-
-
-@dataclass(frozen=True)
-class TruncatedPath:
-    """A nonnegative path absorbed at its first zero hit.
-
-    ``hit_index`` is the first grid index where the pre-lift level
-    reached 0 (None when there is no hit on the horizon); values are
-    strictly positive before it and exactly 0 from it on.
-    """
-
-    path: SamplePath
-    hit_index: Optional[int]
-
-    def __post_init__(self):
-        v = self.path.values
-        if self.hit_index is None:
-            if np.any(v <= 0):
-                raise ValueError("untruncated path must stay positive")
-        else:
-            k = self.hit_index
-            if not 0 <= k <= v.size - 1:
-                raise ValueError("hit_index out of range")
-            if np.any(v[:k] <= 0) or np.any(v[k:] != 0.0):
-                raise ValueError("values must be positive before the hit and 0 after")
 
 
 def theta_weight(t, p: ModelParams):
@@ -174,13 +145,6 @@ def lift(y, times, p: ModelParams):
     return y ** (p.gamma + 1.0) * np.exp(-p.b * times)
 
 
-def lift_y_to_x(y: SamplePath, p: ModelParams) -> SamplePath:
-    """Pointwise lift of a path; y must be positive."""
-    if np.any(y.values <= 0.0):
-        raise ValueError("y must be strictly positive; truncate before lifting")
-    return SamplePath(y.times, lift(y.values, y.times, p))
-
-
 def check_lift(x, times, p: ModelParams):
     """Return the lifted values ``x``, raising OverflowError if one is not finite.
 
@@ -231,11 +195,3 @@ def explicit_a0_matrix(tilde_w: np.ndarray, times: np.ndarray, p: ModelParams):
     x[np.arange(x.shape[-1]) >= hit[..., None]] = 0.0
     check_lift(x, times, p)  # only values before the hit are left to check
     return x, y, hit
-
-
-def explicit_solution_a0(driver: SamplePath, p: ModelParams) -> TruncatedPath:
-    """The one-row case of explicit_a0_matrix, as a TruncatedPath."""
-    wt = tilde_w_path(driver, p)
-    x, _, hit = explicit_a0_matrix(wt.values[None], wt.times, p)
-    k = int(hit[0])
-    return TruncatedPath(SamplePath(wt.times, x[0]), k if k < x.shape[1] else None)

@@ -7,9 +7,8 @@ import pytest
 
 from gmr.cli import run
 from gmr.drivers import SamplePath, fbm_kernel, sample_path_matrix, uniform_grid
-from gmr.montecarlo import _solve_matrix
-from gmr.solver import deterministic_ode_solution
-from gmr.transform import ModelParams
+from gmr.solver import deterministic_ode_solution, solve_matrix
+from gmr.transform import ModelParams, tilde_w_matrix
 
 FBM9 = {"kind": "fbm", "hurst": 0.9}
 
@@ -387,9 +386,10 @@ def test_simulate_small_beta_matches_the_ensemble_route(tmp_path):
         cfg = write_config(tmp_path, "sim.json", dict(base, seed=seed))
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
         _, rows = read_csv(tmp_path / "simulate.csv")
-        drivers = sample_path_matrix(fbm_kernel(0.97), grid, 1, seed)
+        # two rows, so the vectorized kernel solves the CLI's row 0
+        wt = tilde_w_matrix(sample_path_matrix(fbm_kernel(0.97), grid, 2, seed), grid, params)
         assert np.all(rows[:, 1] > 0.0)
-        np.testing.assert_allclose(rows[:, 1], _solve_matrix(params, grid, drivers)[0][0],
+        np.testing.assert_allclose(rows[:, 1], solve_matrix(params, grid, wt)[0][0],
                                    rtol=1e-12, atol=0.0)
 
 

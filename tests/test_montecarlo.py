@@ -14,7 +14,6 @@ from gmr.drivers import (
 )
 from gmr.montecarlo import (
     EnsembleSpec,
-    _solve_matrix,
     density_smoke,
     ensemble_simulate,
     hitting_time_stats,
@@ -26,16 +25,22 @@ from gmr.montecarlo import (
     sup_bound_violations,
     survival_bound_check,
 )
-from gmr.solver import convergence_study, deterministic_ode_solution, implicit_euler
+from gmr.solver import (
+    convergence_study,
+    deterministic_ode_solution,
+    implicit_euler_nodes,
+    solve_gmr,
+    solve_matrix,
+)
 from gmr.transform import (
     ModelParams,
     explicit_a0_matrix,
-    explicit_solution_a0,
+    first_hit,
     lift,
-    lift_y_to_x,
     tilde_w_covariance_matrix,
-    tilde_w_path,
+    tilde_w_matrix,
 )
+from test_solver import scalar_scheme
 
 
 def _spec(**kw):
@@ -232,8 +237,6 @@ def test_scaling_identity_zero_noise_degenerate():
     eps, t, n = 0.5, 1.0, 256
     p = ModelParams(x0=1.0, a=1.0, b=1.0, sigma=0.0, beta=0.7)
     scaled = ModelParams(x0=1.0, a=eps * 1.0, b=eps * 1.0, sigma=0.0, beta=0.7)
-    from gmr.solver import solve_gmr
-
     zero = SamplePath(uniform_grid(n, t), np.zeros(n + 1))
     left = solve_gmr(p, zero, n).values[n // 2]
     right = solve_gmr(scaled, zero, n).values[-1]
@@ -330,34 +333,35 @@ def test_import_gmr_leaves_scipy_stats_unloaded():
 def test_solve_matrix_rows_match_single_path_routines():
     times = uniform_grid(128, 2.0)
     drivers = sample_path_matrix(fbm_kernel(0.6), times, 40, seed=11)
-    # a = 0: the absorbed rows and their hits are bitwise the one-row solution's
+    # a = 0: the absorbed rows and their hits are bitwise the one-path solution's
     p0 = ModelParams(x0=1.0, a=0.0, b=4.0, sigma=2.0, beta=0.8)
-    x, _, hit = _solve_matrix(p0, times, drivers)
-    hits = 0
+    x, _, hit = solve_matrix(p0, times, tilde_w_matrix(drivers, times, p0))
     for i, row in enumerate(drivers):
-        sol = explicit_solution_a0(SamplePath(times, row), p0)
-        assert np.array_equal(x[i], sol.path.values)
-        assert hit[i] == (times.size if sol.hit_index is None else sol.hit_index)
-        hits += sol.hit_index is not None
-    assert 0 < hits < len(drivers)
-    # a > 0: the matrix lift is bitwise the single-path lift of each y row
+        single = solve_gmr(p0, SamplePath(times, row), 128).values
+        assert np.array_equal(x[i], single)
+        assert hit[i] == first_hit(single)
+    assert 0 < np.sum(hit < times.size) < len(drivers)
+    # a > 0: each row agrees with its one-row solve, and x is the lift of y
     p1 = ModelParams(x0=1.0, a=1.0, b=2.0, sigma=0.5, beta=0.7)
-    x, y, hit = _solve_matrix(p1, times, drivers)
+    wt = tilde_w_matrix(drivers, times, p1)
+    x, y, hit = solve_matrix(p1, times, wt)
     assert np.all(hit == times.size)
-    for xi, yi in zip(x, y):
-        assert np.array_equal(xi, lift_y_to_x(SamplePath(times, yi), p1).values)
+    assert np.array_equal(x, lift(y, times, p1))
+    for yi, row in zip(y, wt):
+        one = implicit_euler_nodes(p1, times, row[None])[0]
+        assert np.all(np.abs(yi - one) <= 1e-10 * np.maximum(1.0, one))
 
 
 def test_lift_underflow_counts_as_hit_in_ensembles():
     # with b = 800 and no noise the positive level lifts to x == 0.0 from
-    # t = 60/64 on; ensembles and the one-row solution both absorb there
+    # t = 60/64 on; ensembles and the one-path solution both absorb there
     p = ModelParams(x0=1.0, a=0.0, b=800.0, sigma=0.0, beta=0.5)
     res = ensemble_simulate(_spec(params=p, M=3, n=64))
-    single = explicit_solution_a0(SamplePath(res.times, np.zeros(65)), p)
-    assert single.hit_index == 60
+    single = solve_gmr(p, SamplePath(res.times, np.zeros(65)), 64).values
+    assert first_hit(single) == 60
     assert res.stats.hit_fraction == 1.0
     assert np.all(res.stats.hit_times == res.times[60])
-    assert np.array_equal(res.x, np.tile(single.path.values, (3, 1)))
+    assert np.array_equal(res.x, np.tile(single, (3, 1)))
 
 
 def test_nonfinite_lift_of_a_positive_level_raises():
@@ -413,13 +417,12 @@ def test_ensemble_sweep_of_the_admissible_box_against_single_path_oracles():
         for row, level, driver in zip(result.x, result.y, drivers):
             path = SamplePath(result.times, driver)
             if p.a == 0.0:
-                sol = explicit_solution_a0(path, p)
-                assert np.array_equal(row, sol.path.values)
-                hit = row.size if sol.hit_index is None else sol.hit_index
+                assert np.array_equal(row, solve_gmr(p, path, n).values)
+                hit = first_hit(row)
             else:
                 # both root solvers stop at |f| <= 1e-12 max(1, |A|), so the
                 # levels agree on that scale, and x is the same lift of them
-                y = implicit_euler(p, tilde_w_path(path, p)).y_path.values
+                y = scalar_scheme(p, result.times, tilde_w_matrix(driver[None], result.times, p)[0])
                 assert np.all(np.abs(level - y) <= 1e-10 * np.maximum(1.0, y))
                 assert np.array_equal(row, lift(level, result.times, p))
                 hit = row.size

@@ -33,7 +33,7 @@ from gmr.pk import (
     _likelihood_core,
     _ObservationBlock,
 )
-from gmr.transform import ModelParams, tilde_w_covariance_matrix
+from gmr.transform import ModelParams, first_hit, tilde_w_covariance_matrix
 
 FIG1 = dict(A0=1.0, v=1.0, Ke=4.0, sigma=1.0, beta=0.8)
 
@@ -81,18 +81,16 @@ def test_deterministic_concentration_cases():
 def test_simulate_concentration_zero_noise_limit():
     pk = PkParams(**FIG1)
     out = simulate_concentration(pk, zero_kernel(64, 1.0), 64, seed=0)
-    assert out.hit_index is None
-    np.testing.assert_allclose(
-        out.path.values, np.exp(-4.0 * out.path.times), rtol=1e-12
-    )
+    assert first_hit(out.values) == out.times.size
+    np.testing.assert_allclose(out.values, np.exp(-4.0 * out.times), rtol=1e-12)
 
 
 def test_simulate_concentration_reproducible():
     pk = PkParams(**FIG1)
     a = simulate_concentration(pk, fbm_kernel(0.9), 128, seed=3)
     b = simulate_concentration(pk, fbm_kernel(0.9), 128, seed=3)
-    assert a.hit_index == b.hit_index
-    assert np.array_equal(a.path.values, b.path.values)
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_simulate_concentration_nonnegative_and_absorbed():
@@ -100,10 +98,9 @@ def test_simulate_concentration_nonnegative_and_absorbed():
     hit_seen = False
     for seed in range(12):
         out = simulate_concentration(pk, fbm_kernel(0.6), 128, seed=seed, horizon=2.0)
-        assert np.all(out.path.values >= 0.0)
-        if out.hit_index is not None:
-            hit_seen = True
-            assert np.all(out.path.values[out.hit_index :] == 0.0)
+        hit = first_hit(out.values)
+        assert np.all(out.values[:hit] > 0.0) and np.all(out.values[hit:] == 0.0)
+        hit_seen |= hit < out.values.size
     assert hit_seen
 
 
@@ -114,9 +111,9 @@ def test_simulate_concentration_figure1_log_trend():
     slopes = []
     for seed in range(12):
         out = simulate_concentration(pk, fbm_kernel(0.9), 200, seed=seed)
-        t = out.path.times
-        keep = (t <= 0.5) & (out.path.values > 0)
-        slopes.append(np.polyfit(t[keep], np.log(out.path.values[keep]), 1)[0])
+        t = out.times
+        keep = (t <= 0.5) & (out.values > 0)
+        slopes.append(np.polyfit(t[keep], np.log(out.values[keep]), 1)[0])
     assert -6.0 <= np.median(slopes) <= -2.0  # within 50% of -Ke = -4
 
 
@@ -331,12 +328,10 @@ def test_log_likelihood_theta_domain():
 def _synthetic_obs(seed, n_obs=40, sim_n=400, horizon=1.0):
     pk = PkParams(**FIG1)
     out = simulate_concentration(pk, brownian_kernel(), sim_n, seed, horizon)
-    if out.hit_index is not None:
+    if first_hit(out.values) < out.values.size:
         return None
     stride = sim_n // n_obs
-    return ConcentrationSeries(
-        out.path.times[stride::stride], out.path.values[stride::stride]
-    )
+    return ConcentrationSeries(out.times[stride::stride], out.values[stride::stride])
 
 
 def test_likelihood_prefers_truth_on_average():
@@ -562,3 +557,8 @@ def test_concentration_series_validation():
         ConcentrationSeries(np.array([0.0, 0.5]), np.array([1.0, 0.5]))
     with pytest.raises(ValueError, match="distinct"):
         ConcentrationSeries(np.array([0.5, 0.5]), np.array([1.0, 0.5]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ConcentrationSeries(np.array([0.5, bad]), np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            ConcentrationSeries(np.array([0.5, 0.7]), np.array([1.0, bad]))

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from gmr.drivers import SamplePath, fbm_kernel, sample_paths, uniform_grid
+import gmr.solver
+from gmr.drivers import SamplePath, fbm_kernel, sample_path_matrix, sample_paths, uniform_grid
 from gmr.solver import (
     EulerSolution,
     RateReport,
@@ -20,7 +21,7 @@ from gmr.solver import (
     sup_bound,
     y_sup_bound,
 )
-from gmr.transform import ModelParams, TruncatedPath, explicit_solution_a0, tilde_w_path
+from gmr.transform import ModelParams, first_hit, tilde_w_matrix, tilde_w_path
 
 
 def bisect_root(A, B, gamma, iters=200):
@@ -74,6 +75,18 @@ def root_rtol(root, A, gamma):
 
 def zero_driver(n, horizon):
     return SamplePath(uniform_grid(n, horizon), np.zeros(n + 1))
+
+
+def scalar_scheme(p, times, tilde_w):
+    """The scheme on one row of wtilde, stepped by implicit_step_root."""
+    dt = times[-1] / (times.size - 1)
+    dw = np.diff(tilde_w)
+    y = np.empty(times.size)
+    y[0] = p.y0
+    for k in range(times.size - 1):
+        B = p.a * (1.0 - p.beta) * dt * math.exp(p.b * times[k + 1])
+        y[k + 1] = implicit_step_root(y[k] + dw[k], B, p.gamma)
+    return y
 
 
 def test_step_root_square_case():
@@ -164,6 +177,15 @@ def test_vectorized_roots_sweep_matches_scalar_oracle():
             assert x == pytest.approx(root, rel=root_rtol(root, a, g))
 
 
+def test_step_roots_reject_nan_at_the_start():
+    from gmr.solver import _implicit_roots_newton
+
+    with pytest.raises(RootSolveError, match="start"):
+        implicit_step_root(math.nan, 0.5, 1.5)
+    with pytest.raises(RootSolveError, match="start"):
+        _implicit_roots_newton(np.array([0.5, math.nan]), 0.5, 1.5)
+
+
 def test_step_roots_raise_when_the_start_underflows():
     # gamma ~ 0.01 with B ~ 4e-9 and A < 0 (beta = 0.01, a = 1e-6 on 256 steps):
     # the root (B/|A|)^(1/gamma) is about 1e-578, below the smallest float
@@ -176,14 +198,29 @@ def test_step_roots_raise_when_the_start_underflows():
         _implicit_roots_newton(np.array([0.5, A]), B, gamma)
 
 
-def test_vectorized_euler_matches_scalar_pipeline():
+def test_vectorized_euler_matches_scalar_pipeline(monkeypatch):
+    # one row runs implicit_step_root, bitwise; each row of a batch runs the
+    # vectorized kernel and agrees with it to the shared residual tolerance
     p = ModelParams(x0=1.0, a=1.0, b=2.0, sigma=0.8, beta=0.7)
     grid = uniform_grid(64, 1.0)
-    driver = sample_paths(fbm_kernel(0.8), grid, 1, seed=6)[0]
-    wt = tilde_w_path(driver, p)
-    scalar = implicit_euler(p, wt).y_path.values
-    vectorized = implicit_euler_nodes(p, grid, wt.values[None, :])[0]
-    np.testing.assert_allclose(vectorized, scalar, rtol=1e-11)
+    wt = tilde_w_matrix(sample_path_matrix(fbm_kernel(0.8), grid, 8, seed=6), grid, p)
+    loops = [scalar_scheme(p, grid, row) for row in wt]
+    for y, loop in zip(implicit_euler_nodes(p, grid, wt), loops):
+        assert np.all(np.abs(y - loop) <= 1e-10 * np.maximum(1.0, loop))
+    monkeypatch.setattr(gmr.solver, "_implicit_roots_newton", None)
+    assert np.array_equal(implicit_euler_nodes(p, grid, wt[:1])[0], loops[0])
+    assert np.array_equal(implicit_euler(p, SamplePath(grid, wt[0])).y_path.values, loops[0])
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_implicit_euler_nodes_validates_the_grid(rows):
+    p = ModelParams(x0=1.0, a=1.0, b=1.0, sigma=0.5, beta=0.7)
+    grid = uniform_grid(4, 1.0)
+    with pytest.raises(ValueError, match="uniform"):
+        implicit_euler_nodes(p, grid**2, np.zeros((rows, 5)))
+    for columns in (9, 4):
+        with pytest.raises(ValueError, match="one column per grid time"):
+            implicit_euler_nodes(p, grid, np.zeros((rows, columns)))
 
 
 def test_zero_noise_oracle_equivalence_order():
@@ -239,10 +276,29 @@ def test_solve_gmr_ode_oracle():
 
 
 def test_solve_gmr_dispatches_a_zero():
+    # a = 0 is the explicit solution: positive before the first hit, 0 from it on
+    p = ModelParams(x0=1.0, a=0.0, b=4.0, sigma=2.0, beta=0.8)
+    grid = uniform_grid(128, 2.0)
+    hits = 0
+    for seed in range(8):
+        driver = sample_paths(fbm_kernel(0.6), grid, 1, seed=seed)[0]
+        out = solve_gmr(p, driver, 128)
+        wt = tilde_w_path(driver, p).values
+        assert np.array_equal(out.times, grid)
+        k = first_hit(out.values)
+        assert np.all(out.values[:k] > 0.0) and np.all(out.values[k:] == 0.0)
+        assert k == first_hit(p.y0 + wt)
+        hits += k < grid.size
+    assert 0 < hits < 8
+
+
+def test_solve_gmr_a_zero_subsamples_the_driver_grid():
     p = ModelParams(x0=1.0, a=0.0, b=1.0, sigma=0.5, beta=0.7)
-    driver = sample_paths(fbm_kernel(0.8), uniform_grid(64, 1.0), 1, seed=1)[0]
+    driver = sample_paths(fbm_kernel(0.8), uniform_grid(256, 1.0), 1, seed=1)[0]
     out = solve_gmr(p, driver, 64)
-    assert isinstance(out, TruncatedPath)
+    assert out.n_steps == 64
+    assert np.array_equal(out.times, driver.times[::4])
+    assert np.array_equal(out.values, solve_gmr(p, driver, 256).values[::4])
 
 
 def test_solve_gmr_positive_path():
@@ -313,7 +369,7 @@ def test_monotone_in_drift_coefficients():
         p_0b = ModelParams(a=0.0, b=b, **shared)
         x_ab = solve_gmr(p_ab, driver, n).values
         x_a0 = solve_gmr(p_a0, driver, n).values
-        x_0b = solve_gmr(p_0b, driver, n).path.values
+        x_0b = solve_gmr(p_0b, driver, n).values
         assert np.all(x_0b <= x_ab + 1e-9)
         assert np.all(x_ab <= x_a0 + 1e-9)
 

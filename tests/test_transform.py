@@ -15,10 +15,9 @@ from gmr.drivers import (
 from gmr.pk import build_quad_grid
 from gmr.transform import (
     ModelParams,
-    TruncatedPath,
-    explicit_solution_a0,
+    explicit_a0_matrix,
     first_hit,
-    lift_y_to_x,
+    lift,
     theta_weight,
     tilde_w_covariance_matrix,
     tilde_w_matrix,
@@ -185,56 +184,54 @@ def test_y0_from_x0_values():
 def test_lift_values():
     grid = uniform_grid(4, 1.0)
     p = _params(beta=0.5, b=0.0)
-    lifted = lift_y_to_x(SamplePath(grid, np.full(5, 2.0)), p)
-    assert np.all(lifted.values == 4.0)
+    assert np.all(lift(np.full(5, 2.0), grid, p) == 4.0)
     q = _params(beta=0.5, b=1.0)
-    lifted = lift_y_to_x(SamplePath(grid, np.ones(5)), q)
-    assert lifted.values[-1] == pytest.approx(math.exp(-1.0), rel=1e-15)
-
-
-def test_lift_rejects_nonpositive():
-    grid = uniform_grid(2, 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        lift_y_to_x(SamplePath(grid, np.array([1.0, 0.0, 1.0])), _params())
+    assert lift(np.ones(5), grid, q)[-1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_lift_roundtrip_identity():
     p = _params(beta=0.8, b=2.5, sigma=0.3)
     grid = uniform_grid(64, 1.0)
-    y = SamplePath(grid, 1.0 + 0.5 * np.sin(3 * grid) + 0.1 * grid)
-    x = lift_y_to_x(y, p)
+    y = 1.0 + 0.5 * np.sin(3 * grid) + 0.1 * grid
+    x = lift(y, grid, p)
     # the algebraic inverse y = x^(1-beta) e^(b(1-beta)t)
-    back = x.values ** (1.0 - p.beta) * np.exp(p.b * (1.0 - p.beta) * grid)
-    np.testing.assert_allclose(back, y.values, rtol=1e-12)
+    back = x ** (1.0 - p.beta) * np.exp(p.b * (1.0 - p.beta) * grid)
+    np.testing.assert_allclose(back, y, rtol=1e-12)
+
+
+def _explicit(driver, p):
+    """One row of explicit_a0_matrix on the driver's wtilde: (x, hit index)."""
+    x, _, hit = explicit_a0_matrix(tilde_w_path(driver, p).values[None], driver.times, p)
+    return x[0], int(hit[0])
 
 
 def test_explicit_solution_zero_noise_decays():
     p = _params(sigma=0.0, b=1.5, beta=0.6)
     grid = uniform_grid(32, 2.0)
-    sol = explicit_solution_a0(SamplePath(grid, np.zeros(33)), p)
-    assert sol.hit_index is None
-    np.testing.assert_allclose(sol.path.values, np.exp(-1.5 * grid), rtol=1e-12)
+    x, hit = _explicit(SamplePath(grid, np.zeros(33)), p)
+    assert hit == grid.size
+    np.testing.assert_allclose(x, np.exp(-1.5 * grid), rtol=1e-12)
 
 
 def test_explicit_solution_polynomial_oracle():
     # wtilde = -0.5 t exactly (sigma=1, beta=0.5, b=0, w = -t): x = (1 - t/2)^2
     p = _params(sigma=1.0, b=0.0, beta=0.5)
     grid = uniform_grid(10, 2.5)
-    sol = explicit_solution_a0(SamplePath(grid, -grid), p)
-    assert sol.hit_index == 8
-    assert sol.path.times[8] == 2.0
+    x, hit = _explicit(SamplePath(grid, -grid), p)
+    assert hit == 8 == first_hit(x)
+    assert grid[8] == 2.0
     before = grid[:8]
-    np.testing.assert_allclose(sol.path.values[:8], (1 - 0.5 * before) ** 2, rtol=1e-12)
-    assert np.all(sol.path.values[8:] == 0.0)
+    np.testing.assert_allclose(x[:8], (1 - 0.5 * before) ** 2, rtol=1e-12)
+    assert np.all(x[8:] == 0.0)
 
 
 def test_explicit_solution_quintic_value():
     # beta = 0.8 variant: wtilde ~= -0.5 t, x_t = (1 - t/2)^5, x(1) = 0.03125
     p = _params(sigma=1.0, b=0.0, beta=0.8)
     grid = uniform_grid(8, 1.0)
-    sol = explicit_solution_a0(SamplePath(grid, -2.5 * grid), p)
-    assert sol.hit_index is None
-    assert sol.path.values[-1] == pytest.approx(0.03125, rel=1e-12)
+    x, hit = _explicit(SamplePath(grid, -2.5 * grid), p)
+    assert hit == grid.size
+    assert x[-1] == pytest.approx(0.03125, rel=1e-12)
 
 
 def test_explicit_solution_no_hit_when_inf_above_minus_y0():
@@ -244,9 +241,9 @@ def test_explicit_solution_no_hit_when_inf_above_minus_y0():
     driver = sample_paths(fbm_kernel(0.8), grid, 1, seed=9)[0]
     wt = tilde_w_path(driver, p)
     assert np.min(wt.values) > -p.y0
-    sol = explicit_solution_a0(driver, p)
-    assert sol.hit_index is None
-    assert np.all(sol.path.values > 0.0)
+    x, hit = _explicit(driver, p)
+    assert hit == grid.size
+    assert np.all(x > 0.0)
 
 
 def test_explicit_solution_nonnegative_with_hits():
@@ -254,32 +251,18 @@ def test_explicit_solution_nonnegative_with_hits():
     hit_seen = False
     for seed in range(20):
         driver = sample_paths(fbm_kernel(0.6), uniform_grid(128, 2.0), 1, seed=seed)[0]
-        sol = explicit_solution_a0(driver, p)
-        assert np.all(sol.path.values >= 0.0)
-        if sol.hit_index is not None:
-            hit_seen = True
-            assert np.all(sol.path.values[: sol.hit_index] > 0.0)
-            assert np.all(sol.path.values[sol.hit_index :] == 0.0)
+        x, hit = _explicit(driver, p)
+        assert hit == first_hit(x)
+        assert np.all(x[:hit] > 0.0) and np.all(x[hit:] == 0.0)
+        hit_seen |= hit < x.size
     assert hit_seen
-
-
-def test_truncated_path_validation():
-    grid = uniform_grid(3, 1.0)
-    with pytest.raises(ValueError, match="positive before"):
-        TruncatedPath(SamplePath(grid, np.array([1.0, -1.0, 0.0, 0.0])), 2)
-    with pytest.raises(ValueError, match="positive before"):
-        TruncatedPath(SamplePath(grid, np.array([1.0, 1.0, 0.0, 1.0])), 2)
-    with pytest.raises(ValueError, match="stay positive"):
-        TruncatedPath(SamplePath(grid, np.array([1.0, 1.0, 0.0, 1.0])), None)
-    ok = TruncatedPath(SamplePath(grid, np.array([1.0, 0.5, 0.0, 0.0])), 2)
-    assert ok.path.times[ok.hit_index] == pytest.approx(2.0 / 3.0)
 
 
 def test_explicit_solution_requires_a_zero():
     p = _params(a=1.0)
     grid = uniform_grid(4, 1.0)
     with pytest.raises(ValueError, match="a = 0"):
-        explicit_solution_a0(SamplePath(grid, np.zeros(5)), p)
+        explicit_a0_matrix(np.zeros((1, 5)), grid, p)
 
 
 def test_first_hit_rows():
