@@ -381,7 +381,8 @@ def _cmd_pk_fit(cfg: dict, args) -> list:
     with _config_errors("bounds"):
         bounds = ThetaBounds(**_present(bounds_cfg, bound_keys, "bounds"))
     refine = _get(cfg, "quad_refine", "config", kind=int, required=False)
-    quad = build_quad_grid(obs.times, refine)
+    with _config_errors("quad_refine"):
+        quad = build_quad_grid(obs.times, refine)
     with _config_errors("init"):
         est = fit_mle(obs, kernel, init, a0, vol, bounds=bounds, quad_grid=quad)
     out = os.path.join(args.out, "pk_fit.json")

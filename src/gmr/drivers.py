@@ -121,7 +121,7 @@ def grid_index(grid: np.ndarray, t: float) -> int:
     for j in (i - 1, i, i + 1):
         if 0 <= j < grid.size and abs(grid[j] - t) <= _GRID_RTOL * scale:
             return j
-    raise ValueError(f"time {t!r} is not on the grid")
+    raise ValueError(f"time {float(t)!r} is not on the grid")
 
 
 def _is_uniform(times: np.ndarray) -> bool:
@@ -350,18 +350,23 @@ def _circulant_paths(z: np.ndarray, scale: np.ndarray, n: int) -> np.ndarray:
 
 
 def _block_sampler(kernel: CovarianceKernel, grid: np.ndarray):
-    """(normals per row, map from a block of normal rows to values on grid[1:])."""
+    """(normals per row, map from rows of normals to values on grid[1:], row-wise).
+
+    A row-wise map transforms each row alone, so it is bitwise the same on
+    any number of rows; the Cholesky map is a GEMM, whose rounding can
+    depend on its shape, so it must be given a full block.
+    """
     n = grid.size - 1
     dt = grid[-1] / n
     if kernel.kind == "brownian":
         step = np.sqrt(dt)
-        return n, lambda z: step * np.cumsum(z, axis=1)
+        return n, lambda z: step * np.cumsum(z, axis=1), True
     if kernel.kind == "fbm" and n >= _CIRCULANT_MIN_N:
         row = _fgn_circulant_row(kernel.hurst, n, dt)
         scale = _circulant_scale(row)
-        return row.size, lambda z: _circulant_paths(z, scale, n)
+        return row.size, lambda z: _circulant_paths(z, scale, n), True
     factor = driver_factor(kernel, grid)
-    return n, lambda z: z @ factor.T
+    return n, lambda z: z @ factor.T, False
 
 
 def sample_path_matrix(
@@ -377,10 +382,11 @@ def sample_path_matrix(
       increments, from 2 next_fast_len(n) normals (_circulant_paths);
     - otherwise: the Cholesky factor of the grid covariance, from n normals.
 
-    Rows are mapped in blocks of _BLOCK, and the last block is zero-padded
-    to full size: every GEMM or FFT then has the same shape, so row i is
-    bitwise the same whatever ``count`` is (under one BLAS build and
-    thread count).
+    Rows are mapped in blocks of _BLOCK. On the Cholesky route the last
+    block is zero-padded to full size, so every GEMM has the same shape;
+    the other two routes map only the rows drawn, each row alone. Either
+    way row i is bitwise the same whatever ``count`` is (under one BLAS
+    build and thread count).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0:
@@ -389,7 +395,7 @@ def sample_path_matrix(
         raise ValueError("grid must be uniform and increasing")
     if count < 1:
         raise ValueError("count must be >= 1")
-    width, rows_from = _block_sampler(kernel, grid)
+    width, rows_from, row_wise = _block_sampler(kernel, grid)
     out = np.empty((count, grid.size))
     out[:, 0] = 0.0
     z = np.empty((_BLOCK, width))
@@ -397,5 +403,5 @@ def sample_path_matrix(
         rows = min(_BLOCK, count - start)
         _block_rng(seed, block).standard_normal(out=z[:rows])
         z[rows:] = 0.0
-        out[start:start + rows, 1:] = rows_from(z)[:rows]
+        out[start:start + rows, 1:] = rows_from(z[:rows] if row_wise else z)[:rows]
     return out

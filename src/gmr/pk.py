@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import minimize
+from scipy.linalg.blas import dtrsv as _dtrsv
 
 from .artifacts import write_csv
 from .drivers import (
@@ -226,6 +226,8 @@ def build_quad_grid(times: np.ndarray, refine: Optional[int] = None) -> np.ndarr
     times = np.asarray(times, dtype=float)
     if refine is None:
         refine = max(1, -(-256 // times.size))
+    if refine < 1:
+        raise ValueError("refine must be >= 1")
     knots = np.concatenate(([0.0], times))
     pieces = [np.array([0.0])]
     for lo, hi in zip(knots[:-1], knots[1:]):
@@ -402,15 +404,78 @@ class ThetaEstimate:
             raise ValueError("estimate out of the admissible domain")
 
 
-def _to_unconstrained(ke, beta, bounds: ThetaBounds) -> np.ndarray:
-    frac = (beta - bounds.beta_min) / (bounds.beta_max - bounds.beta_min)
-    frac = min(max(frac, 1e-12), 1.0 - 1e-12)
-    return np.array([math.log(ke), math.log(frac / (1.0 - frac))])
+# fit_mle's outer scan divides the top of the kappa box by _SCAN_RATIO this
+# many times, and extends it below by decades at most _SCAN_EXTENSIONS times
+_SCAN_POINTS = 6
+_SCAN_RATIO = 4.0
+_SCAN_EXTENSIONS = 8
+_XATOL_LOG_KAPPA = 1e-6
+_XATOL_BETA = 1e-7
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
 
 
-def _from_unconstrained(u: np.ndarray, bounds: ThetaBounds):
-    frac = 1.0 / (1.0 + math.exp(-u[1]))
-    return math.exp(u[0]), bounds.beta_min + (bounds.beta_max - bounds.beta_min) * frac
+def _brent_minimize(f, lo: float, hi: float, xatol: float):
+    """Local minimum of f on (lo, hi) by Brent's method, as (x, f(x)).
+
+    Golden-section steps with parabolic interpolation (Brent 1973,
+    Algorithms for Minimization without Derivatives, ch. 5), the rule
+    and the tolerance sqrt(eps)|x| + xatol/3 of scipy's bounded
+    minimize_scalar, in plain floats: the search itself costs about a
+    microsecond per step, against ten for scipy's. A parabola through an
+    infinite value is NaN and never accepted, so +inf scores (an
+    infeasible point) only ever lead to golden-section steps.
+    """
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = tol1 if m >= x else -tol1
+                golden = False
+        if golden:
+            e = (a - x) if x >= m else (b - x)
+            d = _GOLDEN * e
+        u = x + math.copysign(max(abs(d), tol1), d)
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+class _BuildCap(Exception):
+    """fit_mle's outer search reached max_iter builds of G(kappa)."""
 
 
 def fit_mle(
@@ -425,65 +490,127 @@ def fit_mle(
 ) -> ThetaEstimate:
     """Maximize the likelihood over theta = (Ke, sigma, beta).
 
-    sigma is profiled out: at each (Ke, beta) the likelihood is unimodal in
-    sigma with its maximum at sqrt(q/n) (see _likelihood_core), clamped to
-    sigma_max. Nelder-Mead then searches (log Ke, logit beta over its
-    bracket); derivative-free on purpose, the objective goes through a
-    quadrature-built covariance. ``init`` is a full theta whose sigma is
-    only checked against the bounds. Convergence means Nelder-Mead stopped
-    on its own, not at its iteration or evaluation cap, with a final
-    simplex of diameter below 1e-6; by construction the returned value is
-    at least as likely as the initial point.
+    The search runs over kappa = Ke(1-beta) and beta. Gamma_1 =
+    (1-beta)^2 G(kappa) (see _ObservationBlock), so the n log(1-beta) of
+    the Jacobian cancels against log det L_1, and
+
+        -log-likelihood = log det L_G + n log sigma + q / (2 sigma^2)
+                          + beta sum log x_i + const,
+        q = |L_G^{-1} U|^2 / (1-beta)^2,  U = x^(1-beta) - (A0/v)^(1-beta) e^(-kappa t).
+
+    One Cholesky factor L_G of G(kappa) thus serves every beta. sigma is
+    profiled out in closed form, sqrt(q/n) clamped to sigma_max. The
+    inner search is Brent's over beta in [beta_min, min(beta_max,
+    1 - kappa/ke_max)], which keeps Ke <= ke_max, at one triangular solve
+    per step. The outer search over log kappa in (0, ke_max(1-beta_min)]
+    first scans kappa_max 4^-k, k = 1..6, and the start's kappa; while the
+    lowest point is best, it adds one a decade lower, up to 8 times (Ke
+    has no lower bound); then Brent's search runs between the best
+    point's neighbours. A kappa whose G cannot be factored, or whose beta
+    bracket is empty, scores +inf. Derivative-free on purpose: the
+    objective goes through a quadrature-built covariance.
+
+    ``init`` is a full theta whose sigma is only checked against the
+    bounds; when it is at least as likely as the optimum found, it is
+    returned, so the result never loses likelihood against the start.
+    ``max_iter`` caps the outer steps, each one build and factorization
+    of G(kappa); ``iterations`` counts them. Convergence means the outer
+    search stopped on its tolerance, not at the cap, and not at the
+    lowest point of the extended scan.
     """
     init = tuple(float(u) for u in init)
     if not bounds.contains(init):
         raise ValueError("initial theta must lie inside the bounds")
-    if np.any(obs.concentrations <= 0):
+    x = obs.concentrations
+    if np.any(x <= 0):
         # the indicator kills the likelihood at every theta
         raise AdmissibilityError("no admissible parameters")
     if quad_grid is None:
         quad_grid = build_quad_grid(obs.times)
     block = _ObservationBlock(obs.times, kernel, quad_grid)  # theta-independent
+    n, c0, sum_log_x = x.size, A0 / v, float(np.sum(np.log(x)))
+    kappa_max = bounds.ke_max * (1.0 - bounds.beta_min)
+    builds = 0
+    best = (math.inf, None, None)  # -log-likelihood up to a constant, kappa, beta
 
-    def profile(u):
-        """(theta, -log-likelihood) with sigma at its profile maximum."""
-        ke, beta = _from_unconstrained(u, bounds)
-        if ke > bounds.ke_max:
-            return None, math.inf
+    def outer(log_kappa: float) -> float:
+        """-log-likelihood at kappa, up to a constant, maximized over beta and sigma."""
+        nonlocal builds, best
+        kappa = math.exp(log_kappa)
+        beta_hi = min(bounds.beta_max, 1.0 - kappa / bounds.ke_max)
+        if not beta_hi > bounds.beta_min:
+            return math.inf
+        if builds == max_iter:
+            raise _BuildCap
+        builds += 1
+        try:
+            factor = _cholesky_with_jitter(block(kappa))
+        except CovarianceError:
+            return math.inf  # degenerate G at an extreme kappa: step back
+        diag = np.diag(factor)
+        if not diag.min() > 0.0:  # G = 0, from a zero kernel, factors as 0
+            return math.inf
+        upper = factor.T  # Fortran-ordered, so the BLAS solve copies nothing
+        damp = np.exp(-kappa * obs.times)
+
+        def inner(beta: float) -> float:
+            omb = 1.0 - beta
+            half = _dtrsv(upper, x**omb - c0**omb * damp, lower=0, trans=1)
+            q = float(half @ half) / omb**2
+            sigma = min(math.sqrt(q / n), bounds.sigma_max)
+            return n * math.log(sigma) + 0.5 * q / sigma**2 + beta * sum_log_x
+
+        beta, f = _brent_minimize(inner, bounds.beta_min, beta_hi, _XATOL_BETA)
+        # Brent's search never evaluates the ends of its bracket, and
+        # beta_max is often the optimum: try the nearer end itself
+        end = bounds.beta_min if beta - bounds.beta_min < beta_hi - beta else beta_hi
+        f_end = inner(end)
+        if f_end <= f:
+            beta, f = end, f_end
+        f += float(np.sum(np.log(diag)))
+        if f < best[0]:
+            best = (f, kappa, beta)
+        return f
+
+    kappa0 = init[0] * (1.0 - init[2])
+    top = math.log(kappa_max)
+    points = sorted({top - k * math.log(_SCAN_RATIO) for k in range(1, _SCAN_POINTS + 1)}
+                    | {math.log(kappa0)})
+    converged = False
+    try:
+        values = [outer(p) for p in points]
+        for _ in range(_SCAN_EXTENSIONS):
+            if int(np.argmin(values)) != 0:
+                break
+            points.insert(0, points[0] - math.log(10.0))
+            values.insert(0, outer(points[0]))
+        i = int(np.argmin(values))
+        if math.isfinite(values[i]):
+            hi = points[i + 1] if i + 1 < len(points) else top
+            _brent_minimize(outer, points[max(i - 1, 0)], hi, _XATOL_LOG_KAPPA)
+            converged = i > 0  # not pinned at the lowest point of the extended scan
+    except _BuildCap:
+        pass
+
+    def at(ke: float, beta: float):
+        """theta with sigma at its profile maximum, and its log-likelihood."""
         try:
             logdet, q = _likelihood_core(ke, beta, obs, block, A0, v)
         except CovarianceError:
-            return None, math.inf  # degenerate Gamma at an extreme theta: step back
-        sigma = min(math.sqrt(q / len(obs)), bounds.sigma_max)
-        ll = _log_likelihood_from(sigma, beta, obs.concentrations, logdet, q)
-        return (ke, sigma, beta), -ll
+            return None, -math.inf
+        sigma = min(math.sqrt(q / n), bounds.sigma_max)
+        return (ke, sigma, beta), _log_likelihood_from(sigma, beta, x, logdet, q)
 
-    u0 = _to_unconstrained(init[0], init[2], bounds)
-    f0 = profile(u0)[1]
-    # explicit initial simplex: the default (5% per coordinate, absolute
-    # fallback near 0) collapses along coordinates starting at 0, e.g. the
-    # logit of a centered beta, and the fit would never leave them
-    simplex = np.vstack([u0, u0 + [0.5, 0.0], u0 + [0.0, 0.5]])
-    # stop on the simplex size alone (fatol = inf): with an ill-conditioned
-    # Gamma the objective's rounding noise (~1e-9) can stay above any fatol
-    options = dict(maxiter=max_iter, maxfev=8 * max_iter, xatol=1e-7, fatol=math.inf,
-                   initial_simplex=simplex)
-    result = minimize(lambda u: profile(u)[1], u0, method="Nelder-Mead", options=options)
-    # Nelder-Mead never worsens the start vertex, but be safe
-    theta, best_f = profile(result.x if result.fun <= f0 else u0)
-    if not np.isfinite(best_f):
+    theta, ll = at(init[0], init[2])
+    if best[1] is not None:
+        _, kappa, beta = best
+        found, ll_found = at(min(kappa / (1.0 - beta), bounds.ke_max), beta)
+        if ll_found > ll:
+            theta, ll = found, ll_found
+    if not math.isfinite(ll):
         raise AdmissibilityError("no admissible parameters")
-    vertices = result.final_simplex[0]
-    diameter = max(
-        float(np.linalg.norm(va - vb)) for va in vertices for vb in vertices
-    )
-    # -best_f is log_likelihood(theta) bitwise: the same core and the same sum
-    return ThetaEstimate(
-        *theta,
-        log_likelihood=-best_f,
-        converged=bool(diameter < 1e-6 and result.status == 0),
-        iterations=int(result.nit),
-    )
+    # ll is log_likelihood(theta) bitwise: the same core and the same sum
+    return ThetaEstimate(*theta, log_likelihood=ll, converged=converged, iterations=builds)
 
 
 @dataclass(frozen=True)

@@ -104,9 +104,9 @@ def implicit_step_root(A: float, B: float, gamma: float) -> float:
     # min returns its first argument when it compares with NaN, so a NaN A
     # gives a NaN start here, as np.minimum does in the vectorized solver
     x = max(A, scale) if A > 0.0 else min((B / (scale + abs(A))) ** (1.0 / gamma), scale)
-    if not x > 0.0:  # the start underflowed, or A is NaN
+    if not 0.0 < x < math.inf:  # the start underflowed, or A is NaN or inf
         raise RootSolveError(
-            f"Newton start {x!r} is not positive (A={A!r}, B={B!r}, gamma={gamma!r})")
+            f"Newton start {x!r} is not positive and finite (A={A!r}, B={B!r}, gamma={gamma!r})")
     for _ in range(_MAX_ITER):
         f = x - B * x**-gamma - A
         if abs(f) <= tol:
@@ -125,7 +125,8 @@ def _implicit_roots_newton(A: np.ndarray, B: float, gamma: float) -> np.ndarray:
     f <= 0: at max(A, s) when A > 0, else at min(s, z) with
     z = (B/(s+|A|))^(1/gamma), where f(z) = z - s. f is concave and
     increasing on (0, inf), so from the left Newton climbs monotonically
-    inside (0, root]. A start that underflows to 0 raises. Elements are
+    inside (0, root]. A start that underflows to 0 or is not finite (an A
+    that is NaN or inf) raises before any step. Elements are
     masked out once they meet the residual tolerance, which keeps every
     entry's iterate sequence independent of the rest of the batch; a NaN
     residual never counts as converged.
@@ -135,8 +136,9 @@ def _implicit_roots_newton(A: np.ndarray, B: float, gamma: float) -> np.ndarray:
     scale = B ** (1.0 / (gamma + 1.0))
     below = np.minimum(scale, (B / (scale + np.abs(A))) ** (1.0 / gamma))
     x = np.where(A > 0.0, np.maximum(A, scale), below)
-    if not np.all(x > 0.0):  # a start underflowed, or an A is NaN
-        raise RootSolveError("vectorized Newton start is not positive")
+    # a start underflowed, or an A is NaN (then so is the min) or inf
+    if x.size and not (0.0 < x.min() and x.max() < math.inf):
+        raise RootSolveError("vectorized Newton start is not positive and finite")
     for _ in range(_MAX_ITER):
         f = x - B * x**-gamma - A
         active = ~(np.abs(f) <= tol)

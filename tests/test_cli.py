@@ -72,13 +72,15 @@ RERUN_CONFIGS = {
                        "method": "fd", "seed": 9},
 }
 
+PK_FIT_OBS = "t,concentration\r\n0.2,0.5\r\n0.4,0.22\r\n0.6,0.1\r\n0.8,0.05\r\n"
+
 
 @pytest.mark.parametrize("command", sorted(RERUN_CONFIGS))
 def test_simulate_byte_identical_reruns(tmp_path, command):
     payload = dict(RERUN_CONFIGS[command])
     if command == "pk-fit":
         obs = tmp_path / "obs.csv"
-        obs.write_text("t,concentration\r\n0.2,0.5\r\n0.4,0.22\r\n0.6,0.1\r\n0.8,0.05\r\n")
+        obs.write_text(PK_FIT_OBS)
         payload["observations"] = str(obs)
     cfg = write_config(tmp_path, "cfg.json", payload)
     assert run([command, "--config", cfg, "--out", str(tmp_path / "a")]) == 0
@@ -437,6 +439,11 @@ CONV_TEXT = (
     ' "kernel": {"kind": "fbm", "hurst": 0.8}, "T": 1.0, "n_list": %s,'
     ' "ref_n": %s, "seed": 9}'
 )
+FIT_TEXT = (
+    '{"pk_constants": {"A0": 1.0, "v": 1.0}, "kernel": {"kind": "brownian"},'
+    ' "observations": "obs.csv", "init": {"Ke": 2.0, "sigma": 0.5, "beta": 0.5},'
+    ' "quad_refine": %s, "seed": 9}'
+)
 SURV_TEXT = (
     '{"y0": 1.0, "model": {"b": 1.0, "sigma": 0.3, "beta": 0.7},'
     ' "kernel": {"kind": "fbm", "hurst": 0.8}, "grid": {"n": 16, "T": 1.0}, "M": 0, "seed": 9}'
@@ -460,15 +467,22 @@ SURV_TEXT = (
         ("converge", CONV_TEXT % ("[4, 8]", "0"), "ref_n"),
         ("converge", CONV_TEXT % ("[true, 8]", "64"), "n_list"),
         ("simulate", SIM_TEXT % ("0.5", "1e-320"), "T"),
+        ("pk-fit", FIT_TEXT % "0", "quad_refine"),
+        ("pk-fit", FIT_TEXT % "-1", "quad_refine"),
     ],
     ids=["nan-sigma", "infinite-T", "scalar-p_exponents", "nan-p_exponents",
          "string-marginal_times", "string-write_paths", "off-grid-marginal_times",
          "hit-times-zero-M", "hit-times-zero-steps_per_unit", "hit-times-negative-steps_per_unit",
-         "survival-zero-M", "converge-zero-ref_n", "converge-boolean-n_list", "subnormal-T"],
+         "survival-zero-M", "converge-zero-ref_n", "converge-boolean-n_list", "subnormal-T",
+         "pk-fit-zero-quad_refine", "pk-fit-negative-quad_refine"],
 )
-def test_bad_config_values_exit_1_before_writing(tmp_path, capsys, command, text, key):
+def test_bad_config_values_exit_1_before_writing(tmp_path, capsys, monkeypatch, command, text,
+                                                 key):
     # json.load parses NaN and Infinity, so they must be rejected by key,
     # and every config error must come before any artifact is written
+    if command == "pk-fit":
+        (tmp_path / "obs.csv").write_text(PK_FIT_OBS)
+        monkeypatch.chdir(tmp_path)  # FIT_TEXT names its observations relative to here
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     out = tmp_path / "out"

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as integrate
+from scipy.optimize import minimize, minimize_scalar
 from scipy.special import ndtr
 
+import gmr.pk
 from gmr.drivers import (
     CovarianceError,
     brownian_kernel,
@@ -30,7 +33,9 @@ from gmr.pk import (
     sensitivity_plsin,
     simulate_concentration,
     z_mean,
+    _brent_minimize,
     _likelihood_core,
+    _log_likelihood_from,
     _ObservationBlock,
 )
 from gmr.transform import ModelParams, first_hit, tilde_w_covariance_matrix
@@ -325,9 +330,9 @@ def test_log_likelihood_theta_domain():
             log_likelihood(bad, obs, brownian_kernel(), 1.0, 1.0)
 
 
-def _synthetic_obs(seed, n_obs=40, sim_n=400, horizon=1.0):
-    pk = PkParams(**FIG1)
-    out = simulate_concentration(pk, brownian_kernel(), sim_n, seed, horizon)
+def _synthetic_obs(seed, n_obs=40, sim_n=400, horizon=1.0, kernel=brownian_kernel(),
+                   pk=PkParams(**FIG1)):
+    out = simulate_concentration(pk, kernel, sim_n, seed, horizon)
     if first_hit(out.values) < out.values.size:
         return None
     stride = sim_n // n_obs
@@ -378,18 +383,139 @@ def test_fit_mle_ascent_and_convergence():
 
 
 def test_fit_mle_capped_by_max_iter_is_not_converged():
+    # max_iter caps the outer builds of G(kappa), inside the scan (3) and
+    # one build short of the natural stop of Brent's search
     obs = _synthetic_obs(1)
     quad = build_quad_grid(obs.times)
     bounds = ThetaBounds(ke_max=20.0, sigma_max=10.0)
     full = fit_mle(obs, brownian_kernel(), (2.0, 0.5, 0.5), 1.0, 1.0, bounds=bounds,
                    quad_grid=quad)
     assert full.converged
-    # one iteration short of the natural stop the simplex is already small
     for cap in (3, full.iterations - 1):
         est = fit_mle(obs, brownian_kernel(), (2.0, 0.5, 0.5), 1.0, 1.0, bounds=bounds,
                       quad_grid=quad, max_iter=cap)
         assert est.iterations == cap
         assert est.converged is False
+    again = fit_mle(obs, brownian_kernel(), (2.0, 0.5, 0.5), 1.0, 1.0, bounds=bounds,
+                    quad_grid=quad, max_iter=full.iterations)
+    assert again == full
+    # one build finds nothing as likely as a start at the optimum: the start comes back
+    restart = fit_mle(obs, brownian_kernel(), (full.Ke, full.sigma, full.beta), 1.0, 1.0,
+                      bounds=bounds, quad_grid=quad, max_iter=1)
+    assert restart == dataclasses.replace(full, converged=False, iterations=1)
+
+
+def _nelder_mead_fit(obs, kernel, init, bounds, quad):
+    """The profile-likelihood Nelder-Mead fit that fit_mle's nested search replaced.
+
+    sigma is profiled out at each (Ke, beta); Nelder-Mead searches
+    (log Ke, logit of beta over its bracket) from an explicit simplex
+    and stops on its size alone. Returns (Ke, sigma, beta, log-likelihood).
+    """
+    block = _ObservationBlock(obs.times, kernel, quad)
+    span = bounds.beta_max - bounds.beta_min
+
+    def profile(u):
+        ke = math.exp(u[0])
+        beta = bounds.beta_min + span / (1.0 + math.exp(-u[1]))
+        if ke > bounds.ke_max:
+            return None, math.inf
+        try:
+            logdet, q = _likelihood_core(ke, beta, obs, block, 1.0, 1.0)
+        except CovarianceError:
+            return None, math.inf
+        sigma = min(math.sqrt(q / len(obs)), bounds.sigma_max)
+        return (ke, sigma, beta), -_log_likelihood_from(sigma, beta, obs.concentrations,
+                                                        logdet, q)
+
+    frac = min(max((init[2] - bounds.beta_min) / span, 1e-12), 1.0 - 1e-12)
+    u0 = np.array([math.log(init[0]), math.log(frac / (1.0 - frac))])
+    simplex = np.vstack([u0, u0 + [0.5, 0.0], u0 + [0.0, 0.5]])
+    result = minimize(lambda u: profile(u)[1], u0, method="Nelder-Mead",
+                      options=dict(maxiter=2000, maxfev=16000, xatol=1e-7, fatol=math.inf,
+                                   initial_simplex=simplex))
+    theta, f = profile(result.x)
+    return (*theta, -f)
+
+
+@pytest.mark.parametrize("kernel", [brownian_kernel(), fbm_kernel(0.9)], ids=["brownian", "fbm0.9"])
+def test_fit_mle_matches_the_nelder_mead_fit(kernel):
+    # the likelihoods agree to about 1e-13 relative; 1e-10 still catches an
+    # inner search that stops 3e-8 short of beta_max (a 2e-9 loss)
+    bounds = ThetaBounds(ke_max=20.0, sigma_max=10.0)
+    init = (2.0, 0.5, 0.5)
+    fits, seed = 0, 0
+    while fits < 5:
+        obs = _synthetic_obs(seed, kernel=kernel)
+        seed += 1
+        if obs is None:
+            continue
+        fits += 1
+        quad = build_quad_grid(obs.times)
+        est = fit_mle(obs, kernel, init, 1.0, 1.0, bounds=bounds, quad_grid=quad)
+        assert est.converged
+        *theta, ll = _nelder_mead_fit(obs, kernel, init, bounds, quad)
+        np.testing.assert_allclose([est.Ke, est.sigma, est.beta], theta, rtol=0, atol=1e-4)
+        assert est.log_likelihood >= ll - 1e-10 * abs(ll)
+
+
+def test_fit_mle_extends_the_scan_below_its_lowest_kappa():
+    # Ke = 2e-3 with little noise: the optimum kappa is about 3e-5, below the
+    # scan's lowest point kappa_max / 4^6 = 4.6e-3, so the scan goes down by
+    # decades; without that the optimum is pinned at the lowest point
+    bounds = ThetaBounds(ke_max=20.0, sigma_max=10.0)
+    slow = PkParams(A0=1.0, v=1.0, Ke=2e-3, sigma=1e-3, beta=0.8)
+    obs = _synthetic_obs(5, pk=slow)
+    quad = build_quad_grid(obs.times)
+    lowest = 19.0 / 4.0**6
+    est = fit_mle(obs, brownian_kernel(), (2.0, 0.5, 0.5), 1.0, 1.0, bounds=bounds,
+                  quad_grid=quad)
+    assert est.converged
+    assert est.Ke * (1.0 - est.beta) < 0.1 * lowest
+    *theta, ll = _nelder_mead_fit(obs, brownian_kernel(), (2.0, 0.5, 0.5), bounds, quad)
+    np.testing.assert_allclose([est.Ke, est.sigma, est.beta], theta, rtol=0, atol=1e-4)
+    assert est.log_likelihood >= ll - 1e-10 * abs(ll)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gmr.pk, "_SCAN_EXTENSIONS", 0)
+        pinned = fit_mle(obs, brownian_kernel(), (2.0, 0.5, 0.5), 1.0, 1.0, bounds=bounds,
+                         quad_grid=quad)
+    assert pinned.converged is False
+    assert pinned.log_likelihood < est.log_likelihood
+
+
+@pytest.mark.parametrize("ke_max", [2.0, 3.0])
+def test_fit_mle_keeps_ke_within_its_bound(ke_max):
+    # below the truth Ke = 4 the optimum lies on Ke = ke_max: the beta
+    # bracket ends at 1 - kappa/ke_max, so the search stays inside the box
+    obs = _synthetic_obs(1)
+    quad = build_quad_grid(obs.times)
+    bounds = ThetaBounds(ke_max=ke_max, sigma_max=10.0)
+    est = fit_mle(obs, brownian_kernel(), (1.0, 0.5, 0.5), 1.0, 1.0, bounds=bounds,
+                  quad_grid=quad)
+    assert est.converged and est.Ke <= ke_max
+    *theta, ll = _nelder_mead_fit(obs, brownian_kernel(), (1.0, 0.5, 0.5), bounds, quad)
+    np.testing.assert_allclose([est.Ke, est.sigma, est.beta], theta, rtol=0, atol=1e-4)
+    assert est.log_likelihood >= ll - 1e-10 * abs(ll)
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: (x - 0.3137) ** 2, 0.05, 0.95),
+    (lambda x: (x + 1.7) ** 4 - math.log(x + 3.0), -2.9, 4.0),
+    (math.exp, -1.0, 2.0),
+    (lambda x: math.sin(5.0 * x) + 0.1 * x * x, -3.0, 3.0),
+    (lambda x: x * x - x if x < 1.0 else math.inf, 0.0, 3.0),
+], ids=["quadratic", "quartic-log", "at-the-edge", "bumpy", "infinite-above-1"])
+def test_brent_minimize_follows_scipy_bounded_search(f, lo, hi):
+    # the same rule and tolerance as scipy's bounded minimize_scalar: the
+    # same points are evaluated, in the same order
+    for xatol in (1e-5, 1e-9):
+        seen = []
+        x, fx = _brent_minimize(lambda u: seen.append(u) or f(u), lo, hi, xatol)
+        want = []
+        ref = minimize_scalar(lambda u: want.append(u) or f(u), bounds=(lo, hi),
+                              method="bounded", options=dict(xatol=xatol, maxiter=10**4))
+        assert seen == want
+        assert (x, fx) == (ref.x, ref.fun)
 
 
 def test_profiled_sigma_is_clamped_to_the_box():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,21 @@ def test_step_roots_reject_nan_at_the_start():
         implicit_step_root(math.nan, 0.5, 1.5)
     with pytest.raises(RootSolveError, match="start"):
         _implicit_roots_newton(np.array([0.5, math.nan]), 0.5, 1.5)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_step_roots_reject_a_nonfinite_start_without_a_warning(bad):
+    # A = inf used to start at inf, and both kernels ran 200 iterations of
+    # the NaN residual inf - inf before giving up (the vectorized one with a
+    # RuntimeWarning, which the suite turns into an error anyway)
+    from gmr.solver import _implicit_roots_newton
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootSolveError, match="start"):
+            implicit_step_root(bad, 0.5, 1.5)
+        with pytest.raises(RootSolveError, match="start"):
+            _implicit_roots_newton(np.array([bad, 1.0]), 0.5, 1.5)
 
 
 def test_step_roots_raise_when_the_start_underflows():
