@@ -16,7 +16,8 @@ Every route samples exactly:
 Paths are drawn in fixed blocks of ``_BLOCK`` rows, one generator keyed
 by (seed, block) and one GEMM or FFT per block; the last block is
 zero-padded so every product has the same shape and row i never depends
-on how many paths were asked for.
+on how many paths were asked for. driver_blocks hands the blocks out one
+at a time; sample_path_matrix stacks them.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "covariance_matrix",
     "sample_paths",
     "sample_path_matrix",
+    "driver_blocks",
 ]
 
 # jitter escalation: start at 1e-12 * max diagonal, x10 until 1e-8, then fail
@@ -369,6 +371,39 @@ def _block_sampler(kernel: CovarianceKernel, grid: np.ndarray):
     return n, lambda z: z @ factor.T, False
 
 
+def driver_blocks(kernel: CovarianceKernel, grid: np.ndarray, count: int, seed: int):
+    """The rows of sample_path_matrix, one block of _BLOCK rows at a time.
+
+    Returns an iterator of ``(start, rows)``: rows ``start`` to
+    ``start + len(rows) - 1`` of the (count, n+1) matrix, each starting at
+    0, and bitwise those rows. The grid, the count and the covariance are
+    checked when this is called, before any row is drawn. A caller that
+    maps each block as it comes (to wtilde, say) never holds the whole
+    driver matrix.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0:
+        raise ValueError("grid must start at 0 with at least 2 points")
+    if not (grid[1] > 0.0 and _is_uniform(grid)):
+        raise ValueError("grid must be uniform and increasing")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    width, rows_from, row_wise = _block_sampler(kernel, grid)
+
+    def blocks():
+        z = np.empty((_BLOCK, width))
+        for block, start in enumerate(range(0, count, _BLOCK)):
+            rows = min(_BLOCK, count - start)
+            _block_rng(seed, block).standard_normal(out=z[:rows])
+            z[rows:] = 0.0
+            paths = np.empty((rows, grid.size))
+            paths[:, 0] = 0.0
+            paths[:, 1:] = rows_from(z[:rows] if row_wise else z)[:rows]
+            yield start, paths
+
+    return blocks()
+
+
 def sample_path_matrix(
     kernel: CovarianceKernel, grid: np.ndarray, count: int, seed: int
 ) -> np.ndarray:
@@ -382,26 +417,14 @@ def sample_path_matrix(
       increments, from 2 next_fast_len(n) normals (_circulant_paths);
     - otherwise: the Cholesky factor of the grid covariance, from n normals.
 
-    Rows are mapped in blocks of _BLOCK. On the Cholesky route the last
-    block is zero-padded to full size, so every GEMM has the same shape;
-    the other two routes map only the rows drawn, each row alone. Either
-    way row i is bitwise the same whatever ``count`` is (under one BLAS
-    build and thread count).
+    Rows are mapped in blocks of _BLOCK (driver_blocks). On the Cholesky
+    route the last block is zero-padded to full size, so every GEMM has the
+    same shape; the other two routes map only the rows drawn, each row
+    alone. Either way row i is bitwise the same whatever ``count`` is
+    (under one BLAS build and thread count).
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0:
-        raise ValueError("grid must start at 0 with at least 2 points")
-    if not (grid[1] > 0.0 and _is_uniform(grid)):
-        raise ValueError("grid must be uniform and increasing")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    width, rows_from, row_wise = _block_sampler(kernel, grid)
-    out = np.empty((count, grid.size))
-    out[:, 0] = 0.0
-    z = np.empty((_BLOCK, width))
-    for block, start in enumerate(range(0, count, _BLOCK)):
-        rows = min(_BLOCK, count - start)
-        _block_rng(seed, block).standard_normal(out=z[:rows])
-        z[rows:] = 0.0
-        out[start:start + rows, 1:] = rows_from(z[:rows] if row_wise else z)[:rows]
+    blocks = driver_blocks(kernel, grid, count, seed)
+    out = np.empty((count, np.size(grid)))
+    for start, rows in blocks:
+        out[start:start + rows.shape[0]] = rows
     return out

@@ -18,13 +18,14 @@ import numpy as np
 from .artifacts import write_csv, write_json
 from .drivers import (
     CovarianceKernel,
+    driver_blocks,
     fbm_kernel,
     grid_index,
     sample_path_matrix,
     uniform_grid,
 )
 from .solver import deterministic_ode_solution, nested_sup_errors, solve_matrix, sup_bound
-from .transform import ModelParams, tilde_w_covariance_matrix, tilde_w_matrix
+from .transform import ModelParams, sample_tilde_w, tilde_w_covariance_matrix, tilde_w_matrix
 
 __all__ = [
     "EnsembleSpec",
@@ -88,17 +89,28 @@ class EnsembleResult:
     spec: EnsembleSpec
     stats: EnsembleStats
     times: np.ndarray
-    x: np.ndarray  # (M, n+1) solution values
-    y: np.ndarray  # (M, n+1) transformed level (pre-truncation for a = 0)
+    x: np.ndarray  # (M, n+1) solution values, possibly Fortran-ordered
+    y: np.ndarray  # (M, n+1) transformed level (pre-truncation for a = 0), likewise
     driver_sup: np.ndarray  # (M,) realized sup norms of the raw driver
 
 
 def ensemble_simulate(spec: EnsembleSpec) -> EnsembleResult:
-    """Simulate M independent solution paths and aggregate their stats."""
+    """Simulate M independent solution paths and aggregate their stats.
+
+    One pass over the sampler's blocks takes each block's driver sup norms
+    and writes its wtilde into the columns of a time-major (n+1, M) array;
+    the scheme then steps along its contiguous rows. The (M, n+1) driver
+    matrix is never built.
+    """
     times = uniform_grid(spec.n, spec.horizon)
-    drivers = sample_path_matrix(spec.kernel, times, spec.M, spec.seed)
-    x, y, hit_steps = solve_matrix(spec.params, times,
-                                   tilde_w_matrix(drivers, times, spec.params))
+    blocks = driver_blocks(spec.kernel, times, spec.M, spec.seed)
+    wt = np.empty((times.size, spec.M))
+    driver_sup = np.empty(spec.M)
+    for start, rows in blocks:
+        stop = start + rows.shape[0]
+        driver_sup[start:stop] = np.max(np.abs(rows), axis=1)
+        wt[:, start:stop] = tilde_w_matrix(rows, times, spec.params).T
+    x, y, hit_steps = solve_matrix(spec.params, times, wt.T)
     sups = np.max(np.abs(x), axis=1)
     lp = {
         float(p): float(np.mean(sups**p) ** (1.0 / p))
@@ -121,7 +133,7 @@ def ensemble_simulate(spec: EnsembleSpec) -> EnsembleResult:
         times=times,
         x=x,
         y=y,
-        driver_sup=np.max(np.abs(drivers), axis=1),
+        driver_sup=driver_sup,
     )
 
 
@@ -152,7 +164,7 @@ def lp_convergence_check(
     if p.a <= 0:
         raise ValueError("the scheme error study needs a > 0")
     times = uniform_grid(ref_n, horizon)
-    wt = tilde_w_matrix(sample_path_matrix(kernel, times, M, seed), times, p)
+    wt = sample_tilde_w(kernel, times, M, seed, p)
     return np.array([
         float(np.mean(d**p_exponent) ** (1.0 / p_exponent))
         for d in nested_sup_errors(p, times, wt, n_list)
@@ -192,8 +204,7 @@ def survival_bound_check(
     sigma_bar_sq = float(np.max(np.diag(tilde_w_covariance_matrix(p, kernel, grid))))
     applicable = 2.0 * sigma_bar_sq * math.log(2.0) < y0**2
     bound = 1.0 - 2.0 * math.exp(-(y0**2) / (2.0 * sigma_bar_sq)) if sigma_bar_sq > 0 else 1.0
-    drivers = sample_path_matrix(kernel, grid, M, seed)
-    wt = tilde_w_matrix(drivers, grid, p)
+    wt = sample_tilde_w(kernel, grid, M, seed, p)
     empirical = float(np.mean(np.min(wt, axis=1) > -y0))
     se = math.sqrt(empirical * (1.0 - empirical) / M)
     passed = bool(applicable and empirical >= bound - 2.0 * se)
@@ -241,8 +252,7 @@ def hitting_time_stats(
     t_max = horizons[-1]
     n = max(2, int(round(steps_per_unit * t_max)))
     times = uniform_grid(n, t_max)
-    drivers = sample_path_matrix(kernel, times, M, seed)
-    _, _, hit_steps = solve_matrix(p, times, tilde_w_matrix(drivers, times, p))
+    _, _, hit_steps = solve_matrix(p, times, sample_tilde_w(kernel, times, M, seed, p))
     hit_time = np.where(hit_steps < times.size, times[np.minimum(hit_steps, n)], np.inf)
     out = []
     for t in horizons:
@@ -291,14 +301,13 @@ def scaling_identity_check(
     kernel = fbm_kernel(hurst)
     times = uniform_grid(n, t)
     seed_left, seed_right = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
-    left_drivers = sample_path_matrix(kernel, times, M, seed_left)
-    x_left, _, _ = solve_matrix(p, times, tilde_w_matrix(left_drivers, times, p))
+    x_left, _, _ = solve_matrix(p, times, sample_tilde_w(kernel, times, M, seed_left, p))
     left = x_left[:, int(round(k))]
     scaled = ModelParams(
         x0=p.x0, a=eps * p.a, b=eps * p.b, sigma=p.sigma * eps**hurst, beta=p.beta
     )
-    right_drivers = sample_path_matrix(kernel, times, M, seed_right)
-    x_right, _, _ = solve_matrix(scaled, times, tilde_w_matrix(right_drivers, times, scaled))
+    x_right, _, _ = solve_matrix(scaled, times,
+                                 sample_tilde_w(kernel, times, M, seed_right, scaled))
     right = x_right[:, -1]
     from scipy.stats import ks_2samp  # deferred: scipy.stats dominates import time
 

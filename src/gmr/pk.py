@@ -28,13 +28,12 @@ from .drivers import (
     SamplePath,
     covariance_matrix,
     grid_index,
-    sample_path_matrix,
     sample_paths,
     uniform_grid,
     _cholesky_with_jitter,
 )
 from .solver import solve_gmr
-from .transform import ModelParams, check_lift, first_hit, lift, tilde_w_matrix
+from .transform import ModelParams, check_lift, first_hit, lift, sample_tilde_w
 
 __all__ = [
     "AdmissibilityError",
@@ -318,11 +317,14 @@ def _likelihood_core(ke, beta, obs, block, A0, v):
     covariance carries two weights sigma(1-beta)e^(Ke(1-beta)t), so
     Gamma(Ke, sigma, beta) = sigma^2 Gamma_1 and U does not depend on
     sigma. The jitter ladder is relative to the largest diagonal entry, so
-    Gamma_1 needs the jitter that Gamma would, up to rounding.
+    Gamma_1 needs the jitter that Gamma would, up to rounding. A zero
+    covariance (from a zero kernel) factors as 0 and raises CovarianceError.
     """
     t = obs.times
     omb = 1.0 - beta
     factor = _cholesky_with_jitter(omb**2 * block(ke * omb))
+    if not np.diag(factor).min() > 0.0:
+        raise CovarianceError("observation covariance is singular (a Cholesky pivot is 0)")
     u = obs.concentrations**omb - (A0 / v) ** omb * np.exp(-ke * omb * t)
     half = solve_triangular(factor, u, lower=True)
     return float(np.sum(np.log(np.diag(factor)))), float(np.dot(half, half))
@@ -686,8 +688,7 @@ def _ensemble_wtilde(pk: PkParams, x: float, spec: SensitivitySpec,
         raise ValueError("initial concentration must be positive")
     mp = pk.to_model_params(x0=x)
     times = uniform_grid(spec.n, spec.horizon)
-    drivers = sample_path_matrix(kernel, times, spec.M, spec.seed)
-    return mp, times, tilde_w_matrix(drivers, times, mp)
+    return mp, times, sample_tilde_w(kernel, times, spec.M, spec.seed, mp)
 
 
 def _finite(values, name: str) -> np.ndarray:

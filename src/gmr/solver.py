@@ -123,29 +123,43 @@ def _implicit_roots_newton(A: np.ndarray, B: float, gamma: float) -> np.ndarray:
 
     With s = B^(1/(gamma+1)), f(s) = -A, so every element starts where
     f <= 0: at max(A, s) when A > 0, else at min(s, z) with
-    z = (B/(s+|A|))^(1/gamma), where f(z) = z - s. f is concave and
-    increasing on (0, inf), so from the left Newton climbs monotonically
-    inside (0, root]. A start that underflows to 0 or is not finite (an A
-    that is NaN or inf) raises before any step. Elements are
-    masked out once they meet the residual tolerance, which keeps every
-    entry's iterate sequence independent of the rest of the batch; a NaN
-    residual never counts as converged.
+    z = (B/(s+|A|))^(1/gamma), where f(z) = z - s; z is computed only for
+    those elements. f is concave and increasing on (0, inf), so from the
+    left Newton climbs monotonically inside (0, root]. A start that
+    underflows to 0 or is not finite (an A that is NaN or inf) raises
+    before any step. An element stops moving once it meets the residual
+    tolerance (its step is set to 0), which keeps every entry's iterate
+    sequence independent of the rest of the batch; a NaN residual never
+    counts as converged.
     """
     A = np.asarray(A, dtype=float)
-    tol = 1e-12 * np.maximum(1.0, np.abs(A))
+    tol = np.maximum(np.abs(A), 1.0)
+    tol *= 1e-12
     scale = B ** (1.0 / (gamma + 1.0))
-    below = np.minimum(scale, (B / (scale + np.abs(A))) ** (1.0 / gamma))
-    x = np.where(A > 0.0, np.maximum(A, scale), below)
+    x = np.maximum(A, scale)
+    low = ~(A > 0.0)
+    if low.any():
+        x[low] = np.minimum(scale, (B / (scale + np.abs(A[low]))) ** (1.0 / gamma))
     # a start underflowed, or an A is NaN (then so is the min) or inf
     if x.size and not (0.0 < x.min() and x.max() < math.inf):
         raise RootSolveError("vectorized Newton start is not positive and finite")
     for _ in range(_MAX_ITER):
-        f = x - B * x**-gamma - A
-        active = ~(np.abs(f) <= tol)
-        if not active.any():
+        # f = x - B x^-gamma - A and the step f / (1 + B gamma x^-(gamma+1)),
+        # built in place with the rounding of those expressions
+        f = x ** -gamma
+        f *= B
+        np.subtract(x, f, out=f)
+        f -= A
+        done = np.abs(f) <= tol
+        if done.all():
             return x
-        fprime = 1.0 + B * gamma * x ** -(gamma + 1.0)
-        x = np.where(active, x - f / fprime, x)
+        step = x ** -(gamma + 1.0)
+        step *= B * gamma
+        step += 1.0
+        np.divide(f, step, out=step)
+        if done.any():
+            step[done] = 0.0
+        x -= step
     raise RootSolveError(f"vectorized step solve stalled after {_MAX_ITER} iterations")
 
 
@@ -166,6 +180,12 @@ def implicit_euler_nodes(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray)
     implicit_step_root (a one-row vectorized solve is 8-10x slower at
     n = 4096), more rows run _implicit_roots_newton on a column at a time.
     Both run one Newton iteration to one residual tolerance.
+
+    Several rows are stepped time-major: on an (n+1, M) copy of wtilde,
+    where each column of the rows is contiguous, and the nodes are
+    returned as the (M, n+1) transpose of an (n+1, M) array, so they are
+    Fortran-ordered. The transpose of a time-major array, as
+    ensemble_simulate passes, is used without a copy.
     """
     if p.a <= 0:
         raise ValueError("implicit Euler requires a > 0")
@@ -177,18 +197,22 @@ def implicit_euler_nodes(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray)
         raise ValueError("tilde_w must have one column per grid time")
     if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=0.0):
         raise ValueError("tilde_w must live on a uniform grid")
-    dw = np.diff(tilde_w, axis=1)
     coef = p.a * (1.0 - p.beta) * dt
-    y = np.empty_like(tilde_w)
-    y[:, 0] = p.y0
-    # nodes[k] is node k of the one row, or the column of node k across rows
-    if y.shape[0] == 1:
-        step, nodes, inc = implicit_step_root, y[0], dw[0]
-    else:
-        step, nodes, inc = _implicit_roots_newton, y.T, dw.T
+    if tilde_w.shape[0] == 1:
+        dw = np.diff(tilde_w[0])
+        y = np.empty(times.size)
+        y[0] = p.y0
+        for k in range(n):
+            y[k + 1] = implicit_step_root(y[k] + dw[k], coef * math.exp(p.b * times[k + 1]),
+                                          p.gamma)
+        return y[None]
+    w = np.ascontiguousarray(tilde_w.T)
+    y = np.empty_like(w)
+    y[0] = p.y0
     for k in range(n):
-        nodes[k + 1] = step(nodes[k] + inc[k], coef * math.exp(p.b * times[k + 1]), p.gamma)
-    return y
+        y[k + 1] = _implicit_roots_newton(y[k] + (w[k + 1] - w[k]),
+                                          coef * math.exp(p.b * times[k + 1]), p.gamma)
+    return y.T
 
 
 def solve_matrix(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray):

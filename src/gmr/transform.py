@@ -17,15 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .drivers import CovarianceKernel, SamplePath, covariance_matrix
+from .drivers import CovarianceKernel, SamplePath, covariance_matrix, driver_blocks
 
 __all__ = [
     "ModelParams",
     "theta_weight",
     "tilde_w_path",
     "tilde_w_matrix",
+    "sample_tilde_w",
     "tilde_w_covariance_matrix",
     "y0_from_x0",
     "lift",
@@ -102,12 +102,33 @@ def tilde_w_matrix(drivers: np.ndarray, times: np.ndarray, p: ModelParams) -> np
     trapezoid. Exact at the grid points when b = 0 (the weight is then
     constant). The map is linear and acts on each row alone: it returns
     drivers A^T for one (n+1) x (n+1) matrix A.
+
+    The running trapezoid sum is scipy's cumulative_trapezoid, operation
+    for operation, so the result is bitwise the same without importing
+    scipy.integrate.
     """
     th = theta_weight(times, p)
-    correction = cumulative_trapezoid(
-        (p.b * (1.0 - p.beta) * th)[None, :] * drivers, times, axis=1, initial=0.0
-    )
-    return th[None, :] * drivers - correction
+    v = (p.b * (1.0 - p.beta) * th)[None, :] * drivers
+    out = th[None, :] * drivers
+    trapezoids = v[:, 1:] + v[:, :-1]
+    trapezoids *= np.diff(times)
+    trapezoids /= 2.0
+    out[:, 1:] -= np.cumsum(trapezoids, axis=1, out=trapezoids)
+    return out
+
+
+def sample_tilde_w(kernel: CovarianceKernel, times: np.ndarray, count: int, seed: int,
+                   p: ModelParams) -> np.ndarray:
+    """tilde_w_matrix of sample_path_matrix(kernel, times, count, seed), bitwise.
+
+    The driver rows are mapped block by block as driver_blocks draws them,
+    so the (count, n+1) driver matrix is never built.
+    """
+    blocks = driver_blocks(kernel, times, count, seed)
+    out = np.empty((count, np.size(times)))
+    for start, rows in blocks:
+        out[start:start + rows.shape[0]] = tilde_w_matrix(rows, times, p)
+    return out
 
 
 def tilde_w_covariance_matrix(

@@ -316,6 +316,7 @@ def test_ensemble_brownian_fault_point_stays_positive_and_finite():
 
 
 def test_import_gmr_leaves_scipy_stats_unloaded():
+    # nor scipy.integrate: tilde_w_matrix sums its trapezoids with numpy
     import os
     import subprocess
     import sys
@@ -323,11 +324,26 @@ def test_import_gmr_leaves_scipy_stats_unloaded():
     import gmr
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gmr.__file__)))
-    code = "import sys, gmr; print('scipy.stats' in sys.modules)"
+    code = "import sys, gmr; print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
+
+
+def test_ensemble_peak_memory_stays_below_four_and_a_half_path_arrays():
+    # the time-major solve holds wtilde, the nodes, and the lift with its
+    # temporary: 4 (M, n+1) arrays; building the driver matrix took 5
+    import tracemalloc
+
+    spec = _spec(kernel=brownian_kernel(), M=1024, n=1024)
+    tracemalloc.start()
+    try:
+        ensemble_simulate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * spec.M * (spec.n + 1) * 8
 
 
 def test_solve_matrix_rows_match_single_path_routines():

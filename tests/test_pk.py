@@ -14,6 +14,7 @@ from gmr.drivers import (
     custom_kernel,
     fbm_kernel,
     grid_index,
+    sample_path_matrix,
     uniform_grid,
     _cholesky_with_jitter,
 )
@@ -34,11 +35,12 @@ from gmr.pk import (
     simulate_concentration,
     z_mean,
     _brent_minimize,
+    _ensemble_wtilde,
     _likelihood_core,
     _log_likelihood_from,
     _ObservationBlock,
 )
-from gmr.transform import ModelParams, first_hit, tilde_w_covariance_matrix
+from gmr.transform import ModelParams, first_hit, tilde_w_covariance_matrix, tilde_w_matrix
 
 FIG1 = dict(A0=1.0, v=1.0, Ke=4.0, sigma=1.0, beta=0.8)
 
@@ -540,6 +542,18 @@ def test_fit_mle_rejects_nonpositive_data():
         fit_mle(obs, brownian_kernel(), (4.0, 1.0, 0.8), 1.0, 1.0)
 
 
+def test_zero_observation_covariance_raises_covariance_error():
+    # a zero kernel factors as a zero matrix; the likelihood must not reach
+    # a triangular solve with it (numpy's LinAlgError "singular matrix")
+    grid = uniform_grid(8, 1.0)
+    obs = ConcentrationSeries(grid[[2, 4, 6, 8]], np.array([0.5, 0.3, 0.2, 0.1]))
+    kernel = zero_kernel(8, 1.0)
+    with pytest.raises(CovarianceError, match="singular"):
+        log_likelihood((2.0, 0.5, 0.5), obs, kernel, 1.0, 1.0, quad_grid=grid)
+    with pytest.raises(AdmissibilityError, match="no admissible parameters"):
+        fit_mle(obs, kernel, (2.0, 0.5, 0.5), 1.0, 1.0, quad_grid=grid)
+
+
 def test_fit_mle_validates_init():
     obs = ConcentrationSeries(np.array([0.2]), np.array([0.5]))
     with pytest.raises(ValueError, match="bounds"):
@@ -552,6 +566,16 @@ def _sens_spec(F, Fdot, **kw):
                 horizon=1.0, tau_time=0.5, seed=11)
     base.update(kw)
     return SensitivitySpec(**base)
+
+
+@pytest.mark.parametrize("kernel, n", [(fbm_kernel(0.7), 64), (fbm_kernel(0.7), 1024)],
+                         ids=["cholesky", "circulant"])
+def test_ensemble_wtilde_maps_the_driver_matrix_bitwise(kernel, n):
+    pk = PkParams(**FIG1)
+    spec = _sens_spec(np.sin, np.cos, M=75, n=n)
+    mp, times, wt = _ensemble_wtilde(pk, 1.3, spec, kernel)
+    drivers = sample_path_matrix(kernel, times, spec.M, spec.seed)
+    assert np.array_equal(wt, tilde_w_matrix(drivers, times, mp))
 
 
 def test_sensitivity_linear_deterministic_exact():

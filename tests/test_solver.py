@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 import gmr.solver
-from gmr.drivers import SamplePath, fbm_kernel, sample_path_matrix, sample_paths, uniform_grid
+from gmr.drivers import (
+    SamplePath,
+    brownian_kernel,
+    custom_kernel,
+    fbm_kernel,
+    grid_index,
+    sample_path_matrix,
+    sample_paths,
+    uniform_grid,
+)
+from gmr.montecarlo import EnsembleSpec, ensemble_simulate
 from gmr.solver import (
     EulerSolution,
     RateReport,
@@ -22,7 +32,14 @@ from gmr.solver import (
     sup_bound,
     y_sup_bound,
 )
-from gmr.transform import ModelParams, first_hit, tilde_w_matrix, tilde_w_path
+from gmr.transform import (
+    ModelParams,
+    explicit_a0_matrix,
+    first_hit,
+    lift,
+    tilde_w_matrix,
+    tilde_w_path,
+)
 
 
 def bisect_root(A, B, gamma, iters=200):
@@ -226,6 +243,108 @@ def test_vectorized_euler_matches_scalar_pipeline(monkeypatch):
     monkeypatch.setattr(gmr.solver, "_implicit_roots_newton", None)
     assert np.array_equal(implicit_euler_nodes(p, grid, wt[:1])[0], loops[0])
     assert np.array_equal(implicit_euler(p, SamplePath(grid, wt[0])).y_path.values, loops[0])
+
+
+def _row_major_roots_newton(A, B, gamma):
+    """The vectorized Newton solve in its plain form, the ensemble route's oracle.
+
+    Both starts are computed on every entry, and converged entries are
+    held by np.where; the iterates must match _implicit_roots_newton's.
+    """
+    A = np.asarray(A, dtype=float)
+    tol = 1e-12 * np.maximum(1.0, np.abs(A))
+    scale = B ** (1.0 / (gamma + 1.0))
+    below = np.minimum(scale, (B / (scale + np.abs(A))) ** (1.0 / gamma))
+    x = np.where(A > 0.0, np.maximum(A, scale), below)
+    if x.size and not (0.0 < x.min() and x.max() < math.inf):
+        raise RootSolveError("vectorized Newton start is not positive and finite")
+    for _ in range(200):
+        f = x - B * x**-gamma - A
+        active = ~(np.abs(f) <= tol)
+        if not active.any():
+            return x
+        fprime = 1.0 + B * gamma * x ** -(gamma + 1.0)
+        x = np.where(active, x - f / fprime, x)
+    raise RootSolveError("vectorized step solve stalled")
+
+
+def _row_major_nodes(p, times, tilde_w):
+    """The scheme on row-major (M, n+1) wtilde, stepping strided columns of np.diff."""
+    dt = times[-1] / (times.size - 1)
+    dw = np.diff(tilde_w, axis=1)
+    y = np.empty_like(tilde_w)
+    y[:, 0] = p.y0
+    if y.shape[0] == 1:
+        step, nodes, inc = implicit_step_root, y[0], dw[0]
+    else:
+        step, nodes, inc = _row_major_roots_newton, y.T, dw.T
+    for k in range(times.size - 1):
+        B = p.a * (1.0 - p.beta) * dt * math.exp(p.b * times[k + 1])
+        nodes[k + 1] = step(nodes[k] + inc[k], B, p.gamma)
+    return y
+
+
+def _row_major_ensemble(spec):
+    """ensemble_simulate on the whole (M, n+1) driver matrix, the oracle route."""
+    times = uniform_grid(spec.n, spec.horizon)
+    drivers = sample_path_matrix(spec.kernel, times, spec.M, spec.seed)
+    wt = tilde_w_matrix(drivers, times, spec.params)
+    if spec.params.a == 0.0:
+        x, y, hit = explicit_a0_matrix(wt, times, spec.params)
+    else:
+        y = _row_major_nodes(spec.params, times, wt)
+        x, hit = lift(y, times, spec.params), np.full(spec.M, times.size)
+    sups = np.max(np.abs(x), axis=1)
+    lp = {float(q): float(np.mean(sups**q) ** (1.0 / q)) for q in spec.p_exponents}
+    hits = hit < times.size
+    marginal = {float(t): x[:, grid_index(times, t)] for t in spec.marginal_times}
+    return (x, y, np.max(np.abs(drivers), axis=1), lp, float(np.mean(hits)),
+            times[hit[hits]], marginal)
+
+
+_ORACLE_GRID = uniform_grid(30, 1.0)
+_ORACLE_KERNELS = {
+    # n: the driver routes are cumsum, circulant (n >= 1024) and Cholesky GEMM
+    "brownian": (brownian_kernel(), 64),
+    "fbm-circulant": (fbm_kernel(0.7), 1024),
+    "fbm-cholesky": (fbm_kernel(0.3), 100),
+    "custom": (custom_kernel(_ORACLE_GRID, np.minimum.outer(_ORACLE_GRID, _ORACLE_GRID) ** 1.4,
+                             holder_exponent=0.7), 30),
+}
+_ORACLE_PARAMS = {
+    "a>0": ModelParams(x0=1.0, a=1.0, b=2.0, sigma=0.5, beta=0.7),
+    "a=0": ModelParams(x0=1.0, a=0.0, b=1.0, sigma=1.5, beta=0.6),
+    # the benchmark's Brownian fault point: its Newton batches converge unevenly
+    "fault": ModelParams(x0=1.0, a=0.01, b=1.0, sigma=1.0, beta=0.6),
+}
+
+
+@pytest.mark.parametrize("kernel, n", list(_ORACLE_KERNELS.values()), ids=list(_ORACLE_KERNELS))
+def test_ensemble_matches_the_row_major_oracle_bitwise(kernel, n):
+    for params in _ORACLE_PARAMS.values():
+        for M in (1, 31, 32, 33, 70):
+            spec = EnsembleSpec(params=params, kernel=kernel, M=M, n=n, seed=M,
+                                marginal_times=(0.5, 1.0))
+            got = ensemble_simulate(spec)
+            x, y, sup, lp, frac, hit_times, marginal = _row_major_ensemble(spec)
+            assert np.array_equal(got.x, x) and np.array_equal(got.y, y)
+            assert np.array_equal(got.driver_sup, sup)
+            assert got.stats.lp_estimates == lp and got.stats.hit_fraction == frac
+            assert np.array_equal(got.stats.hit_times, hit_times)
+            assert got.stats.marginal_samples.keys() == marginal.keys()
+            for t, values in marginal.items():
+                assert np.array_equal(got.stats.marginal_samples[t], values)
+
+
+def test_implicit_euler_nodes_ignores_the_memory_order():
+    p = _ORACLE_PARAMS["fault"]
+    grid = uniform_grid(256, 1.0)
+    wt = tilde_w_matrix(sample_path_matrix(brownian_kernel(), grid, 45, seed=1), grid, p)
+    time_major = np.ascontiguousarray(wt.T)
+    row_major = implicit_euler_nodes(p, grid, wt)
+    assert np.array_equal(implicit_euler_nodes(p, grid, time_major.T), row_major)
+    assert np.array_equal(row_major, _row_major_nodes(p, grid, wt))
+    assert row_major.shape == wt.shape
 
 
 @pytest.mark.parametrize("rows", [1, 3])

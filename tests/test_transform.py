@@ -8,7 +8,9 @@ from gmr.drivers import (
     SamplePath,
     brownian_kernel,
     covariance_matrix,
+    custom_kernel,
     fbm_kernel,
+    sample_path_matrix,
     sample_paths,
     uniform_grid,
 )
@@ -18,6 +20,7 @@ from gmr.transform import (
     explicit_a0_matrix,
     first_hit,
     lift,
+    sample_tilde_w,
     theta_weight,
     tilde_w_covariance_matrix,
     tilde_w_matrix,
@@ -84,6 +87,38 @@ def test_tilde_w_smooth_path_oracle():
     wt = tilde_w_path(SamplePath(grid, grid.copy()), p)
     assert wt.values[0] == 0.0
     assert wt.values[-1] == pytest.approx(0.5 * (math.e - 1.0), abs=1e-6)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3, 2.0])
+def test_tilde_w_matrix_is_scipy_cumulative_trapezoid_bitwise(b):
+    # the running trapezoid sum is scipy's, operation for operation, on
+    # uniform and nonuniform grids
+    rng = np.random.default_rng(int(10 * b))
+    p = _params(sigma=0.7, b=b, beta=0.6)
+    for grid in (uniform_grid(50, 2.0), np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 0.1, 40))))):
+        rows = rng.standard_normal((7, grid.size))
+        rows[:, 0] = 0.0
+        th = theta_weight(grid, p)
+        scipy_form = th[None, :] * rows - cumulative_trapezoid(
+            (p.b * (1.0 - p.beta) * th)[None, :] * rows, grid, axis=1, initial=0.0)
+        assert np.array_equal(tilde_w_matrix(rows, grid, p), scipy_form)
+
+
+_GRID_20 = uniform_grid(20, 1.0)
+
+
+@pytest.mark.parametrize(
+    "kernel, n",
+    [(brownian_kernel(), 40), (fbm_kernel(0.7), 1024), (fbm_kernel(0.3), 40),
+     (custom_kernel(_GRID_20, np.minimum.outer(_GRID_20, _GRID_20), 0.5), 20)],
+    ids=["brownian", "fbm-circulant", "fbm-cholesky", "custom"],
+)
+def test_sample_tilde_w_maps_the_driver_matrix_bitwise(kernel, n):
+    p = _params(sigma=0.9, b=1.5, beta=0.7)
+    grid = uniform_grid(n, 1.0)
+    for count in (1, 31, 32, 33, 70):
+        expected = tilde_w_matrix(sample_path_matrix(kernel, grid, count, seed=5), grid, p)
+        assert np.array_equal(sample_tilde_w(kernel, grid, count, 5, p), expected)
 
 
 def test_tilde_w_covariance_zero_noise():
