@@ -144,6 +144,14 @@ def _get(obj: dict, key: str, ctx: str, kind=float, required=True, default=None)
     raise AssertionError(kind)
 
 
+def _count(obj: dict, key: str, ctx: str) -> int:
+    """Read ``obj[key]`` as an integer of at least 1 (a number of paths)."""
+    value = _get(obj, key, ctx, kind=int)
+    if value < 1:
+        raise ConfigError(f"{ctx}.{key}: must be >= 1")
+    return value
+
+
 def _present(obj: dict, keys, ctx: str, kind=float) -> dict:
     """The given keys that ``obj`` sets, read with _get; the library owns the defaults."""
     return {key: _get(obj, key, ctx, kind=kind) for key in keys if key in obj}
@@ -255,7 +263,7 @@ def _cmd_ensemble(cfg: dict, args) -> list:
     n, horizon = _grid_from(_get(cfg, "grid", "config", kind=dict))
     ens = _get(cfg, "ensemble", "config", kind=dict)
     _check_keys(ens, {"M", "p_exponents", "marginal_times"}, "ensemble")
-    m_count = _get(ens, "M", "ensemble", kind=int)
+    m_count = _count(ens, "M", "ensemble")
     optional = _present(ens, ("p_exponents", "marginal_times"), "ensemble", kind=tuple)
     write_paths = _get(cfg, "write_paths", "config", kind=bool, required=False, default=False)
     seed = _seed_from(cfg, args)
@@ -292,7 +300,7 @@ def _cmd_hit_times(cfg: dict, args) -> list:
     if not horizons or any(not _is_number(t) or t <= 0 for t in horizons):
         raise ConfigError("horizons: expected an array of positive numbers")
     spu = _present(cfg, ("steps_per_unit",), "config", kind=int)
-    m_count = _get(cfg, "M", "config", kind=int)
+    m_count = _count(cfg, "M", "config")
     seed = _seed_from(cfg, args)
     rates = hitting_time_stats(model, kernel, m_count, horizons, seed=seed, **spu)
     out = os.path.join(args.out, "hit_times.json")
@@ -320,7 +328,7 @@ def _cmd_survival(cfg: dict, args) -> list:
         )
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
     n, horizon = _grid_from(_get(cfg, "grid", "config", kind=dict))
-    m_count = _get(cfg, "M", "config", kind=int)
+    m_count = _count(cfg, "M", "config")
     seed = _seed_from(cfg, args)
     report = survival_bound_check(y0, model, kernel, uniform_grid(n, horizon), m_count, seed)
     out = os.path.join(args.out, "survival.json")
@@ -412,12 +420,12 @@ def _cmd_pk_sensitivity(cfg: dict, args) -> list:
         raise ConfigError("tau.kind: expected 'fixed' or 'hit_capped'")
     tau_time = _get(tau_cfg, "time", "tau", required=(tau_kind == "fixed"))
     n, horizon = _grid_from(_get(cfg, "grid", "config", kind=dict))
-    m_count = _get(cfg, "M", "config", kind=int)
+    m_count = _count(cfg, "M", "config")
     method = _get(cfg, "method", "config", kind=str, required=False, default="pathwise")
     if method not in ("pathwise", "fd"):
         raise ConfigError("method: expected 'pathwise' or 'fd'")
     seed = _seed_from(cfg, args)
-    with _config_errors("tau"):
+    with _config_errors("tau.time"):  # M, tau.kind and the grid are checked above
         spec = SensitivitySpec(
             F=func,
             Fdot=fdot,

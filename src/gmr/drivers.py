@@ -41,6 +41,7 @@ __all__ = [
     "uniform_grid",
     "kernel_eval",
     "covariance_matrix",
+    "covariance_rows",
     "sample_paths",
     "sample_path_matrix",
     "driver_blocks",
@@ -215,21 +216,37 @@ def kernel_eval(kernel: CovarianceKernel, s: float, t: float) -> float:
 
 def covariance_matrix(kernel: CovarianceKernel, times: np.ndarray) -> np.ndarray:
     """Covariance matrix of the driver on the given times (symmetric)."""
+    return covariance_rows(kernel, times, 0, np.size(times))
+
+
+def covariance_rows(kernel: CovarianceKernel, times: np.ndarray, start: int,
+                    stop: int) -> np.ndarray:
+    """Rows start to stop - 1 of covariance_matrix(kernel, times), bitwise.
+
+    Each entry is computed from its own pair of times (or read from a
+    custom kernel's matrix), so a caller that walks the matrix in row
+    blocks never holds all of it.
+    """
     times = np.asarray(times, dtype=float)
+    rows = times[start:stop]
     if kernel.kind == "fbm":
         h2 = 2.0 * kernel.hurst
         pw = times**h2
         if times.size > 2 and _is_uniform(times):
             # uniform grid: |t_i - t_j| takes only n distinct values, so a
-            # 1-d power table + Toeplitz beats n^2 fractional pow calls
+            # 1-d power table + Toeplitz beats n^2 fractional pow calls;
+            # row start of the Toeplitz block is lag[|start - j|]
             dt = times[1] - times[0]
             lag = (np.arange(times.size) * dt) ** h2
-            return 0.5 * (pw[:, None] + pw[None, :] - toeplitz(lag))
-        return 0.5 * (pw[:, None] + pw[None, :] - np.abs(times[:, None] - times[None, :]) ** h2)
+            first_row = np.concatenate((lag[start::-1], lag[1:times.size - start]))
+            return 0.5 * (pw[start:stop, None] + pw[None, :]
+                          - toeplitz(lag[start:stop], first_row))
+        return 0.5 * (pw[start:stop, None] + pw[None, :]
+                      - np.abs(rows[:, None] - times[None, :]) ** h2)
     if kernel.kind == "brownian":
-        return np.minimum(times[:, None], times[None, :])
+        return np.minimum(rows[:, None], times[None, :])
     idx = np.array([grid_index(kernel.grid, t) for t in times])
-    return kernel.matrix[np.ix_(idx, idx)]
+    return kernel.matrix[np.ix_(idx[start:stop], idx)]
 
 
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from .drivers import (
     uniform_grid,
 )
 from .solver import deterministic_ode_solution, nested_sup_errors, solve_matrix, sup_bound
-from .transform import ModelParams, sample_tilde_w, tilde_w_covariance_matrix, tilde_w_matrix
+from .transform import ModelParams, sample_tilde_w, tilde_w_matrix, tilde_w_variance
 
 __all__ = [
     "EnsembleSpec",
@@ -195,17 +195,25 @@ def survival_bound_check(
     horizon; its probability is at least 1 - 2 exp(-y0^2 / (2 sbar^2))
     with sbar^2 the largest variance of wtilde on the grid, provided
     2 sbar^2 ln 2 < y0^2 (otherwise the check is reported not applicable).
+
+    Each block of sampled paths is reduced to its no-hit flags as it is
+    drawn, and sbar^2 comes from row blocks of the driver covariance
+    (tilde_w_variance), so neither the (M, n+1) paths nor an (n+1)^2
+    matrix is held.
     """
     if y0 <= 0:
         raise ValueError("y0 must be positive")
     if M < 1:
         raise ValueError("M must be >= 1")
     grid = np.asarray(grid, dtype=float)
-    sigma_bar_sq = float(np.max(np.diag(tilde_w_covariance_matrix(p, kernel, grid))))
+    blocks = driver_blocks(kernel, grid, M, seed)  # checks the grid before the O(n^2) work
+    sigma_bar_sq = float(np.max(tilde_w_variance(p, kernel, grid)))
     applicable = 2.0 * sigma_bar_sq * math.log(2.0) < y0**2
     bound = 1.0 - 2.0 * math.exp(-(y0**2) / (2.0 * sigma_bar_sq)) if sigma_bar_sq > 0 else 1.0
-    wt = sample_tilde_w(kernel, grid, M, seed, p)
-    empirical = float(np.mean(np.min(wt, axis=1) > -y0))
+    survived = np.empty(M, dtype=bool)
+    for start, rows in blocks:
+        survived[start:start + rows.shape[0]] = np.min(tilde_w_matrix(rows, grid, p), axis=1) > -y0
+    empirical = float(np.mean(survived))
     se = math.sqrt(empirical * (1.0 - empirical) / M)
     passed = bool(applicable and empirical >= bound - 2.0 * se)
     return SurvivalReport(
@@ -238,7 +246,8 @@ def hitting_time_stats(
 
     One ensemble is simulated on the largest horizon and each path's hit
     time reused across horizons, so the fractions are monotone by
-    construction.
+    construction. Each block of sampled paths is solved as it is drawn
+    and only its hit indices are kept.
     """
     if p.a != 0.0:
         raise ValueError("hitting-time statistics apply to the a = 0 solution")
@@ -252,7 +261,10 @@ def hitting_time_stats(
     t_max = horizons[-1]
     n = max(2, int(round(steps_per_unit * t_max)))
     times = uniform_grid(n, t_max)
-    _, _, hit_steps = solve_matrix(p, times, sample_tilde_w(kernel, times, M, seed, p))
+    hit_steps = np.empty(M, dtype=int)
+    for start, rows in driver_blocks(kernel, times, M, seed):
+        hit_steps[start:start + rows.shape[0]] = solve_matrix(
+            p, times, tilde_w_matrix(rows, times, p))[2]
     hit_time = np.where(hit_steps < times.size, times[np.minimum(hit_steps, n)], np.inf)
     out = []
     for t in horizons:

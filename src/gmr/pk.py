@@ -27,13 +27,14 @@ from .drivers import (
     CovarianceKernel,
     SamplePath,
     covariance_matrix,
+    driver_blocks,
     grid_index,
     sample_paths,
     uniform_grid,
     _cholesky_with_jitter,
 )
 from .solver import solve_gmr
-from .transform import ModelParams, check_lift, first_hit, lift, sample_tilde_w
+from .transform import ModelParams, check_lift, first_hit, lift, tilde_w_matrix
 
 __all__ = [
     "AdmissibilityError",
@@ -622,7 +623,9 @@ class SensitivitySpec:
     F and its derivative are supplied by the caller (their polynomial
     growth is trusted, not verified; finiteness is checked on the
     simulated range). tau is either a fixed time capped at the zero hit,
-    or the zero hit itself capped at the horizon.
+    or the zero hit itself capped at the horizon. A fixed time must be a
+    point of the uniform n-step grid on [0, horizon]; it is checked here,
+    before any path is drawn.
     """
 
     F: Callable[[np.ndarray], np.ndarray]
@@ -644,6 +647,8 @@ class SensitivitySpec:
             raise ValueError("M must be >= 1")
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        if self.tau_kind == "fixed":
+            grid_index(uniform_grid(self.n, self.horizon), self.tau_time)
 
 
 @dataclass(frozen=True)
@@ -655,40 +660,42 @@ class SensitivityReport:
     capped_fraction: float
 
 
-def _tau_and_level(mp: ModelParams, spec: SensitivitySpec, wt: np.ndarray,
-                   times: np.ndarray):
-    """Per-path stopping time, clamped transformed level and concentration.
+def _stopped_levels(pk: PkParams, xs, spec: SensitivitySpec, kernel: CovarianceKernel):
+    """Per-path stopping time and transformed level at each initial concentration in xs.
 
-    The level x^(1-beta) + wtilde (x = mp.x0) is followed until the
-    requested time or its first nonpositive grid value, whichever comes
-    first; absorbed paths carry level 0 (they contribute F(0) and a
-    vanishing weight). A lift that is not finite raises OverflowError.
+    The level x^(1-beta) + wtilde is followed until the requested time or
+    its first nonpositive grid value, whichever comes first; absorbed
+    paths carry level 0 (they contribute F(0) and a vanishing weight).
+    wtilde does not depend on x, so one pass over the sampler's blocks
+    maps each block once for every x and keeps only per-path scalars; a
+    fixed tau maps and scans the columns up to it only. Returns, per x,
+    (model, tau, y_tau, capped) as (M,) arrays.
     """
-    y = mp.y0 + wt
-    first_dead = first_hit(y)  # == n+1 when never absorbed
-    if spec.tau_kind == "fixed":
-        k_star = grid_index(times, spec.tau_time)
-        tau_idx = np.minimum(k_star, first_dead)
-        capped = first_dead <= k_star
-    else:
-        tau_idx = np.minimum(first_dead, times.size - 1)
-        capped = first_dead < times.size
-    rows = np.arange(y.shape[0])
-    y_tau = np.where(capped, 0.0, y[rows, np.minimum(tau_idx, times.size - 1)])
-    tau = times[tau_idx]
+    if any(x <= 0 for x in xs):
+        raise ValueError("initial concentration must be positive")
+    models = [pk.to_model_params(x0=x) for x in xs]
+    times = uniform_grid(spec.n, spec.horizon)
+    last = grid_index(times, spec.tau_time) if spec.tau_kind == "fixed" else spec.n
+    out = [(mp, np.empty(spec.M), np.empty(spec.M), np.empty(spec.M, dtype=bool))
+           for mp in models]
+    for start, rows in driver_blocks(kernel, times, spec.M, spec.seed):
+        wt = tilde_w_matrix(rows[:, :last + 1], times[:last + 1], models[0])
+        block = slice(start, start + rows.shape[0])
+        for mp, tau, y_tau, capped in out:
+            y = mp.y0 + wt
+            first_dead = first_hit(y)  # == last + 1 when not absorbed by then
+            tau_idx = np.minimum(first_dead, last)
+            capped[block] = first_dead <= last
+            tau[block] = times[tau_idx]
+            y_tau[block] = np.where(capped[block], 0.0, y[np.arange(y.shape[0]), tau_idx])
+    return out
+
+
+def _concentration(mp: ModelParams, tau: np.ndarray, y_tau: np.ndarray) -> np.ndarray:
+    """The lift of each path's stopped level; OverflowError if one is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         c_tau = lift(y_tau, tau, mp)
-    return tau, y_tau, check_lift(c_tau, tau, mp), capped
-
-
-def _ensemble_wtilde(pk: PkParams, x: float, spec: SensitivitySpec,
-                    kernel: CovarianceKernel):
-    """The model at initial concentration x, the grid and the spec's wtilde rows."""
-    if x <= 0:
-        raise ValueError("initial concentration must be positive")
-    mp = pk.to_model_params(x0=x)
-    times = uniform_grid(spec.n, spec.horizon)
-    return mp, times, sample_tilde_w(kernel, times, spec.M, spec.seed, mp)
+    return check_lift(c_tau, tau, mp)
 
 
 def _finite(values, name: str) -> np.ndarray:
@@ -708,8 +715,8 @@ def concentration_functional_samples(
     pk: PkParams, x: float, spec: SensitivitySpec, kernel: CovarianceKernel
 ) -> np.ndarray:
     """Per-path values F(C_tau^x) for the spec's ensemble (for oracles)."""
-    mp, times, wt = _ensemble_wtilde(pk, x, spec, kernel)
-    return _finite(spec.F(_tau_and_level(mp, spec, wt, times)[2]), "F")
+    [(mp, tau, y_tau, _)] = _stopped_levels(pk, (x,), spec, kernel)
+    return _finite(spec.F(_concentration(mp, tau, y_tau)), "F")
 
 
 def sensitivity_plsin(
@@ -722,9 +729,8 @@ def sensitivity_plsin(
     over the driver ensemble; paths absorbed before a fixed tau enter at
     the capped time, where the weight vanishes.
     """
-    mp, times, wt = _ensemble_wtilde(pk, x, spec, kernel)
-    tau, y_tau, c_tau, capped = _tau_and_level(mp, spec, wt, times)
-    fdot = _finite(spec.Fdot(c_tau), "Fdot")
+    [(mp, tau, y_tau, capped)] = _stopped_levels(pk, (x,), spec, kernel)
+    fdot = _finite(spec.Fdot(_concentration(mp, tau, y_tau)), "Fdot")
     return _report(x**-pk.beta * np.exp(-pk.Ke * tau) * fdot * y_tau**mp.gamma, spec, capped)
 
 
@@ -742,11 +748,9 @@ def sensitivity_fd(
     """
     if not 0.0 < h < x:
         raise ValueError("bump must satisfy 0 < h < x")
-    _, times, wt = _ensemble_wtilde(pk, x, spec, kernel)
-    values = {}
+    values = []
     capped_any = np.zeros(spec.M, dtype=bool)
-    for bump in (x + h, x - h):
-        _, _, c_tau, capped = _tau_and_level(pk.to_model_params(x0=bump), spec, wt, times)
-        values[bump] = _finite(spec.F(c_tau), "F")
+    for mp, tau, y_tau, capped in _stopped_levels(pk, (x + h, x - h), spec, kernel):
+        values.append(_finite(spec.F(_concentration(mp, tau, y_tau)), "F"))
         capped_any |= capped
-    return _report((values[x + h] - values[x - h]) / (2.0 * h), spec, capped_any)
+    return _report((values[0] - values[1]) / (2.0 * h), spec, capped_any)

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import CovarianceKernel, SamplePath, covariance_matrix, driver_blocks
+from .drivers import (
+    CovarianceKernel,
+    SamplePath,
+    covariance_matrix,
+    covariance_rows,
+    driver_blocks,
+)
 
 __all__ = [
     "ModelParams",
@@ -27,12 +33,17 @@ __all__ = [
     "tilde_w_matrix",
     "sample_tilde_w",
     "tilde_w_covariance_matrix",
+    "tilde_w_variance",
     "y0_from_x0",
     "lift",
     "check_lift",
     "first_hit",
     "explicit_a0_matrix",
 ]
+
+# rows of the driver covariance per block in tilde_w_variance: a few
+# (_VARIANCE_ROWS, n+1) arrays at a time, 8 MiB each at n = 4096
+_VARIANCE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -131,6 +142,13 @@ def sample_tilde_w(kernel: CovarianceKernel, times: np.ndarray, count: int, seed
     return out
 
 
+def _checked_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly increasing and start at 0")
+    return grid
+
+
 def tilde_w_covariance_matrix(
     p: ModelParams,
     kernel: CovarianceKernel,
@@ -142,12 +160,49 @@ def tilde_w_covariance_matrix(
     path, so Cov(wtilde) = A C A^T: tilde_w_matrix on the rows of C gives
     C A^T, and on the rows of its transpose A C, A C A^T. Exact when b = 0.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing and start at 0")
+    grid = _checked_grid(grid)
     cov_at = tilde_w_matrix(covariance_matrix(kernel, grid), grid, p)
     out = tilde_w_matrix(cov_at.T, grid, p)
     return 0.5 * (out + out.T)
+
+
+def tilde_w_variance(p: ModelParams, kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
+    """Variance of wtilde at each grid point: np.diag(tilde_w_covariance_matrix(...)), bitwise.
+
+    The rows of C A^T are tilde_w_matrix of the rows of C, made
+    _VARIANCE_ROWS at a time, so memory is O(_VARIANCE_ROWS n) instead
+    of O(n^2). Entry k of the diagonal is the second map's value on
+    column k of C A^T, whose running trapezoid sum needs rows 0 to k
+    only: that sum runs down the columns from block to block, carried in
+    one row. numpy accumulates in order, so every partial sum is the
+    full map's.
+    """
+    grid = _checked_grid(grid)
+    th = theta_weight(grid, p)
+    dth = p.b * (1.0 - p.beta) * th
+    dt = np.diff(grid)
+    diag = np.empty(grid.size)
+    for start in range(0, grid.size, _VARIANCE_ROWS):
+        stop = min(start + _VARIANCE_ROWS, grid.size)
+        cat = tilde_w_matrix(covariance_rows(kernel, grid, start, stop), grid, p)
+        v = dth[start:stop, None] * cat
+        # trapezoid j pairs rows j and j + 1 of v; this block completes
+        # trapezoids first to stop - 2, the first with the block before's row
+        first = max(start - 1, 0)
+        sums = np.empty((stop - 1 - first, grid.size))
+        if start > 0:
+            np.add(v[0], v_last, out=sums[0])
+        np.add(v[1:], v[:-1], out=sums[start - first:])
+        sums *= dt[first:stop - 1, None]
+        sums /= 2.0
+        if start > 0:
+            sums[0] += sum_last
+        np.cumsum(sums, axis=0, out=sums)
+        diag[start:stop] = th[start:stop] * cat.diagonal(start)
+        k = np.arange(max(start, 1), stop)
+        diag[k] -= sums[k - 1 - first, k]
+        v_last, sum_last = v[-1].copy(), sums[-1].copy()
+    return diag
 
 
 def y0_from_x0(x0: float, p: ModelParams) -> float:
@@ -186,8 +241,11 @@ def first_hit(level: np.ndarray) -> np.ndarray:
     The length of that axis where there is no such index. NaN counts as
     a hit.
     """
-    dead = ~(level > 0.0)
-    return np.where(dead.any(axis=-1), dead.argmax(axis=-1), dead.shape[-1])
+    return _first_true(~(level > 0.0))
+
+
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    return np.where(mask.any(axis=-1), mask.argmax(axis=-1), mask.shape[-1])
 
 
 def explicit_a0_matrix(tilde_w: np.ndarray, times: np.ndarray, p: ModelParams):
@@ -210,9 +268,13 @@ def explicit_a0_matrix(tilde_w: np.ndarray, times: np.ndarray, p: ModelParams):
     if p.a != 0.0:
         raise ValueError("explicit solution requires a = 0")
     y = p.y0 + tilde_w
+    # lift(max(y, 0)) in place: x holds no more than one (M, n+1) array
+    x = np.where(y > 0.0, y, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = lift(np.where(y > 0.0, y, 0.0), times, p)
-    hit = first_hit(np.where(np.isfinite(x), x, 1.0))
+        x **= p.gamma + 1.0
+        x *= np.exp(-p.b * times)
+    # x is >= 0, inf or NaN: only a finite 0 is a hit
+    hit = _first_true(x <= 0.0)
     x[np.arange(x.shape[-1]) >= hit[..., None]] = 0.0
     check_lift(x, times, p)  # only values before the hit are left to check
     return x, y, hit

@@ -448,6 +448,11 @@ SURV_TEXT = (
     '{"y0": 1.0, "model": {"b": 1.0, "sigma": 0.3, "beta": 0.7},'
     ' "kernel": {"kind": "fbm", "hurst": 0.8}, "grid": {"n": 16, "T": 1.0}, "M": 0, "seed": 9}'
 )
+SENS_TEXT = (
+    '{"pk": {"A0": 1.0, "v": 1.0, "Ke": 4.0, "sigma": 1.0, "beta": 0.8},'
+    ' "kernel": {"kind": "fbm", "hurst": 0.8}, "x": 1.0, "functional": "square",'
+    ' "tau": {"kind": "fixed", "time": %s}, "grid": {"n": 16, "T": 1.0}, "M": %s, "seed": 9}'
+)
 
 
 @pytest.mark.parametrize(
@@ -460,21 +465,24 @@ SURV_TEXT = (
         ("ensemble", ENS_TEXT % (', "marginal_times": ["0.5"]', ""), "marginal_times"),
         ("ensemble", ENS_TEXT % ("", '"write_paths": "yes", '), "write_paths"),
         ("ensemble", ENS_TEXT % (', "marginal_times": [0.3]', ""), "marginal_times"),
-        ("hit-times", HIT_TEXT % ("0", ""), "M"),
+        ("hit-times", HIT_TEXT % ("0", ""), "config.M"),
         ("hit-times", HIT_TEXT % ("4", '"steps_per_unit": 0, '), "steps_per_unit"),
         ("hit-times", HIT_TEXT % ("4", '"steps_per_unit": -3, '), "steps_per_unit"),
-        ("survival", SURV_TEXT, "M"),
+        ("survival", SURV_TEXT, "config.M"),
         ("converge", CONV_TEXT % ("[4, 8]", "0"), "ref_n"),
         ("converge", CONV_TEXT % ("[true, 8]", "64"), "n_list"),
         ("simulate", SIM_TEXT % ("0.5", "1e-320"), "T"),
         ("pk-fit", FIT_TEXT % "0", "quad_refine"),
         ("pk-fit", FIT_TEXT % "-1", "quad_refine"),
+        ("pk-sensitivity", SENS_TEXT % ("0.5", "0"), "config.M"),
+        ("pk-sensitivity", SENS_TEXT % ("0.3", "40"), "tau.time"),  # off the 16-step grid
     ],
     ids=["nan-sigma", "infinite-T", "scalar-p_exponents", "nan-p_exponents",
          "string-marginal_times", "string-write_paths", "off-grid-marginal_times",
          "hit-times-zero-M", "hit-times-zero-steps_per_unit", "hit-times-negative-steps_per_unit",
          "survival-zero-M", "converge-zero-ref_n", "converge-boolean-n_list", "subnormal-T",
-         "pk-fit-zero-quad_refine", "pk-fit-negative-quad_refine"],
+         "pk-fit-zero-quad_refine", "pk-fit-negative-quad_refine", "pk-sensitivity-zero-M",
+         "pk-sensitivity-off-grid-tau-time"],
 )
 def test_bad_config_values_exit_1_before_writing(tmp_path, capsys, monkeypatch, command, text,
                                                  key):

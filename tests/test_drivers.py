@@ -9,6 +9,7 @@ from gmr.drivers import (
     SamplePath,
     brownian_kernel,
     covariance_matrix,
+    covariance_rows,
     custom_kernel,
     driver_factor,
     fbm_kernel,
@@ -88,6 +89,42 @@ def test_covariance_matrix_uniform_fast_path_matches_dense():
     dense = 0.5 * (t[:, None] ** h2 + t[None, :] ** h2 - np.abs(t[:, None] - t[None, :]) ** h2)
     fast = covariance_matrix(fbm_kernel(0.8), t)
     np.testing.assert_allclose(fast, dense, rtol=0, atol=1e-15)
+
+
+def _whole_covariance(kernel, t):
+    """The covariance matrix as one expression per route, from before it was
+    built from row blocks: the oracle of covariance_rows."""
+    from scipy.linalg import toeplitz
+
+    if kernel.kind == "fbm":
+        h2 = 2.0 * kernel.hurst
+        pw = t**h2
+        if t.size > 2 and np.allclose(np.diff(t), t[1], rtol=1e-9, atol=0):
+            lag = (np.arange(t.size) * (t[1] - t[0])) ** h2
+            return 0.5 * (pw[:, None] + pw[None, :] - toeplitz(lag))
+        return 0.5 * (pw[:, None] + pw[None, :] - np.abs(t[:, None] - t[None, :]) ** h2)
+    if kernel.kind == "brownian":
+        return np.minimum(t[:, None], t[None, :])
+    return kernel.matrix
+
+
+@pytest.mark.parametrize("route", ["fbm-uniform", "fbm-nonuniform", "brownian", "custom"])
+def test_covariance_rows_are_the_whole_matrix_rows_bitwise(route):
+    uniform = uniform_grid(300, 1.3)
+    t = {"fbm-nonuniform": np.concatenate(([0.0], np.cumsum(
+        np.random.default_rng(1).uniform(0.1, 1.0, 200)))), "custom": uniform_grid(40, 1.0)
+    }.get(route, uniform)
+    kernel = {
+        "fbm-uniform": fbm_kernel(0.8),
+        "fbm-nonuniform": fbm_kernel(0.3),
+        "brownian": brownian_kernel(),
+        "custom": custom_kernel(t, covariance_matrix(fbm_kernel(0.4), t), holder_exponent=0.4),
+    }[route]
+    whole = _whole_covariance(kernel, t)
+    assert np.array_equal(covariance_matrix(kernel, t), whole)
+    size = t.size
+    for start, stop in [(0, 1), (1, 2), (5, 17), (0, size), (size // 2, size), (size - 1, size)]:
+        assert np.array_equal(covariance_rows(kernel, t, start, stop), whole[start:stop])
 
 
 def test_sample_paths_deterministic_and_start_at_zero():

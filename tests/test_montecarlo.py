@@ -14,6 +14,7 @@ from gmr.drivers import (
 )
 from gmr.montecarlo import (
     EnsembleSpec,
+    HorizonHitRate,
     density_smoke,
     ensemble_simulate,
     hitting_time_stats,
@@ -37,9 +38,11 @@ from gmr.transform import (
     explicit_a0_matrix,
     first_hit,
     lift,
+    sample_tilde_w,
     tilde_w_covariance_matrix,
     tilde_w_matrix,
 )
+from test_pk import ROUTES, traced_peak
 from test_solver import scalar_scheme
 
 
@@ -201,6 +204,82 @@ def test_survival_randomized_sweep():
         assert rep.passed
 
 
+def _full_matrix_hit_rates(p, kernel, M, horizons, n, seed):
+    """hitting_time_stats on the whole (M, n+1) wtilde matrix, as it was
+    before the probe streamed blocks, with the explicit solution's hit rule
+    inline: the oracle of the streamed probe."""
+    t_max = horizons[-1]
+    times = uniform_grid(n, t_max)
+    y = p.y0 + sample_tilde_w(kernel, times, M, seed, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = lift(np.where(y > 0.0, y, 0.0), times, p)
+    hit_steps = first_hit(np.where(np.isfinite(x), x, 1.0))
+    hit_time = np.where(hit_steps < times.size, times[np.minimum(hit_steps, n)], np.inf)
+    out = []
+    for t in horizons:
+        frac = float(np.mean(hit_time <= t * (1 + 1e-12)))
+        se = math.sqrt(frac * (1.0 - frac) / M)
+        out.append(HorizonHitRate(horizon=t, fraction=frac, ci_low=max(0.0, frac - 1.96 * se),
+                                  ci_high=min(1.0, frac + 1.96 * se)))
+    return out
+
+
+@pytest.mark.parametrize("M", [1, 31, 32, 33, 70])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_hitting_time_stats_matches_the_full_matrix_oracle_bitwise(route, M):
+    horizon = 2.0
+    kernel, n = ROUTES[route](horizon)
+    p = ModelParams(x0=1.0, a=0.0, b=2.0, sigma=1.5, beta=0.5)
+    horizons = [0.25, 1.0, horizon]
+    got = hitting_time_stats(p, kernel, M, horizons, steps_per_unit=n // 2, seed=M)
+    assert got == _full_matrix_hit_rates(p, kernel, M, horizons, n, seed=M)
+    if M == 70:
+        assert 0.0 < got[-1].fraction < 1.0
+
+
+@pytest.mark.parametrize("M", [1, 31, 32, 33, 70])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_survival_matches_the_full_matrix_oracle_bitwise(route, M):
+    horizon = 2.0
+    kernel, n = ROUTES[route](horizon)
+    grid = uniform_grid(n, horizon)
+    p = ModelParams(x0=1.0, a=0.0, b=1.0, sigma=3.0, beta=0.7)
+    y0 = 1.0
+    rep = survival_bound_check(y0, p, kernel, grid, M, seed=M)
+    wt = sample_tilde_w(kernel, grid, M, M, p)
+    assert rep.empirical == float(np.mean(np.min(wt, axis=1) > -y0))
+    assert rep.sigma_bar_sq == np.diag(tilde_w_covariance_matrix(p, kernel, grid)).max()
+    if M == 70:
+        assert 0.0 < rep.empirical < 1.0
+
+
+def test_streamed_hit_and_survival_peaks_do_not_grow_with_M():
+    # both probes keep one block of paths and a few bytes per path; on the
+    # whole (M, n+1) matrix the peak grew by 5 (hit times) or 1 (survival)
+    # path arrays of 8 bytes a step
+    p = ModelParams(x0=1.0, a=0.0, b=1.0, sigma=1.0, beta=0.7)
+    grid = uniform_grid(256, 1.0)
+    calls = {
+        "hit times": lambda M: hitting_time_stats(p, fbm_kernel(0.8), M, [0.5, 1.0],
+                                                  steps_per_unit=256, seed=1),
+        "survival": lambda M: survival_bound_check(1.0, p, fbm_kernel(0.8), grid, M, seed=1),
+    }
+    for name, call in calls.items():
+        call(32)  # the first call imports and caches what later calls reuse
+        small, large = (traced_peak(lambda: call(M)) for M in (2000, 8000))
+        assert large - small <= 64 * (8000 - 2000), name
+
+
+def test_survival_variance_memory_grows_linearly_in_n():
+    # sbar^2 comes from row blocks of C: doubling n doubles the peak, where
+    # the (n+1)^2 covariance of wtilde quadrupled it
+    p = ModelParams(x0=1.0, a=0.0, b=1.0, sigma=0.5, beta=0.7)
+    call = lambda n: survival_bound_check(1.0, p, fbm_kernel(0.8), uniform_grid(n, 1.0), 8)
+    call(1024)
+    small, large = (traced_peak(lambda: call(n)) for n in (1024, 2048))
+    assert large <= 3 * small
+
+
 def test_hitting_zero_noise_never_hits():
     p = ModelParams(x0=1.0, a=0.0, b=2.0, sigma=0.0, beta=0.5)
     rates = hitting_time_stats(p, brownian_kernel(), 50, [1.0, 2.0], steps_per_unit=16)
@@ -332,18 +411,15 @@ def test_import_gmr_leaves_scipy_stats_unloaded():
 
 
 def test_ensemble_peak_memory_stays_below_four_and_a_half_path_arrays():
-    # the time-major solve holds wtilde, the nodes, and the lift with its
-    # temporary: 4 (M, n+1) arrays; building the driver matrix took 5
-    import tracemalloc
-
-    spec = _spec(kernel=brownian_kernel(), M=1024, n=1024)
-    tracemalloc.start()
-    try:
-        ensemble_simulate(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * spec.M * (spec.n + 1) * 8
+    # with a > 0 the time-major solve holds wtilde, the nodes, and the lift
+    # with its temporary: 4 (M, n+1) arrays; building the driver matrix took
+    # 5. With a = 0: wtilde, y, x lifted in place and |x| for the sup norms
+    # (a separate level, lift, temporary and finite mask took 5)
+    for a in (1.0, 0.0):
+        spec = _spec(params=ModelParams(x0=1.0, a=a, b=1.0, sigma=0.5, beta=0.7),
+                     kernel=brownian_kernel(), M=1024, n=1024)
+        peak = traced_peak(lambda: ensemble_simulate(spec))
+        assert peak <= 4.5 * spec.M * (spec.n + 1) * 8, a
 
 
 def test_solve_matrix_rows_match_single_path_routines():

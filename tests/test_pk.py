@@ -11,10 +11,10 @@ import gmr.pk
 from gmr.drivers import (
     CovarianceError,
     brownian_kernel,
+    covariance_matrix,
     custom_kernel,
     fbm_kernel,
     grid_index,
-    sample_path_matrix,
     uniform_grid,
     _cholesky_with_jitter,
 )
@@ -35,12 +35,19 @@ from gmr.pk import (
     simulate_concentration,
     z_mean,
     _brent_minimize,
-    _ensemble_wtilde,
     _likelihood_core,
     _log_likelihood_from,
     _ObservationBlock,
+    _stopped_levels,
 )
-from gmr.transform import ModelParams, first_hit, tilde_w_covariance_matrix, tilde_w_matrix
+from gmr.transform import (
+    ModelParams,
+    check_lift,
+    first_hit,
+    lift,
+    sample_tilde_w,
+    tilde_w_covariance_matrix,
+)
 
 FIG1 = dict(A0=1.0, v=1.0, Ke=4.0, sigma=1.0, beta=0.8)
 
@@ -568,14 +575,108 @@ def _sens_spec(F, Fdot, **kw):
     return SensitivitySpec(**base)
 
 
-@pytest.mark.parametrize("kernel, n", [(fbm_kernel(0.7), 64), (fbm_kernel(0.7), 1024)],
-                         ids=["cholesky", "circulant"])
-def test_ensemble_wtilde_maps_the_driver_matrix_bitwise(kernel, n):
+def _full_matrix_stopping(mp, spec, wt, times):
+    """Per-path (tau, y_tau, C_tau, capped) on the whole (M, n+1) wtilde
+    matrix, as the estimators computed them before they streamed blocks:
+    the oracle of the streamed rows."""
+    y = mp.y0 + wt
+    first_dead = first_hit(y)
+    if spec.tau_kind == "fixed":
+        k_star = grid_index(times, spec.tau_time)
+        tau_idx = np.minimum(k_star, first_dead)
+        capped = first_dead <= k_star
+    else:
+        tau_idx = np.minimum(first_dead, times.size - 1)
+        capped = first_dead < times.size
+    rows = np.arange(y.shape[0])
+    y_tau = np.where(capped, 0.0, y[rows, np.minimum(tau_idx, times.size - 1)])
+    tau = times[tau_idx]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_tau = lift(y_tau, tau, mp)
+    return tau, y_tau, check_lift(c_tau, tau, mp), capped
+
+
+def _oracle_report(samples, spec, capped):
+    se = float(np.std(samples, ddof=1) / math.sqrt(spec.M)) if spec.M > 1 else 0.0
+    return gmr.pk.SensitivityReport(estimate=float(np.mean(samples)), std_error=se, M=spec.M,
+                                    tau_kind=spec.tau_kind,
+                                    capped_fraction=float(np.mean(capped)))
+
+
+def _custom_fbm_kernel(n, horizon):
+    grid = uniform_grid(n, horizon)
+    mixed = 0.5 * (np.minimum.outer(grid, grid) + covariance_matrix(fbm_kernel(0.4), grid))
+    return custom_kernel(grid, mixed, holder_exponent=0.4)
+
+
+# (kernel, n) on [0, horizon] for each sampler route: Brownian cumsum,
+# Cholesky GEMM, circulant embedding and a custom kernel's Cholesky factor
+ROUTES = {
+    "brownian": lambda horizon: (brownian_kernel(), 64),
+    "cholesky": lambda horizon: (fbm_kernel(0.7), 64),
+    "circulant": lambda horizon: (fbm_kernel(0.7), 1024),
+    "custom": lambda horizon: (_custom_fbm_kernel(64, horizon), 64),
+}
+
+
+@pytest.mark.parametrize("M", [1, 31, 32, 33, 70])
+@pytest.mark.parametrize("tau_kind", ["fixed", "hit_capped"])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_streamed_sensitivity_matches_the_full_matrix_oracle_bitwise(route, tau_kind, M):
+    kernel, n = ROUTES[route](1.0)
+    pk = PkParams(A0=1.0, v=1.0, Ke=2.0, sigma=4.0, beta=0.8)
+    x, h = 0.5, 0.05
+    spec = _sens_spec(np.sin, np.cos, tau_kind=tau_kind, M=M, n=n,
+                      tau_time=0.5 if tau_kind == "fixed" else None, seed=M)
+    times = uniform_grid(n, spec.horizon)
+    streamed = _stopped_levels(pk, (x, x + h, x - h), spec, kernel)
+    full = {}
+    for (mp, tau, y_tau, capped), x0 in zip(streamed, (x, x + h, x - h)):
+        assert mp == pk.to_model_params(x0=x0)
+        wt = sample_tilde_w(kernel, times, M, spec.seed, mp)
+        full[x0] = _full_matrix_stopping(mp, spec, wt, times)
+        assert np.array_equal(tau, full[x0][0])
+        assert np.array_equal(y_tau, full[x0][1])
+        assert np.array_equal(capped, full[x0][3])
+    tau, y_tau, c_tau, capped = full[x]
+    mp = pk.to_model_params(x0=x)
+    weight = x**-pk.beta * np.exp(-pk.Ke * tau) * np.cos(c_tau) * y_tau**mp.gamma
+    assert sensitivity_plsin(pk, x, spec, kernel) == _oracle_report(weight, spec, capped)
+    assert np.array_equal(concentration_functional_samples(pk, x, spec, kernel), np.sin(c_tau))
+    diff = (np.sin(full[x + h][2]) - np.sin(full[x - h][2])) / (2.0 * h)
+    assert sensitivity_fd(pk, x, spec, kernel, h) == _oracle_report(
+        diff, spec, full[x + h][3] | full[x - h][3])
+    if M == 70:
+        assert 0 < np.sum(capped) < M
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated during call()."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("estimator", ["pathwise", "fd"])
+def test_sensitivity_peak_memory_does_not_grow_with_M(estimator):
+    # the estimators keep one block of paths and a few bytes per path; on
+    # the whole (M, n+1) wtilde matrix the peak grew by about 2 path arrays
     pk = PkParams(**FIG1)
-    spec = _sens_spec(np.sin, np.cos, M=75, n=n)
-    mp, times, wt = _ensemble_wtilde(pk, 1.3, spec, kernel)
-    drivers = sample_path_matrix(kernel, times, spec.M, spec.seed)
-    assert np.array_equal(wt, tilde_w_matrix(drivers, times, mp))
+
+    def call(M):
+        spec = _sens_spec(np.sin, np.cos, M=M, n=256, tau_kind="hit_capped", tau_time=None)
+        if estimator == "pathwise":
+            return sensitivity_plsin(pk, 1.0, spec, fbm_kernel(0.8))
+        return sensitivity_fd(pk, 1.0, spec, fbm_kernel(0.8), h=0.01)
+
+    call(32)  # the first call imports and caches what later calls reuse
+    small, large = (traced_peak(lambda: call(M)) for M in (2000, 8000))
+    assert large - small <= 64 * (8000 - 2000)
 
 
 def test_sensitivity_linear_deterministic_exact():
@@ -671,6 +772,9 @@ def test_sensitivity_input_validation():
         sensitivity_fd(pk, 1.0, spec, kern, h=1.0)
     with pytest.raises(ValueError, match="tau_time"):
         SensitivitySpec(F=lambda r: r, Fdot=lambda r: r, tau_kind="fixed", M=8)
+    with pytest.raises(ValueError, match="not on the grid"):  # before any path is drawn
+        SensitivitySpec(F=lambda r: r, Fdot=lambda r: r, tau_kind="fixed", M=8, n=16,
+                        tau_time=0.3)
 
 
 def test_concentration_series_csv(tmp_path):

@@ -25,6 +25,7 @@ from gmr.transform import (
     tilde_w_covariance_matrix,
     tilde_w_matrix,
     tilde_w_path,
+    tilde_w_variance,
     y0_from_x0,
 )
 
@@ -185,6 +186,28 @@ def test_tilde_w_covariance_matches_the_four_term_expansion(kernel, name):
             got = tilde_w_covariance_matrix(p, kernel, grid)
             want = _four_term_covariance(p, kernel, grid)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 255, 256, 600])
+@pytest.mark.parametrize("kernel", [brownian_kernel(), fbm_kernel(0.3), fbm_kernel(0.8), "custom"],
+                         ids=["brownian", "fbm0.3", "fbm0.8", "custom"])
+def test_tilde_w_variance_is_the_covariance_diagonal_bitwise(kernel, n):
+    # row blocks of 256: one block, one full block, and blocks that end
+    # one row into the next and partway through it
+    grid = uniform_grid(n, 1.5)
+    if kernel == "custom":
+        mixed = 0.5 * (np.minimum.outer(grid, grid) + covariance_matrix(fbm_kernel(0.4), grid))
+        kernel = custom_kernel(grid, mixed, holder_exponent=0.4)
+    for b, beta, sigma in ((0.0, 0.5, 1.0), (1.0, 0.7, 0.3), (5.0, 0.2, 2.0)):
+        p = _params(sigma=sigma, b=b, beta=beta)
+        want = np.diag(tilde_w_covariance_matrix(p, kernel, grid))
+        assert np.array_equal(tilde_w_variance(p, kernel, grid), want)
+    nonuniform = build_quad_grid(np.array([0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5]))
+    if kernel.kind == "fbm":
+        assert np.array_equal(tilde_w_variance(p, kernel, nonuniform),
+                              np.diag(tilde_w_covariance_matrix(p, kernel, nonuniform)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        tilde_w_variance(p, kernel, grid[::-1])
 
 
 @pytest.mark.parametrize("kernel", [brownian_kernel(), fbm_kernel(0.7)])
