@@ -145,7 +145,7 @@ def _get(obj: dict, key: str, ctx: str, kind=float, required=True, default=None)
 
 
 def _count(obj: dict, key: str, ctx: str) -> int:
-    """Read ``obj[key]`` as an integer of at least 1 (a number of paths)."""
+    """Read ``obj[key]`` as an integer of at least 1 (a number of paths or steps)."""
     value = _get(obj, key, ctx, kind=int)
     if value < 1:
         raise ConfigError(f"{ctx}.{key}: must be >= 1")
@@ -238,16 +238,18 @@ def _cmd_simulate(cfg: dict, args) -> list:
 def _cmd_converge(cfg: dict, args) -> list:
     _check_keys(cfg, {"model", "kernel", "T", "n_list", "ref_n", "seed"}, "config")
     model = _model_from(_get(cfg, "model", "config", kind=dict))
+    if model.a == 0.0:
+        raise ConfigError("model.a: the rate study runs the scheme, which needs a > 0")
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
     horizon = _get(cfg, "T", "config")
     n_list = _get(cfg, "n_list", "config", kind=list)
     ref_n = _get(cfg, "ref_n", "config", kind=int)
     seed = _seed_from(cfg, args)
     if not n_list or not all(_is_int(n) and n >= 1 for n in n_list):
-        raise ConfigError("n_list: expected a nonempty array of positive integers")
-    _check_steps(ref_n, horizon, "ref_n", "T", 1)
+        raise ConfigError("config.n_list: expected a nonempty array of positive integers")
+    _check_steps(ref_n, horizon, "config.ref_n", "config.T", 1)
     driver = sample_paths(kernel, uniform_grid(ref_n, horizon), 1, seed)[0]
-    with _config_errors("n_list/ref_n"):
+    with _config_errors("config.n_list/ref_n"):
         report = convergence_study(model, driver, n_list, ref_n, kernel.holder_exponent)
     csv_out = os.path.join(args.out, "converge.csv")
     json_out = os.path.join(args.out, "converge.json")
@@ -298,8 +300,9 @@ def _cmd_hit_times(cfg: dict, args) -> list:
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
     horizons = _get(cfg, "horizons", "config", kind=list)
     if not horizons or any(not _is_number(t) or t <= 0 for t in horizons):
-        raise ConfigError("horizons: expected an array of positive numbers")
-    spu = _present(cfg, ("steps_per_unit",), "config", kind=int)
+        raise ConfigError("config.horizons: expected an array of positive numbers")
+    spu = ({"steps_per_unit": _count(cfg, "steps_per_unit", "config")}
+           if "steps_per_unit" in cfg else {})
     m_count = _count(cfg, "M", "config")
     seed = _seed_from(cfg, args)
     rates = hitting_time_stats(model, kernel, m_count, horizons, seed=seed, **spu)
@@ -312,7 +315,7 @@ def _cmd_survival(cfg: dict, args) -> list:
     _check_keys(cfg, {"y0", "model", "kernel", "grid", "M", "seed"}, "config")
     y0 = _get(cfg, "y0", "config")
     if y0 <= 0:
-        raise ConfigError("y0: must be positive")
+        raise ConfigError("config.y0: must be positive")
     raw = _get(cfg, "model", "config", kind=dict)
     _check_keys(raw, {"b", "sigma", "beta"}, "model")
     beta = _get(raw, "beta", "model")
@@ -373,9 +376,9 @@ def _cmd_pk_fit(cfg: dict, args) -> list:
     try:
         obs = ConcentrationSeries.from_csv(obs_path, column=column, drop_nonpositive=drop)
     except OSError as exc:
-        raise ConfigError(f"observations: cannot read {obs_path!r} ({exc})") from exc
+        raise ConfigError(f"config.observations: cannot read {obs_path!r} ({exc})") from exc
     except ValueError as exc:
-        raise ConfigError(f"observations: {exc}") from exc
+        raise ConfigError(f"config.observations: {exc}") from exc
     init_cfg = _get(cfg, "init", "config", kind=dict)
     _check_keys(init_cfg, {"Ke", "sigma", "beta"}, "init")
     init = (
@@ -389,7 +392,7 @@ def _cmd_pk_fit(cfg: dict, args) -> list:
     with _config_errors("bounds"):
         bounds = ThetaBounds(**_present(bounds_cfg, bound_keys, "bounds"))
     refine = _get(cfg, "quad_refine", "config", kind=int, required=False)
-    with _config_errors("quad_refine"):
+    with _config_errors("config.quad_refine"):
         quad = build_quad_grid(obs.times, refine)
     with _config_errors("init"):
         est = fit_mle(obs, kernel, init, a0, vol, bounds=bounds, quad_grid=quad)
@@ -408,10 +411,10 @@ def _cmd_pk_sensitivity(cfg: dict, args) -> list:
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
     x = _get(cfg, "x", "config")
     if x <= 0:
-        raise ConfigError("x: must be positive")
+        raise ConfigError("config.x: must be positive")
     name = _get(cfg, "functional", "config", kind=str)
     if name not in _FUNCTIONALS:
-        raise ConfigError(f"functional: expected one of {sorted(_FUNCTIONALS)}")
+        raise ConfigError(f"config.functional: expected one of {sorted(_FUNCTIONALS)}")
     func, fdot = _FUNCTIONALS[name]
     tau_cfg = _get(cfg, "tau", "config", kind=dict)
     _check_keys(tau_cfg, {"kind", "time"}, "tau")
@@ -423,7 +426,7 @@ def _cmd_pk_sensitivity(cfg: dict, args) -> list:
     m_count = _count(cfg, "M", "config")
     method = _get(cfg, "method", "config", kind=str, required=False, default="pathwise")
     if method not in ("pathwise", "fd"):
-        raise ConfigError("method: expected 'pathwise' or 'fd'")
+        raise ConfigError("config.method: expected 'pathwise' or 'fd'")
     seed = _seed_from(cfg, args)
     with _config_errors("tau.time"):  # M, tau.kind and the grid are checked above
         spec = SensitivitySpec(
@@ -441,7 +444,7 @@ def _cmd_pk_sensitivity(cfg: dict, args) -> list:
     else:
         h = _get(cfg, "h", "config", required=False, default=min(1e-3, 0.5 * x))
         if not 0.0 < h < x:
-            raise ConfigError("h: must satisfy 0 < h < x")
+            raise ConfigError("config.h: must satisfy 0 < h < x")
         report = sensitivity_fd(pk, x, spec, kernel, h)
     payload = {
         "estimate": report.estimate,

@@ -6,7 +6,7 @@ Every route samples exactly:
 
 - Brownian motion is a scaled running sum of normals, O(n) per path;
 - fBm on ``_CIRCULANT_MIN_N`` steps or more embeds its stationary
-  increments in a circulant of size 2m, with m = next_fast_len(n) >= n
+  increments in a circulant of size 2m, with m = _next_fast_len(n) >= n
   (Davies & Harte 1987), whose eigenvalues are nonnegative (Dietrich &
   Newsam 1997), O(n log n) per path after one rfft;
 - fBm on fewer steps and custom kernels go through a dense Cholesky
@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .artifacts import write_csv
 
@@ -232,15 +231,16 @@ def covariance_rows(kernel: CovarianceKernel, times: np.ndarray, start: int,
     if kernel.kind == "fbm":
         h2 = 2.0 * kernel.hurst
         pw = times**h2
-        if times.size > 2 and _is_uniform(times):
+        if times.size > 2 and stop > start and _is_uniform(times):
             # uniform grid: |t_i - t_j| takes only n distinct values, so a
-            # 1-d power table + Toeplitz beats n^2 fractional pow calls;
-            # row start of the Toeplitz block is lag[|start - j|]
+            # 1-d power table beats n^2 fractional pow calls. Entry (i, j)
+            # is lag[|i - j|]: row i is the window of table[m] =
+            # lag[|m - (stop - 1)|] that starts at m = stop - 1 - i, a view
             dt = times[1] - times[0]
             lag = (np.arange(times.size) * dt) ** h2
-            first_row = np.concatenate((lag[start::-1], lag[1:times.size - start]))
-            return 0.5 * (pw[start:stop, None] + pw[None, :]
-                          - toeplitz(lag[start:stop], first_row))
+            table = lag[np.abs(np.arange(stop - start + times.size - 1) - (stop - 1))]
+            toeplitz = sliding_window_view(table, times.size)[::-1]
+            return 0.5 * (pw[start:stop, None] + pw[None, :] - toeplitz)
         return 0.5 * (pw[start:stop, None] + pw[None, :]
                       - np.abs(rows[:, None] - times[None, :]) ** h2)
     if kernel.kind == "brownian":
@@ -318,15 +318,31 @@ def driver_factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
     return _cholesky_with_jitter(cov)
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= n, for n >= 1.
+
+    The fast FFT lengths of scipy.fft.next_fast_len for complex input.
+    Each odd part q below 2n (the power of two at or above n is less than
+    that) is raised by the least power of two that reaches n.
+    """
+    odd = [1]
+    for p in (3, 5, 7, 11):
+        for q in odd[:]:
+            while q * p < 2 * n:
+                q *= p
+                odd.append(q)
+    return min(q << (-(-n // q) - 1).bit_length() for q in odd)
+
+
 def _fgn_circulant_row(hurst: float, n: int, dt: float) -> np.ndarray:
     """First row of a circulant embedding of n fBm increments, of size 2m.
 
-    m = next_fast_len(n) keeps the FFTs fast whatever the factors of n;
+    m = _next_fast_len(n) keeps the FFTs fast whatever the factors of n;
     the first n increments of the m embedded ones are those of the grid.
     Entry k is the autocovariance of fractional Gaussian noise at lag
     ``min(k, 2m - k)`` for steps of length dt.
     """
-    m = next_fast_len(n)
+    m = _next_fast_len(n)
     h2 = 2.0 * hurst
     k = np.arange(m + 1, dtype=float)
     gamma = 0.5 * dt**h2 * ((k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
@@ -431,7 +447,7 @@ def sample_path_matrix(
 
     - Brownian motion: ``sqrt(dt) * cumsum(z)`` from n normals;
     - fBm with n >= _CIRCULANT_MIN_N: the circulant embedding of its
-      increments, from 2 next_fast_len(n) normals (_circulant_paths);
+      increments, from 2 _next_fast_len(n) normals (_circulant_paths);
     - otherwise: the Cholesky factor of the grid covariance, from n normals.
 
     Rows are mapped in blocks of _BLOCK (driver_blocks). On the Cholesky

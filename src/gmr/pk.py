@@ -8,6 +8,9 @@ at its first zero hit. The module provides the deterministic oracle, the
 exact Gaussian likelihood of discrete concentration observations, its
 maximization over theta = (Ke, sigma, beta), and two estimators of the
 sensitivity of E[F(C_tau^x)] to the initial concentration x.
+
+scipy.linalg is imported by the likelihood and the fit when they run,
+so importing gmr does not load scipy.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dtrsv as _dtrsv
 
 from .artifacts import write_csv
 from .drivers import (
@@ -321,6 +322,8 @@ def _likelihood_core(ke, beta, obs, block, A0, v):
     Gamma_1 needs the jitter that Gamma would, up to rounding. A zero
     covariance (from a zero kernel) factors as 0 and raises CovarianceError.
     """
+    from scipy.linalg import solve_triangular
+
     t = obs.times
     omb = 1.0 - beta
     factor = _cholesky_with_jitter(omb**2 * block(ke * omb))
@@ -521,6 +524,8 @@ def fit_mle(
     search stopped on its tolerance, not at the cap, and not at the
     lowest point of the extended scan.
     """
+    from scipy.linalg.blas import dtrsv
+
     init = tuple(float(u) for u in init)
     if not bounds.contains(init):
         raise ValueError("initial theta must lie inside the bounds")
@@ -558,7 +563,7 @@ def fit_mle(
 
         def inner(beta: float) -> float:
             omb = 1.0 - beta
-            half = _dtrsv(upper, x**omb - c0**omb * damp, lower=0, trans=1)
+            half = dtrsv(upper, x**omb - c0**omb * damp, lower=0, trans=1)
             q = float(half @ half) / omb**2
             sigma = min(math.sqrt(q / n), bounds.sigma_max)
             return n * math.log(sigma) + 0.5 * q / sigma**2 + beta * sum_log_x

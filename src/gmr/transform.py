@@ -174,7 +174,8 @@ def tilde_w_variance(p: ModelParams, kernel: CovarianceKernel, grid: np.ndarray)
     of O(n^2). Entry k of the diagonal is the second map's value on
     column k of C A^T, whose running trapezoid sum needs rows 0 to k
     only: that sum runs down the columns from block to block, carried in
-    one row. numpy accumulates in order, so every partial sum is the
+    one row, and a block carries only the columns its rows have not
+    finished. numpy accumulates in order, so every partial sum is the
     full map's.
     """
     grid = _checked_grid(grid)
@@ -185,11 +186,13 @@ def tilde_w_variance(p: ModelParams, kernel: CovarianceKernel, grid: np.ndarray)
     for start in range(0, grid.size, _VARIANCE_ROWS):
         stop = min(start + _VARIANCE_ROWS, grid.size)
         cat = tilde_w_matrix(covariance_rows(kernel, grid, start, stop), grid, p)
-        v = dth[start:stop, None] * cat
+        # columns before start were read by earlier blocks: v and sums
+        # hold columns start to n only
+        v = dth[start:stop, None] * cat[:, start:]
         # trapezoid j pairs rows j and j + 1 of v; this block completes
         # trapezoids first to stop - 2, the first with the block before's row
         first = max(start - 1, 0)
-        sums = np.empty((stop - 1 - first, grid.size))
+        sums = np.empty((stop - 1 - first, grid.size - start))
         if start > 0:
             np.add(v[0], v_last, out=sums[0])
         np.add(v[1:], v[:-1], out=sums[start - first:])
@@ -200,8 +203,8 @@ def tilde_w_variance(p: ModelParams, kernel: CovarianceKernel, grid: np.ndarray)
         np.cumsum(sums, axis=0, out=sums)
         diag[start:stop] = th[start:stop] * cat.diagonal(start)
         k = np.arange(max(start, 1), stop)
-        diag[k] -= sums[k - 1 - first, k]
-        v_last, sum_last = v[-1].copy(), sums[-1].copy()
+        diag[k] -= sums[k - 1 - first, k - start]
+        v_last, sum_last = v[-1, stop - start:].copy(), sums[-1, stop - start:].copy()
     return diag
 
 

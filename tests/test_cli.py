@@ -91,6 +91,53 @@ def test_simulate_byte_identical_reruns(tmp_path, command):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+# put first on sys.meta_path, it refuses every scipy module
+_NO_SCIPY = """
+import sys
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is refused: {name}")
+sys.meta_path.insert(0, NoScipy())
+from gmr.cli import run
+"""
+
+
+def test_cli_runs_without_scipy_byte_identically(tmp_path):
+    # scipy serves only the PK likelihood: every other subcommand runs in a
+    # process that cannot import it and writes the bytes of a normal run,
+    # while pk-fit stops at its scipy import
+    import os
+    import subprocess
+    import sys
+
+    import gmr
+
+    (tmp_path / "obs.csv").write_text(PK_FIT_OBS)
+    lines = [_NO_SCIPY]
+    for command, payload in RERUN_CONFIGS.items():
+        if command == "pk-fit":
+            payload = dict(payload, observations=str(tmp_path / "obs.csv"))
+        cfg = write_config(tmp_path, f"{command}.json", payload)
+        plain, blocked = str(tmp_path / "plain" / command), str(tmp_path / "blocked" / command)
+        argv = [command, "--config", cfg, "--out", blocked]
+        if command == "pk-fit":
+            lines.append(f"try:\n    run({argv!r})\nexcept ImportError:\n    pass\n"
+                         f"else:\n    raise AssertionError('pk-fit ran without scipy')")
+        else:
+            assert run([command, "--config", cfg, "--out", plain]) == 0
+            lines.append(f"assert run({argv!r}) == 0")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gmr.__file__)))
+    subprocess.run([sys.executable, "-c", "\n".join(lines)], check=True, env=env,
+                   capture_output=True)
+    for command in set(RERUN_CONFIGS) - {"pk-fit"}:
+        names = sorted(path.name for path in (tmp_path / "plain" / command).iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "blocked" / command).iterdir())
+        for name in names:
+            assert ((tmp_path / "plain" / command / name).read_bytes()
+                    == (tmp_path / "blocked" / command / name).read_bytes())
+
+
 def test_simulate_csv_round_trips_via_sample_path(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -455,6 +502,11 @@ SENS_TEXT = (
 )
 
 
+def _with(command, **changes):
+    """The text of RERUN_CONFIGS[command] with some top-level keys changed."""
+    return json.dumps({**RERUN_CONFIGS[command], **changes})
+
+
 @pytest.mark.parametrize(
     "command, text, key",
     [
@@ -466,23 +518,38 @@ SENS_TEXT = (
         ("ensemble", ENS_TEXT % ("", '"write_paths": "yes", '), "write_paths"),
         ("ensemble", ENS_TEXT % (', "marginal_times": [0.3]', ""), "marginal_times"),
         ("hit-times", HIT_TEXT % ("0", ""), "config.M"),
-        ("hit-times", HIT_TEXT % ("4", '"steps_per_unit": 0, '), "steps_per_unit"),
-        ("hit-times", HIT_TEXT % ("4", '"steps_per_unit": -3, '), "steps_per_unit"),
+        ("hit-times", HIT_TEXT % ("4", '"steps_per_unit": 0, '),
+         "config.steps_per_unit: must be >= 1"),
+        ("hit-times", HIT_TEXT % ("4", '"steps_per_unit": -3, '),
+         "config.steps_per_unit: must be >= 1"),
+        ("hit-times", _with("hit-times", horizons=[0.5, -1.0]), "config.horizons"),
         ("survival", SURV_TEXT, "config.M"),
-        ("converge", CONV_TEXT % ("[4, 8]", "0"), "ref_n"),
-        ("converge", CONV_TEXT % ("[true, 8]", "64"), "n_list"),
+        ("survival", _with("survival", y0=-1.0), "config.y0: must be positive"),
+        ("converge", CONV_TEXT % ("[4, 8]", "0"), "config.ref_n: must be >= 1"),
+        ("converge", CONV_TEXT % ("[true, 8]", "64"), "config.n_list"),
+        ("converge", CONV_TEXT % ("[8, 32]", "128"), "config.n_list/ref_n"),
+        ("converge", _with("converge", T=-1.0), "config.T: must be positive"),
+        ("converge", _with("converge", model={**MODEL, "a": 0.0}), "model.a"),
         ("simulate", SIM_TEXT % ("0.5", "1e-320"), "T"),
-        ("pk-fit", FIT_TEXT % "0", "quad_refine"),
-        ("pk-fit", FIT_TEXT % "-1", "quad_refine"),
+        ("pk-fit", FIT_TEXT % "0", "config.quad_refine"),
+        ("pk-fit", FIT_TEXT % "-1", "config.quad_refine"),
+        ("pk-fit", _with("pk-fit", observations="absent.csv"), "config.observations"),
         ("pk-sensitivity", SENS_TEXT % ("0.5", "0"), "config.M"),
         ("pk-sensitivity", SENS_TEXT % ("0.3", "40"), "tau.time"),  # off the 16-step grid
+        ("pk-sensitivity", _with("pk-sensitivity", x=-1.0), "config.x: must be positive"),
+        ("pk-sensitivity", _with("pk-sensitivity", h=2.0), "config.h"),
+        ("pk-sensitivity", _with("pk-sensitivity", functional="cube"), "config.functional"),
+        ("pk-sensitivity", _with("pk-sensitivity", method="mc"), "config.method"),
     ],
     ids=["nan-sigma", "infinite-T", "scalar-p_exponents", "nan-p_exponents",
          "string-marginal_times", "string-write_paths", "off-grid-marginal_times",
          "hit-times-zero-M", "hit-times-zero-steps_per_unit", "hit-times-negative-steps_per_unit",
-         "survival-zero-M", "converge-zero-ref_n", "converge-boolean-n_list", "subnormal-T",
-         "pk-fit-zero-quad_refine", "pk-fit-negative-quad_refine", "pk-sensitivity-zero-M",
-         "pk-sensitivity-off-grid-tau-time"],
+         "hit-times-negative-horizon", "survival-zero-M", "survival-negative-y0",
+         "converge-zero-ref_n", "converge-boolean-n_list", "converge-short-ref_n",
+         "converge-negative-T", "converge-zero-a", "subnormal-T", "pk-fit-zero-quad_refine",
+         "pk-fit-negative-quad_refine", "pk-fit-missing-observations", "pk-sensitivity-zero-M",
+         "pk-sensitivity-off-grid-tau-time", "pk-sensitivity-negative-x", "pk-sensitivity-large-h",
+         "pk-sensitivity-unknown-functional", "pk-sensitivity-unknown-method"],
 )
 def test_bad_config_values_exit_1_before_writing(tmp_path, capsys, monkeypatch, command, text,
                                                  key):

@@ -23,6 +23,7 @@ from gmr.drivers import (
     _circulant_paths,
     _circulant_scale,
     _fgn_circulant_row,
+    _next_fast_len,
 )
 
 
@@ -123,7 +124,8 @@ def test_covariance_rows_are_the_whole_matrix_rows_bitwise(route):
     whole = _whole_covariance(kernel, t)
     assert np.array_equal(covariance_matrix(kernel, t), whole)
     size = t.size
-    for start, stop in [(0, 1), (1, 2), (5, 17), (0, size), (size // 2, size), (size - 1, size)]:
+    for start, stop in [(0, 1), (1, 2), (5, 17), (0, size), (size // 2, size), (size - 1, size),
+                        (7, 7)]:
         assert np.array_equal(covariance_rows(kernel, t, start, stop), whole[start:stop])
 
 
@@ -197,6 +199,11 @@ def test_sample_path_matrix_matches_per_path_oracle(n):
         # entries near zero come from cancellation, so scale the tolerance by the path size
         scale = np.abs(oracle).max()
         np.testing.assert_allclose(rows[:, 1:], oracle, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_next_fast_len_is_scipys():
+    assert [_next_fast_len(n) for n in range(1, 20001)] == [
+        next_fast_len(n) for n in range(1, 20001)]
 
 
 def test_circulant_rows_match_one_row_transforms():

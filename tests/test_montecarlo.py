@@ -395,7 +395,8 @@ def test_ensemble_brownian_fault_point_stays_positive_and_finite():
 
 
 def test_import_gmr_leaves_scipy_stats_unloaded():
-    # nor scipy.integrate: tilde_w_matrix sums its trapezoids with numpy
+    # nor any other scipy module: only the PK likelihood and fit import
+    # scipy.linalg, when they run
     import os
     import subprocess
     import sys
@@ -403,11 +404,16 @@ def test_import_gmr_leaves_scipy_stats_unloaded():
     import gmr
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gmr.__file__)))
-    code = "import sys, gmr; print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"
+    code = ("import sys\n"
+            "def scipy_modules(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import gmr\n"
+            "print(scipy_modules())\n"
+            "import gmr.cli\n"
+            "print(scipy_modules())")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_ensemble_peak_memory_stays_below_four_and_a_half_path_arrays():

@@ -188,15 +188,18 @@ def test_tilde_w_covariance_matches_the_four_term_expansion(kernel, name):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n", [2, 255, 256, 600])
+@pytest.mark.parametrize("n", [2, 255, 256, 513, 600, 1100])
 @pytest.mark.parametrize("kernel", [brownian_kernel(), fbm_kernel(0.3), fbm_kernel(0.8), "custom"],
                          ids=["brownian", "fbm0.3", "fbm0.8", "custom"])
 def test_tilde_w_variance_is_the_covariance_diagonal_bitwise(kernel, n):
-    # row blocks of 256: one block, one full block, and blocks that end
-    # one row into the next and partway through it
+    # row blocks of 256: one block, one full block, blocks that end one
+    # row into the next and partway through it, and three and five blocks
     grid = uniform_grid(n, 1.5)
     if kernel == "custom":
         mixed = 0.5 * (np.minimum.outer(grid, grid) + covariance_matrix(fbm_kernel(0.4), grid))
+        # the fBm power table leaves rounding-sized entries on the t = 0
+        # row at some n (1100 among them); the custom kernel must be 0 there
+        mixed[0] = mixed[:, 0] = 0.0
         kernel = custom_kernel(grid, mixed, holder_exponent=0.4)
     for b, beta, sigma in ((0.0, 0.5, 1.0), (1.0, 0.7, 0.3), (5.0, 0.2, 2.0)):
         p = _params(sigma=sigma, b=b, beta=beta)
