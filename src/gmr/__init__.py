@@ -24,6 +24,7 @@ from .montecarlo import (
     EnsembleStats,
     density_smoke,
     ensemble_simulate,
+    ensemble_stats,
     hitting_time_stats,
     lp_convergence_check,
     scaling_identity_check,

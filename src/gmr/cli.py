@@ -32,6 +32,7 @@ from .drivers import (
 from .montecarlo import (
     EnsembleSpec,
     ensemble_simulate,
+    ensemble_stats,
     hitting_time_stats,
     paths_to_csv,
     stats_to_json,
@@ -283,12 +284,15 @@ def _cmd_ensemble(cfg: dict, args) -> list:
     with _config_errors("ensemble.marginal_times"):
         for t in spec.marginal_times:
             grid_index(times, t)
-    result = ensemble_simulate(spec)
     written = [os.path.join(args.out, "ensemble.json")]
+    if not write_paths:
+        # the statistics alone, chunk by chunk: no (M, n+1) array is held
+        stats_to_json(ensemble_stats(spec), written[-1])
+        return written
+    result = ensemble_simulate(spec)
     stats_to_json(result.stats, written[-1])
-    if write_paths:
-        written.append(os.path.join(args.out, "ensemble_paths.csv"))
-        paths_to_csv(result, written[-1])
+    written.append(os.path.join(args.out, "ensemble_paths.csv"))
+    paths_to_csv(result, written[-1])
     return written
 
 

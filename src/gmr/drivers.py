@@ -240,7 +240,14 @@ def covariance_rows(kernel: CovarianceKernel, times: np.ndarray, start: int,
             lag = (np.arange(times.size) * dt) ** h2
             table = lag[np.abs(np.arange(stop - start + times.size - 1) - (stop - 1))]
             toeplitz = sliding_window_view(table, times.size)[::-1]
-            return 0.5 * (pw[start:stop, None] + pw[None, :] - toeplitz)
+            out = 0.5 * (pw[start:stop, None] + pw[None, :] - toeplitz)
+            # t_j^(2H) of the linspace times and (j dt)^(2H) can differ in
+            # the last bit; the t = 0 row and column are exact zeros, as
+            # the pairwise branch below gives them
+            out[:, 0] = 0.0
+            if start == 0:
+                out[0] = 0.0
+            return out
         return 0.5 * (pw[start:stop, None] + pw[None, :]
                       - np.abs(rows[:, None] - times[None, :]) ** h2)
     if kernel.kind == "brownian":

@@ -35,7 +35,7 @@ from .drivers import (
     _cholesky_with_jitter,
 )
 from .solver import solve_gmr
-from .transform import ModelParams, check_lift, first_hit, lift, tilde_w_matrix
+from .transform import ModelParams, first_hit, lift_into, tilde_w_matrix
 
 __all__ = [
     "AdmissibilityError",
@@ -698,9 +698,7 @@ def _stopped_levels(pk: PkParams, xs, spec: SensitivitySpec, kernel: CovarianceK
 
 def _concentration(mp: ModelParams, tau: np.ndarray, y_tau: np.ndarray) -> np.ndarray:
     """The lift of each path's stopped level; OverflowError if one is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        c_tau = lift(y_tau, tau, mp)
-    return check_lift(c_tau, tau, mp)
+    return lift_into(np.empty_like(y_tau), y_tau, tau, mp)
 
 
 def _finite(values, name: str) -> np.ndarray:

@@ -21,7 +21,14 @@ import numpy as np
 
 from .artifacts import write_csv, write_json
 from .drivers import SamplePath
-from .transform import ModelParams, explicit_a0_matrix, lift, tilde_w_path
+from .transform import (
+    ModelParams,
+    absorbed_lift,
+    explicit_a0_matrix,
+    lift,
+    lift_into,
+    tilde_w_path,
+)
 
 __all__ = [
     "RootSolveError",
@@ -31,6 +38,7 @@ __all__ = [
     "implicit_euler",
     "implicit_euler_nodes",
     "solve_matrix",
+    "solve_columns",
     "solve_gmr",
     "nested_sup_errors",
     "deterministic_ode_solution",
@@ -185,7 +193,7 @@ def implicit_euler_nodes(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray)
     where each column of the rows is contiguous, and the nodes are
     returned as the (M, n+1) transpose of an (n+1, M) array, so they are
     Fortran-ordered. The transpose of a time-major array, as
-    ensemble_simulate passes, is used without a copy.
+    solve_columns passes, is used without a copy.
     """
     if p.a <= 0:
         raise ValueError("implicit Euler requires a > 0")
@@ -218,16 +226,35 @@ def implicit_euler_nodes(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray)
 def solve_matrix(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray):
     """Solve the equation on (M, n+1) rows of wtilde on one grid.
 
-    a > 0 runs implicit_euler_nodes and lifts the nodes; a = 0 is the
-    explicit solution absorbed at its first zero hit (explicit_a0_matrix).
-    Returns (x, y, hit): the lifted rows, the levels (before truncation
-    for a = 0) and each row's first absorbed index, n+1 for a row that
-    never hits (only a = 0 can hit). One path is one row.
+    a > 0 runs solve_columns on a time-major copy of the rows (the scheme
+    steps time-major anyway); a = 0 is the explicit solution absorbed at
+    its first zero hit (explicit_a0_matrix), on the rows as given. Either
+    way a lift that is not finite raises OverflowError. Returns
+    (x, y, hit): the lifted rows, the levels (before truncation for
+    a = 0) and each row's first absorbed index, n+1 for a row that never
+    hits (only a = 0 can hit). One path is one row.
     """
     if p.a == 0.0:
         return explicit_a0_matrix(tilde_w, times, p)
-    y = implicit_euler_nodes(p, times, tilde_w)
-    return lift(y, times, p), y, np.full(y.shape[0], times.size)
+    return solve_columns(p, times, np.atleast_2d(tilde_w).T.copy())
+
+
+def solve_columns(p: ModelParams, times: np.ndarray, wt: np.ndarray):
+    """solve_matrix(p, times, wt.T), bitwise, in the buffer of wt.
+
+    wt is a time-major (n+1, M) wtilde array, one path per column, and is
+    overwritten. With a > 0 it is dead once implicit_euler_nodes has the
+    nodes, so the lift is written into it; with a = 0 it takes the levels
+    x0^(1-beta) + wtilde, from which absorbed_lift makes x. Either way
+    the call holds two arrays of wt's size, x and y, which it returns as
+    Fortran-ordered (M, n+1) views, with the hit indices.
+    """
+    if p.a == 0.0:
+        y = np.add(wt.T, p.y0, out=wt.T)
+        x, hit = absorbed_lift(y, times, p)
+        return x, y, hit
+    y = implicit_euler_nodes(p, times, wt.T)
+    return lift_into(wt.T, y, times, p), y, np.full(y.shape[0], times.size)
 
 
 def _stride(fine: int, n: int) -> int:

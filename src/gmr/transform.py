@@ -36,8 +36,10 @@ __all__ = [
     "tilde_w_variance",
     "y0_from_x0",
     "lift",
+    "lift_into",
     "check_lift",
     "first_hit",
+    "absorbed_lift",
     "explicit_a0_matrix",
 ]
 
@@ -224,15 +226,34 @@ def lift(y, times, p: ModelParams):
     return y ** (p.gamma + 1.0) * np.exp(-p.b * times)
 
 
+def lift_into(out, y, times, p: ModelParams):
+    """check_lift(lift(y, times, p)), bitwise, written into ``out``.
+
+    ``out`` has y's shape and may be a dead buffer of the caller's (an
+    ensemble's wtilde). y is copied into it and raised in place, which
+    takes numpy's scalar-power route as ``y ** (gamma+1)`` does, so no
+    temporary of y's size is made.
+    """
+    np.copyto(out, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out **= p.gamma + 1.0
+        out *= np.exp(-p.b * times)
+    return check_lift(out, times, p)
+
+
 def check_lift(x, times, p: ModelParams):
     """Return the lifted values ``x``, raising OverflowError if one is not finite.
 
     Past b t of about 709, y^(gamma+1) of a positive level can overflow
     while e^(-bt) underflows, and inf * 0 = NaN must reach neither a hit
     rule nor a statistic. Callers lift with numpy's overflow and invalid
-    warnings off and leave the report to this check.
+    warnings off and leave the report to this check. A lift is never
+    -inf, so its max is finite exactly when every value is (NaN
+    propagates through the max), and no mask of x's size is made.
     """
-    if not np.all(np.isfinite(x)):
+    with np.errstate(invalid="ignore"):  # a NaN in the max may set the flag
+        finite = np.size(x) == 0 or np.isfinite(np.max(x))
+    if not finite:
         raise OverflowError(f"lift y^(gamma+1) e^(-bt) of a positive level is not finite "
                             f"(b = {p.b!r}, t up to {float(np.max(times)):.6g})")
     return x
@@ -251,33 +272,42 @@ def _first_true(mask: np.ndarray) -> np.ndarray:
     return np.where(mask.any(axis=-1), mask.argmax(axis=-1), mask.shape[-1])
 
 
-def explicit_a0_matrix(tilde_w: np.ndarray, times: np.ndarray, p: ModelParams):
-    """Closed-form a = 0 solution for rows of wtilde, absorbed at the first hit.
+def absorbed_lift(y: np.ndarray, times: np.ndarray, p: ModelParams):
+    """The a = 0 solution from its levels y = x0^(1-beta) + wtilde: (x, hit).
 
-    x_t = (x0^(1-beta) + wtilde_t)^(gamma+1) e^(-bt) while the level
-    y = x0^(1-beta) + wtilde is positive. A row hits at the first grid
-    index where y <= 0 or where the lift of a positive y underflows to
-    x == 0.0 (large b t does this, e.g. b = 800 at t = 60/64 with no
-    noise), so x is strictly positive before the hit and exactly 0 from
-    it on. Zero-hit detection is grid-based.
+    x_t = y_t^(gamma+1) e^(-bt) while the level is positive. A row hits at
+    the first grid index where y <= 0 or where the lift of a positive y
+    underflows to x == 0.0 (large b t does this, e.g. b = 800 at t = 60/64
+    with no noise), so x is strictly positive before the hit and exactly 0
+    from it on; hit is n+1 for a row that never hits. Zero-hit detection
+    is grid-based. x is one new array of y's shape.
 
     Raises OverflowError (check_lift) when the lift of a positive level
     before the hit is not finite; a NaN there would otherwise read as a
     hit.
-
-    Returns (x, y, hit): the lifted rows, the untruncated levels and the
-    per-row hit indices (n+1 for a row that never hits).
     """
-    if p.a != 0.0:
-        raise ValueError("explicit solution requires a = 0")
-    y = p.y0 + tilde_w
     # lift(max(y, 0)) in place: x holds no more than one (M, n+1) array
     x = np.where(y > 0.0, y, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         x **= p.gamma + 1.0
         x *= np.exp(-p.b * times)
-    # x is >= 0, inf or NaN: only a finite 0 is a hit
-    hit = _first_true(x <= 0.0)
+    # x is >= 0, inf or NaN: only a finite 0 is a hit. The mask is made
+    # C-ordered, so argmax reads each row in place on a time-major x too
+    hit = _first_true(np.less_equal(x, 0.0, order="C"))
     x[np.arange(x.shape[-1]) >= hit[..., None]] = 0.0
     check_lift(x, times, p)  # only values before the hit are left to check
+    return x, hit
+
+
+def explicit_a0_matrix(tilde_w: np.ndarray, times: np.ndarray, p: ModelParams):
+    """Closed-form a = 0 solution for rows of wtilde, absorbed at the first hit.
+
+    absorbed_lift of the levels y = x0^(1-beta) + wtilde. Returns
+    (x, y, hit): the lifted rows, the untruncated levels and the per-row
+    hit indices (n+1 for a row that never hits).
+    """
+    if p.a != 0.0:
+        raise ValueError("explicit solution requires a = 0")
+    y = p.y0 + tilde_w
+    x, hit = absorbed_lift(y, times, p)
     return x, y, hit

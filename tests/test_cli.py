@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gmr import montecarlo
 from gmr.cli import run
 from gmr.drivers import SamplePath, fbm_kernel, sample_path_matrix, uniform_grid
 from gmr.solver import deterministic_ode_solution, solve_matrix
@@ -263,6 +264,27 @@ def test_ensemble_outputs(tmp_path):
     assert len(header) == 26 and rows.shape == (33, 26)
 
 
+@pytest.mark.parametrize("a", [1.0, 0.0])
+def test_ensemble_stats_route_writes_the_whole_array_bytes(tmp_path, monkeypatch, a):
+    # without write_paths the statistics come from chunks of paths, here
+    # 1024; with it, from the whole (M, n+1) arrays: one chunk, none
+    # partial, and a partial last chunk
+    monkeypatch.setattr(montecarlo, "_CHUNK_PATHS", 1024)
+    for m in (1, 1023, 1024, 1025, 3000):
+        payload = {"model": {**MODEL, "a": a, "sigma": 1.0}, "kernel": FBM8,
+                   "grid": {"n": 32, "T": 1.0}, "ensemble": {"M": m, "marginal_times": [0.5, 1.0]},
+                   "seed": m}
+        outs = []
+        for write_paths in (False, True):
+            cfg = write_config(tmp_path, "ens.json", {**payload, "write_paths": write_paths})
+            outs.append(tmp_path / f"{m}-{write_paths}")
+            assert run(["ensemble", "--config", cfg, "--out", str(outs[-1])]) == 0
+        assert sorted(p.name for p in outs[0].iterdir()) == ["ensemble.json"]
+        stats = (outs[0] / "ensemble.json").read_bytes()
+        assert stats == (outs[1] / "ensemble.json").read_bytes(), m
+    assert (json.loads(stats)["hit_fraction"] > 0.0) == (a == 0.0)
+
+
 def test_hit_times_outputs(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -390,6 +412,11 @@ OVERFLOW_CONFIGS = {
     # b t past ~709: the scheme's e^(b t) overflows a float
     "simulate": {"model": {"x0": 1.0, "a": 1.0, "b": 800.0, "sigma": 0.5, "beta": 0.7},
                  "kernel": FBM8, "grid": {"n": 64, "T": 1.0}, "seed": 1},
+    # beta = 0.99 lifts the nodes to their 100th power, which overflows:
+    # ensemble.json used to hold "estimate": Infinity, which is not JSON
+    "ensemble": {"model": {"x0": 1, "a": 1, "b": 0, "sigma": 2e5, "beta": 0.99},
+                 "kernel": {"kind": "brownian"}, "grid": {"n": 64, "T": 1.0},
+                 "ensemble": {"M": 64}, "seed": 1},
     # Ke tau = 800: the lift y^(gamma+1) e^(-Ke tau) is inf * 0
     "pk-sensitivity": {"pk": {**PK, "Ke": 800.0}, "kernel": FBM8, "x": 1.0,
                        "functional": "square", "tau": {"kind": "fixed", "time": 1.0},

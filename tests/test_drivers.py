@@ -102,7 +102,9 @@ def _whole_covariance(kernel, t):
         pw = t**h2
         if t.size > 2 and np.allclose(np.diff(t), t[1], rtol=1e-9, atol=0):
             lag = (np.arange(t.size) * (t[1] - t[0])) ** h2
-            return 0.5 * (pw[:, None] + pw[None, :] - toeplitz(lag))
+            out = 0.5 * (pw[:, None] + pw[None, :] - toeplitz(lag))
+            out[0] = out[:, 0] = 0.0  # t_j^(2H) and (j dt)^(2H) may differ in the last bit
+            return out
         return 0.5 * (pw[:, None] + pw[None, :] - np.abs(t[:, None] - t[None, :]) ** h2)
     if kernel.kind == "brownian":
         return np.minimum(t[:, None], t[None, :])
@@ -127,6 +129,18 @@ def test_covariance_rows_are_the_whole_matrix_rows_bitwise(route):
     for start, stop in [(0, 1), (1, 2), (5, 17), (0, size), (size // 2, size), (size - 1, size),
                         (7, 7)]:
         assert np.array_equal(covariance_rows(kernel, t, start, stop), whole[start:stop])
+
+
+def test_uniform_fbm_covariance_vanishes_on_the_t0_row():
+    # at n = 1100, T = 1.5, H = 0.4 the power table left 1.1e-16 there, and
+    # custom_kernel rejected the matrix
+    for n, horizon, hurst in ((1100, 1.5, 0.4), (255, 1.0, 0.7), (4096, 3.0, 0.9)):
+        t = uniform_grid(n, horizon)
+        whole = covariance_matrix(fbm_kernel(hurst), t)
+        assert not whole[0].any() and not whole[:, 0].any()
+        assert not covariance_rows(fbm_kernel(hurst), t, 5, 9)[:, 0].any()
+    custom_kernel(uniform_grid(1100, 1.5),
+                  covariance_matrix(fbm_kernel(0.4), uniform_grid(1100, 1.5)), holder_exponent=0.4)
 
 
 def test_sample_paths_deterministic_and_start_at_zero():

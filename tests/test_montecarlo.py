@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from gmr import montecarlo
 from gmr.drivers import (
     SamplePath,
     brownian_kernel,
@@ -17,6 +19,7 @@ from gmr.montecarlo import (
     HorizonHitRate,
     density_smoke,
     ensemble_simulate,
+    ensemble_stats,
     hitting_time_stats,
     lp_convergence_check,
     paths_to_csv,
@@ -416,16 +419,73 @@ def test_import_gmr_leaves_scipy_stats_unloaded():
     assert out.stdout.splitlines() == ["[]", "[]"]
 
 
-def test_ensemble_peak_memory_stays_below_four_and_a_half_path_arrays():
-    # with a > 0 the time-major solve holds wtilde, the nodes, and the lift
-    # with its temporary: 4 (M, n+1) arrays; building the driver matrix took
-    # 5. With a = 0: wtilde, y, x lifted in place and |x| for the sup norms
-    # (a separate level, lift, temporary and finite mask took 5)
+def test_ensemble_peak_memory_stays_within_two_and_a_quarter_path_arrays():
+    # the two (M, n+1) arrays returned, x and y, and one bool mask: with
+    # a > 0 the lift is written into the dead wtilde buffer, with a = 0 the
+    # levels y0 + wtilde are; the sup norms read x itself (x >= 0). Keeping
+    # wtilde live through the lift, and taking |x|, peaked at 4.04-4.13
     for a in (1.0, 0.0):
         spec = _spec(params=ModelParams(x0=1.0, a=a, b=1.0, sigma=0.5, beta=0.7),
                      kernel=brownian_kernel(), M=1024, n=1024)
         peak = traced_peak(lambda: ensemble_simulate(spec))
-        assert peak <= 4.5 * spec.M * (spec.n + 1) * 8, a
+        assert peak <= 2.25 * spec.M * (spec.n + 1) * 8, a
+
+
+def test_ensemble_stats_peak_memory_does_not_grow_with_M(monkeypatch):
+    # chunks of 1024 paths (about the byte cap's width at n = 4096): two
+    # (n+1, 1024) arrays and a few numbers per path, however many paths
+    # there are (ensemble_simulate(...).stats grows by about 2 path arrays
+    # from M = 2000 to 8000)
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 8 * 257 * 1024)
+    for a in (1.0, 0.0):
+        peaks = {}
+        for m in (2000, 8000):
+            spec = _spec(params=ModelParams(x0=1.0, a=a, b=1.0, sigma=0.5, beta=0.7),
+                         kernel=fbm_kernel(0.7), M=m, n=256, marginal_times=(0.5,))
+            peaks[m] = traced_peak(lambda: ensemble_stats(spec))
+        assert peaks[8000] <= peaks[2000] + 4 * 8 * (8000 - 2000), (a, peaks)
+        assert peaks[8000] <= 0.75 * 8000 * 257 * 8, (a, peaks)  # no (M, n+1) array
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(x0=1.0, a=1.0, b=2.0, sigma=0.5, beta=0.7),
+    ModelParams(x0=1.0, a=0.0, b=1.0, sigma=1.5, beta=0.6),
+    ModelParams(x0=2.0, a=0.5, b=0.0, sigma=0.8, beta=0.5),
+], ids=["a>0", "a=0", "beta=0.5"])
+def test_ensemble_stats_are_the_simulated_stats_bitwise(monkeypatch, params):
+    # chunks of 96 paths (the byte cap of large n, scaled down): full and
+    # partial chunks, and a one-chunk ensemble
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 8 * 65 * 100)
+    for kernel, m in ((fbm_kernel(0.3), 250), (brownian_kernel(), 192), (fbm_kernel(0.8), 7)):
+        spec = _spec(params=params, kernel=kernel, M=m, n=64, seed=m,
+                     marginal_times=(0.0, 0.5, 1.0))
+        want, got = ensemble_simulate(spec).stats, ensemble_stats(spec)
+        assert got.lp_estimates == want.lp_estimates
+        assert got.hit_fraction == want.hit_fraction
+        assert np.array_equal(got.hit_times, want.hit_times)
+        assert got.marginal_samples.keys() == want.marginal_samples.keys()
+        for t, values in want.marginal_samples.items():
+            assert np.array_equal(got.marginal_samples[t], values)
+    if params.a == 0.0:
+        assert 0.0 < want.hit_fraction < 1.0
+    with pytest.raises(ValueError, match="not on the grid"):
+        ensemble_stats(_spec(params=params, marginal_times=(0.3,)))
+
+
+def test_nonfinite_lift_or_moment_of_a_positive_solution_raises():
+    # beta = 0.99 lifts y to its 100th power: large noise overflows x, and
+    # smaller noise leaves x finite but its 2nd moment past the float range
+    for sigma, message in ((6e4, "lift .* not finite"), (1e3, "lp estimate .* not finite")):
+        spec = _spec(params=ModelParams(x0=1.0, a=1.0, b=0.0, sigma=sigma, beta=0.99),
+                     kernel=brownian_kernel(), M=64, n=64)
+        for simulate in (ensemble_simulate, ensemble_stats):
+            with pytest.raises(OverflowError, match=message):
+                simulate(spec)
+    # the one-path and row routes lift through the same check
+    p = replace(spec.params, sigma=6e4)
+    times = uniform_grid(64, 1.0)
+    with pytest.raises(OverflowError, match="lift .* not finite"):
+        solve_matrix(p, times, sample_tilde_w(brownian_kernel(), times, 64, 0, p))
 
 
 def test_solve_matrix_rows_match_single_path_routines():

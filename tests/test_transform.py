@@ -197,9 +197,6 @@ def test_tilde_w_variance_is_the_covariance_diagonal_bitwise(kernel, n):
     grid = uniform_grid(n, 1.5)
     if kernel == "custom":
         mixed = 0.5 * (np.minimum.outer(grid, grid) + covariance_matrix(fbm_kernel(0.4), grid))
-        # the fBm power table leaves rounding-sized entries on the t = 0
-        # row at some n (1100 among them); the custom kernel must be 0 there
-        mixed[0] = mixed[:, 0] = 0.0
         kernel = custom_kernel(grid, mixed, holder_exponent=0.4)
     for b, beta, sigma in ((0.0, 0.5, 1.0), (1.0, 0.7, 0.3), (5.0, 0.2, 2.0)):
         p = _params(sigma=sigma, b=b, beta=beta)
