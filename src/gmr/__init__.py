@@ -22,13 +22,9 @@ from .drivers import (
 from .montecarlo import (
     EnsembleSpec,
     EnsembleStats,
-    density_smoke,
     ensemble_simulate,
     ensemble_stats,
     hitting_time_stats,
-    lp_convergence_check,
-    scaling_identity_check,
-    small_noise_probe,
     survival_bound_check,
 )
 from .pk import (
@@ -50,12 +46,10 @@ from .solver import (
     RateReport,
     RootSolveError,
     convergence_study,
-    deterministic_ode_solution,
     implicit_euler,
     implicit_step_root,
     solve_gmr,
     solve_matrix,
-    sup_bound,
 )
 from .transform import (
     ModelParams,

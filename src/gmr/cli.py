@@ -25,7 +25,6 @@ from .drivers import (
     CovarianceKernel,
     brownian_kernel,
     fbm_kernel,
-    grid_index,
     sample_paths,
     uniform_grid,
 )
@@ -270,7 +269,7 @@ def _cmd_ensemble(cfg: dict, args) -> list:
     optional = _present(ens, ("p_exponents", "marginal_times"), "ensemble", kind=tuple)
     write_paths = _get(cfg, "write_paths", "config", kind=bool, required=False, default=False)
     seed = _seed_from(cfg, args)
-    with _config_errors("ensemble"):
+    try:
         spec = EnsembleSpec(
             params=model,
             kernel=kernel,
@@ -280,10 +279,8 @@ def _cmd_ensemble(cfg: dict, args) -> list:
             horizon=horizon,
             **optional,
         )
-    times = uniform_grid(n, horizon)
-    with _config_errors("ensemble.marginal_times"):
-        for t in spec.marginal_times:
-            grid_index(times, t)
+    except ValueError as exc:  # its message starts with the field's name
+        raise ConfigError(f"ensemble.{exc}") from exc
     written = [os.path.join(args.out, "ensemble.json")]
     if not write_paths:
         # the statistics alone, chunk by chunk: no (M, n+1) array is held

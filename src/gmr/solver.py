@@ -1,4 +1,4 @@
-"""Implicit Euler scheme for the transformed equation and its harness.
+"""Implicit Euler scheme for the transformed equation and its rate study.
 
 Each step solves f(x) = x - B x^(-gamma) - A = 0 for the unique positive
 root (f is increasing and concave on (0, inf) with f(0+) = -inf), which
@@ -41,9 +41,6 @@ __all__ = [
     "solve_columns",
     "solve_gmr",
     "nested_sup_errors",
-    "deterministic_ode_solution",
-    "sup_bound",
-    "y_sup_bound",
     "convergence_study",
     "rate_report_to_csv",
     "rate_report_to_json",
@@ -291,35 +288,6 @@ def nested_sup_errors(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray, n_
         x = solve_matrix(p, times[::stride], tilde_w[:, ::stride])[0]
         out[i] = np.max(np.abs(x - x_ref[:, ::stride]), axis=1)
     return out
-
-
-def deterministic_ode_solution(p: ModelParams, t):
-    """Noise-free oracle: solution of x' = a - b x with x(0) = x0."""
-    t = np.asarray(t, dtype=float)
-    if p.b > 0:
-        mean = p.a / p.b
-        out = mean + (p.x0 - mean) * np.exp(-p.b * t)
-    else:
-        out = p.x0 + p.a * t
-    return float(out) if out.ndim == 0 else out
-
-
-def y_sup_bound(p: ModelParams, driver_sup: float, horizon: float) -> float:
-    """Pathwise bound on the transformed level y (and on every Euler node)."""
-    if driver_sup < 0:
-        raise ValueError("driver sup norm must be nonnegative")
-    omb = 1.0 - p.beta
-    drift = p.a * omb * math.exp(p.b * horizon) * p.y0**-p.gamma * horizon
-    noise = (
-        p.sigma * max(p.b, 2.0) * omb * (1.0 + horizon)
-        * math.exp(p.b * omb * horizon) * driver_sup
-    )
-    return p.y0 + drift + noise
-
-
-def sup_bound(p: ModelParams, driver_sup: float, horizon: float) -> float:
-    """Explicit bound on ||x||_inf in terms of the realized ||w||_inf."""
-    return y_sup_bound(p, driver_sup, horizon) ** (p.gamma + 1.0)
 
 
 def convergence_study(

@@ -23,7 +23,6 @@ from .drivers import (
     SamplePath,
     covariance_matrix,
     covariance_rows,
-    driver_blocks,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "theta_weight",
     "tilde_w_path",
     "tilde_w_matrix",
-    "sample_tilde_w",
     "tilde_w_covariance_matrix",
     "tilde_w_variance",
     "y0_from_x0",
@@ -127,20 +125,6 @@ def tilde_w_matrix(drivers: np.ndarray, times: np.ndarray, p: ModelParams) -> np
     trapezoids *= np.diff(times)
     trapezoids /= 2.0
     out[:, 1:] -= np.cumsum(trapezoids, axis=1, out=trapezoids)
-    return out
-
-
-def sample_tilde_w(kernel: CovarianceKernel, times: np.ndarray, count: int, seed: int,
-                   p: ModelParams) -> np.ndarray:
-    """tilde_w_matrix of sample_path_matrix(kernel, times, count, seed), bitwise.
-
-    The driver rows are mapped block by block as driver_blocks draws them,
-    so the (count, n+1) driver matrix is never built.
-    """
-    blocks = driver_blocks(kernel, times, count, seed)
-    out = np.empty((count, np.size(times)))
-    for start, rows in blocks:
-        out[start:start + rows.shape[0]] = tilde_w_matrix(rows, times, p)
     return out
 
 

@@ -8,8 +8,9 @@ import pytest
 from gmr import montecarlo
 from gmr.cli import run
 from gmr.drivers import SamplePath, fbm_kernel, sample_path_matrix, uniform_grid
-from gmr.solver import deterministic_ode_solution, solve_matrix
+from gmr.solver import solve_matrix
 from gmr.transform import ModelParams, tilde_w_matrix
+from test_solver import deterministic_ode_solution
 
 FBM9 = {"kind": "fbm", "hurst": 0.9}
 
@@ -543,7 +544,8 @@ def _with(command, **changes):
         ("ensemble", ENS_TEXT % (', "p_exponents": [2, NaN]', ""), "p_exponents"),
         ("ensemble", ENS_TEXT % (', "marginal_times": ["0.5"]', ""), "marginal_times"),
         ("ensemble", ENS_TEXT % ("", '"write_paths": "yes", '), "write_paths"),
-        ("ensemble", ENS_TEXT % (', "marginal_times": [0.3]', ""), "marginal_times"),
+        ("ensemble", ENS_TEXT % (', "marginal_times": [0.3]', ""), "ensemble.marginal_times"),
+        ("ensemble", ENS_TEXT % (', "p_exponents": [0.5]', ""), "ensemble.p_exponents"),
         ("hit-times", HIT_TEXT % ("0", ""), "config.M"),
         ("hit-times", HIT_TEXT % ("4", '"steps_per_unit": 0, '),
          "config.steps_per_unit: must be >= 1"),
@@ -570,6 +572,7 @@ def _with(command, **changes):
     ],
     ids=["nan-sigma", "infinite-T", "scalar-p_exponents", "nan-p_exponents",
          "string-marginal_times", "string-write_paths", "off-grid-marginal_times",
+         "small-p_exponents",
          "hit-times-zero-M", "hit-times-zero-steps_per_unit", "hit-times-negative-steps_per_unit",
          "hit-times-negative-horizon", "survival-zero-M", "survival-negative-y0",
          "converge-zero-ref_n", "converge-boolean-n_list", "converge-short-ref_n",

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import ks_2samp, norm
 
 from gmr import montecarlo
 from gmr.drivers import (
@@ -17,22 +17,17 @@ from gmr.drivers import (
 from gmr.montecarlo import (
     EnsembleSpec,
     HorizonHitRate,
-    density_smoke,
     ensemble_simulate,
     ensemble_stats,
     hitting_time_stats,
-    lp_convergence_check,
     paths_to_csv,
-    scaling_identity_check,
-    small_noise_probe,
     stats_to_json,
-    sup_bound_violations,
     survival_bound_check,
 )
 from gmr.solver import (
     convergence_study,
-    deterministic_ode_solution,
     implicit_euler_nodes,
+    nested_sup_errors,
     solve_gmr,
     solve_matrix,
 )
@@ -41,12 +36,11 @@ from gmr.transform import (
     explicit_a0_matrix,
     first_hit,
     lift,
-    sample_tilde_w,
     tilde_w_covariance_matrix,
     tilde_w_matrix,
 )
 from test_pk import ROUTES, traced_peak
-from test_solver import scalar_scheme
+from test_solver import deterministic_ode_solution, ensemble_sup_bounds, scalar_scheme
 
 
 def _spec(**kw):
@@ -59,6 +53,27 @@ def _spec(**kw):
     )
     base.update(kw)
     return EnsembleSpec(**base)
+
+
+def sampled_tilde_w(kernel, times, M, seed, p):
+    return tilde_w_matrix(sample_path_matrix(kernel, times, M, seed), times, p)
+
+
+def scaling_ks(p, hurst, eps, t, M, n, seed):
+    """Two-sample KS test of the self-similarity identity for fBm drivers.
+
+    Samples of X_{eps t} against samples at t of the equation with
+    coefficients (eps a, eps b, eps^H sigma), each from its own ensemble on
+    n steps of [0, t]; the identity says the two laws coincide.
+    """
+    def marginal(params, seed, u):
+        spec = EnsembleSpec(params=params, kernel=fbm_kernel(hurst), M=M, n=n, seed=seed,
+                            horizon=t, marginal_times=(u,))
+        return ensemble_stats(spec).marginal_samples[u]
+
+    seed_left, seed_right = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
+    scaled = replace(p, a=eps * p.a, b=eps * p.b, sigma=p.sigma * eps**hurst)
+    return ks_2samp(marginal(p, seed_left, eps * t), marginal(scaled, seed_right, t))
 
 
 def test_ensemble_deterministic_bitwise():
@@ -88,9 +103,7 @@ def test_ensemble_moments_monotone_and_bounded():
     assert all(b >= a - 1e-12 for a, b in zip(est, est[1:]))
     assert all(np.isfinite(v) for v in est)
     # pathwise bound transfers to every moment
-    from gmr.solver import sup_bound
-
-    bounds = np.array([sup_bound(spec.params, s, spec.horizon) for s in res.driver_sup])
+    bounds = ensemble_sup_bounds(spec)
     for p_exp, val in res.stats.lp_estimates.items():
         assert val <= np.mean(bounds**p_exp) ** (1.0 / p_exp) * (1 + 1e-12)
 
@@ -102,7 +115,7 @@ def test_ensemble_zero_sup_bound_violations():
         _spec(kernel=brownian_kernel(), M=300, seed=5),
     ):
         res = ensemble_simulate(spec)
-        assert sup_bound_violations(res) == 0
+        assert np.all(res.x.max(axis=1) <= ensemble_sup_bounds(spec) * (1.0 + 1e-9))
         if spec.params.a > 0:
             assert np.all(res.y > 0.0)
 
@@ -121,12 +134,17 @@ def test_ensemble_hit_bookkeeping():
     assert np.all(res.x >= 0.0)
 
 
+def lp_errors(errors, p_exponent):
+    """E[||X^n - X^ref||_inf^p]^(1/p) per n: nested_sup_errors averaged over paths."""
+    return np.array([np.mean(d**p_exponent) ** (1.0 / p_exponent) for d in errors])
+
+
 def test_lp_convergence_zero_noise_matches_deterministic_study():
     p = ModelParams(x0=2.0, a=1.0, b=1.5, sigma=0.0, beta=0.6)
     ref_n = 1024
-    errs = lp_convergence_check(
-        p, brownian_kernel(), M=7, n_list=[32, 64, 128], ref_n=ref_n, p_exponent=3.0
-    )
+    times = uniform_grid(ref_n, 1.0)
+    wt = sampled_tilde_w(brownian_kernel(), times, 7, 0, p)
+    errs = lp_errors(nested_sup_errors(p, times, wt, [32, 64, 128]), 3.0)
     study = convergence_study(
         p,
         SamplePath(uniform_grid(ref_n, 1.0), np.zeros(ref_n + 1)),
@@ -139,10 +157,10 @@ def test_lp_convergence_zero_noise_matches_deterministic_study():
 
 def test_lp_convergence_decreasing_and_moment_ordered():
     p = ModelParams(x0=1.0, a=1.0, b=1.0, sigma=0.5, beta=0.7)
-    kern = fbm_kernel(0.8)
-    common = dict(M=100, n_list=[64, 128, 256], ref_n=2048, seed=2)
-    e1 = lp_convergence_check(p, kern, p_exponent=1.0, **common)
-    e4 = lp_convergence_check(p, kern, p_exponent=4.0, **common)
+    times = uniform_grid(2048, 1.0)
+    errors = nested_sup_errors(p, times, sampled_tilde_w(fbm_kernel(0.8), times, 100, 2, p),
+                               [64, 128, 256])
+    e1, e4 = lp_errors(errors, 1.0), lp_errors(errors, 4.0)
     assert np.all(e4 >= e1 - 1e-15)  # moment monotonicity on the same ensemble
     drops = np.diff(e1)
     assert np.sum(drops >= 0) <= 1
@@ -213,7 +231,7 @@ def _full_matrix_hit_rates(p, kernel, M, horizons, n, seed):
     inline: the oracle of the streamed probe."""
     t_max = horizons[-1]
     times = uniform_grid(n, t_max)
-    y = p.y0 + sample_tilde_w(kernel, times, M, seed, p)
+    y = p.y0 + sampled_tilde_w(kernel, times, M, seed, p)
     with np.errstate(over="ignore", invalid="ignore"):
         x = lift(np.where(y > 0.0, y, 0.0), times, p)
     hit_steps = first_hit(np.where(np.isfinite(x), x, 1.0))
@@ -249,7 +267,7 @@ def test_survival_matches_the_full_matrix_oracle_bitwise(route, M):
     p = ModelParams(x0=1.0, a=0.0, b=1.0, sigma=3.0, beta=0.7)
     y0 = 1.0
     rep = survival_bound_check(y0, p, kernel, grid, M, seed=M)
-    wt = sample_tilde_w(kernel, grid, M, M, p)
+    wt = sampled_tilde_w(kernel, grid, M, M, p)
     assert rep.empirical == float(np.mean(np.min(wt, axis=1) > -y0))
     assert rep.sigma_bar_sq == np.diag(tilde_w_covariance_matrix(p, kernel, grid)).max()
     if M == 70:
@@ -300,17 +318,21 @@ def test_hitting_fractions_increase_with_horizon():
         assert 0.0 <= r.ci_low <= r.fraction <= r.ci_high <= 1.0
 
 
-def test_hitting_requires_a_zero():
+def test_hitting_requires_a_zero_and_positive_finite_horizons():
     p = ModelParams(x0=1.0, a=1.0, b=0.0, sigma=1.0, beta=0.5)
     with pytest.raises(ValueError, match="a = 0"):
         hitting_time_stats(p, brownian_kernel(), 10, [1.0])
+    # these raised IndexError, OverflowError and int conversion errors
+    for horizons in ([], [math.inf], [math.nan], [1.0, math.nan], [0.0, 1.0]):
+        with pytest.raises(ValueError, match="horizons"):
+            hitting_time_stats(replace(p, a=0.0), brownian_kernel(), 10, horizons)
 
 
 def test_scaling_identity_trivial_eps_one():
     p = ModelParams(x0=1.0, a=1.0, b=1.0, sigma=0.3, beta=0.7)
-    chk = scaling_identity_check(p, hurst=0.75, eps=1.0, t=1.0, M=400, n=64, seed=2)
-    assert chk.passed
-    assert chk.ks_statistic < 0.15
+    stat, pvalue = scaling_ks(p, hurst=0.75, eps=1.0, t=1.0, M=400, n=64, seed=2)
+    assert pvalue > 0.01
+    assert stat < 0.15
 
 
 def test_scaling_identity_zero_noise_degenerate():
@@ -327,44 +349,39 @@ def test_scaling_identity_zero_noise_degenerate():
 
 def test_scaling_identity_half_eps():
     p = ModelParams(x0=1.0, a=1.0, b=1.0, sigma=0.3, beta=0.7)
-    chk = scaling_identity_check(p, hurst=0.75, eps=0.5, t=1.0, M=800, n=128, seed=6)
-    assert chk.passed
-
-
-def test_scaling_identity_grid_alignment():
-    p = ModelParams(x0=1.0, a=1.0, b=1.0, sigma=0.3, beta=0.7)
-    with pytest.raises(ValueError, match="integer"):
-        scaling_identity_check(p, hurst=0.75, eps=0.3, t=1.0, M=10, n=64)
+    assert scaling_ks(p, hurst=0.75, eps=0.5, t=1.0, M=800, n=128, seed=6)[1] > 0.01
 
 
 def test_small_noise_concentration():
+    # with noise eps sigma the solution concentrates on the noise-free
+    # skeleton as eps decreases; one driver matrix serves every eps
     p = ModelParams(x0=1.0, a=1.0, b=1.0, sigma=1.0, beta=0.7)
-    rows = small_noise_probe(
-        p, fbm_kernel(0.8), [1.0, 0.5, 0.25, 0.0], M=200, n=64, seed=3
-    )
-    medians = [r["quantiles"][0.5] for r in rows]
-    assert all(q >= 0.0 for r in rows for q in r["quantiles"].values())
-    assert medians[-1] == 0.0  # eps = 0 collapses on the skeleton
+    times = uniform_grid(64, 1.0)
+    drivers = sample_path_matrix(fbm_kernel(0.8), times, 200, seed=3)
+    skeleton = deterministic_ode_solution(p, times)
+    medians = []
+    for eps in (1.0, 0.5, 0.25):
+        scaled = replace(p, sigma=eps * p.sigma)
+        x = solve_matrix(scaled, times, tilde_w_matrix(drivers, times, scaled))[0]
+        medians.append(np.quantile(np.max(np.abs(x - skeleton), axis=1), 0.5))
     drops = np.diff(medians)
     assert np.sum(drops > 0) <= 1  # nonincreasing, one inversion allowed
     assert medians[1] < medians[0]
 
 
 def test_density_smoke_cases():
-    noisy = _spec(M=1000, n=64)
-    out = density_smoke(noisy, 0.5)
-    assert out.applicable
-    assert out.sample_variance > 0.0
-    assert out.distinct_fraction == 1.0
+    # with noise on and t > 0 the marginal law has a density: its sample
+    # has positive variance and no repeated values at double precision
+    def samples(spec, t):
+        return ensemble_stats(replace(spec, marginal_times=(t,))).marginal_samples[t]
+
+    noisy = samples(_spec(M=1000, n=64), 0.5)
+    assert np.var(noisy, ddof=1) > 0.0
+    assert np.unique(noisy).size == noisy.size
 
     degenerate = _spec(params=ModelParams(x0=1.0, a=1.0, b=1.0, sigma=0.0, beta=0.5), M=100)
-    out0 = density_smoke(degenerate, 0.5)
-    assert not out0.applicable
-    assert out0.sample_variance == 0.0
-
-    at_zero = density_smoke(_spec(M=100), 0.0)
-    assert not at_zero.applicable
-    assert at_zero.sample_variance == 0.0
+    assert np.var(samples(degenerate, 0.5), ddof=1) == 0.0
+    assert np.var(samples(_spec(M=100), 0.0), ddof=1) == 0.0
 
 
 def test_exports(tmp_path):
@@ -472,6 +489,24 @@ def test_ensemble_stats_are_the_simulated_stats_bitwise(monkeypatch, params):
         ensemble_stats(_spec(params=params, marginal_times=(0.3,)))
 
 
+@pytest.mark.parametrize("fields, name", [
+    (dict(marginal_times=(0.3,)), "marginal_times"),
+    (dict(marginal_times=(0.5, math.nan)), "marginal_times"),
+    (dict(p_exponents=(2.0, math.nan)), "p_exponents"),
+    (dict(p_exponents=(math.inf,)), "p_exponents"),
+    (dict(p_exponents=(0.5,)), "p_exponents"),
+    (dict(horizon=math.inf), "horizon"),
+    (dict(horizon=math.nan), "horizon"),
+    (dict(M=0), "M"),
+])
+def test_ensemble_spec_rejects_a_bad_field_when_built(fields, name):
+    # before any path is drawn: an off-grid marginal time used to raise only
+    # once the whole ensemble was solved, a NaN exponent ended in an
+    # OverflowError, and p = inf gave an estimate of 1.0
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        _spec(**fields)
+
+
 def test_nonfinite_lift_or_moment_of_a_positive_solution_raises():
     # beta = 0.99 lifts y to its 100th power: large noise overflows x, and
     # smaller noise leaves x finite but its 2nd moment past the float range
@@ -485,7 +520,7 @@ def test_nonfinite_lift_or_moment_of_a_positive_solution_raises():
     p = replace(spec.params, sigma=6e4)
     times = uniform_grid(64, 1.0)
     with pytest.raises(OverflowError, match="lift .* not finite"):
-        solve_matrix(p, times, sample_tilde_w(brownian_kernel(), times, 64, 0, p))
+        solve_matrix(p, times, sampled_tilde_w(brownian_kernel(), times, 64, 0, p))
 
 
 def test_solve_matrix_rows_match_single_path_routines():

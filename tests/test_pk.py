@@ -15,6 +15,7 @@ from gmr.drivers import (
     custom_kernel,
     fbm_kernel,
     grid_index,
+    sample_path_matrix,
     uniform_grid,
     _cholesky_with_jitter,
 )
@@ -45,8 +46,8 @@ from gmr.transform import (
     check_lift,
     first_hit,
     lift,
-    sample_tilde_w,
     tilde_w_covariance_matrix,
+    tilde_w_matrix,
 )
 
 FIG1 = dict(A0=1.0, v=1.0, Ke=4.0, sigma=1.0, beta=0.8)
@@ -633,7 +634,7 @@ def test_streamed_sensitivity_matches_the_full_matrix_oracle_bitwise(route, tau_
     full = {}
     for (mp, tau, y_tau, capped), x0 in zip(streamed, (x, x + h, x - h)):
         assert mp == pk.to_model_params(x0=x0)
-        wt = sample_tilde_w(kernel, times, M, spec.seed, mp)
+        wt = tilde_w_matrix(sample_path_matrix(kernel, times, M, spec.seed), times, mp)
         full[x0] = _full_matrix_stopping(mp, spec, wt, times)
         assert np.array_equal(tau, full[x0][0])
         assert np.array_equal(y_tau, full[x0][1])

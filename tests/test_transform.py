@@ -10,7 +10,6 @@ from gmr.drivers import (
     covariance_matrix,
     custom_kernel,
     fbm_kernel,
-    sample_path_matrix,
     sample_paths,
     uniform_grid,
 )
@@ -20,7 +19,6 @@ from gmr.transform import (
     explicit_a0_matrix,
     first_hit,
     lift,
-    sample_tilde_w,
     theta_weight,
     tilde_w_covariance_matrix,
     tilde_w_matrix,
@@ -103,23 +101,6 @@ def test_tilde_w_matrix_is_scipy_cumulative_trapezoid_bitwise(b):
         scipy_form = th[None, :] * rows - cumulative_trapezoid(
             (p.b * (1.0 - p.beta) * th)[None, :] * rows, grid, axis=1, initial=0.0)
         assert np.array_equal(tilde_w_matrix(rows, grid, p), scipy_form)
-
-
-_GRID_20 = uniform_grid(20, 1.0)
-
-
-@pytest.mark.parametrize(
-    "kernel, n",
-    [(brownian_kernel(), 40), (fbm_kernel(0.7), 1024), (fbm_kernel(0.3), 40),
-     (custom_kernel(_GRID_20, np.minimum.outer(_GRID_20, _GRID_20), 0.5), 20)],
-    ids=["brownian", "fbm-circulant", "fbm-cholesky", "custom"],
-)
-def test_sample_tilde_w_maps_the_driver_matrix_bitwise(kernel, n):
-    p = _params(sigma=0.9, b=1.5, beta=0.7)
-    grid = uniform_grid(n, 1.0)
-    for count in (1, 31, 32, 33, 70):
-        expected = tilde_w_matrix(sample_path_matrix(kernel, grid, count, seed=5), grid, p)
-        assert np.array_equal(sample_tilde_w(kernel, grid, count, 5, p), expected)
 
 
 def test_tilde_w_covariance_zero_noise():
