@@ -14,7 +14,6 @@ from .drivers import (
     brownian_kernel,
     custom_kernel,
     fbm_kernel,
-    kernel_eval,
     sample_path_matrix,
     sample_paths,
     uniform_grid,
@@ -39,7 +38,6 @@ from .pk import (
     sensitivity_fd,
     sensitivity_plsin,
     simulate_concentration,
-    z_mean,
 )
 from .solver import (
     EulerSolution,

@@ -38,7 +38,6 @@ __all__ = [
     "brownian_kernel",
     "custom_kernel",
     "uniform_grid",
-    "kernel_eval",
     "covariance_matrix",
     "covariance_rows",
     "sample_paths",
@@ -197,20 +196,6 @@ def custom_kernel(
     return CovarianceKernel(
         kind="custom", holder_exponent=holder_exponent, grid=grid, matrix=mat
     )
-
-
-def kernel_eval(kernel: CovarianceKernel, s: float, t: float) -> float:
-    """Covariance c(s, t) of the driver; symmetric in (s, t)."""
-    if s < 0 or t < 0:
-        raise ValueError("times must be nonnegative")
-    if kernel.kind == "fbm":
-        h2 = 2.0 * kernel.hurst
-        return 0.5 * (s**h2 + t**h2 - abs(t - s) ** h2)
-    if kernel.kind == "brownian":
-        return min(s, t)
-    i = grid_index(kernel.grid, s)
-    j = grid_index(kernel.grid, t)
-    return float(kernel.matrix[i, j])
 
 
 def covariance_matrix(kernel: CovarianceKernel, times: np.ndarray) -> np.ndarray:

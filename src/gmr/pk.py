@@ -47,12 +47,9 @@ __all__ = [
     "SensitivityReport",
     "deterministic_concentration",
     "simulate_concentration",
-    "z_mean",
     "build_quad_grid",
-    "gamma_matrix_from_theta",
     "log_likelihood",
     "fit_mle",
-    "concentration_functional_samples",
     "sensitivity_plsin",
     "sensitivity_fd",
 ]
@@ -152,8 +149,10 @@ class ConcentrationSeries:
         """
         with open(path, "r", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
             rows = [r for r in reader if r]
+        if header is None:
+            raise ValueError("CSV is empty: it has no header row")
         if "t" not in header:
             raise ValueError("CSV must have a 't' column")
         ti = header.index("t")
@@ -207,14 +206,6 @@ def simulate_concentration(
     """One stochastic concentration path on n steps, absorbed at its first zero hit."""
     driver = sample_paths(kernel, uniform_grid(n, horizon), 1, seed)[0]
     return solve_gmr(pk.to_model_params(), driver, n)
-
-
-def z_mean(t, pk: PkParams):
-    """Mean of the transformed concentration: (A0/v)^(1-beta) e^(-Ke(1-beta)t)."""
-    t = np.asarray(t, dtype=float)
-    omb = 1.0 - pk.beta
-    out = pk.initial_concentration**omb * np.exp(-pk.Ke * omb * t)
-    return float(out) if out.ndim == 0 else out
 
 
 def build_quad_grid(times: np.ndarray, refine: Optional[int] = None) -> np.ndarray:
@@ -286,28 +277,6 @@ class _ObservationBlock:
                 f"observation covariance overflows at kappa = {kappa!r} "
                 f"(kappa s up to {kappa * self.grid[-1]:.3g})")
         return 0.5 * (g + g.T)
-
-
-def gamma_matrix_from_theta(
-    theta,
-    times: np.ndarray,
-    kernel: CovarianceKernel,
-    quad_grid: np.ndarray,
-) -> np.ndarray:
-    """Covariance of the transformed observations for theta = (Ke, sigma, beta).
-
-    The transformed process minus its mean is e^(-Ke(1-beta)t) wtilde_t,
-    so entry (i, j) is e^(-Ke(1-beta)(t_i+t_j)) Cov(wtilde_ti, wtilde_tj).
-    It is computed as sigma^2 (1-beta)^2 G(Ke(1-beta)) with G = R C R^T
-    from _ObservationBlock. R is the damped observation rows of the map A
-    that tilde_w_covariance_matrix applies on both sides of C, so this is
-    that covariance's observation block, damped, up to rounding.
-    """
-    ke, sigma, beta = (float(v) for v in theta)
-    if ke < 0 or sigma < 0 or not 0.0 < beta < 1.0:
-        raise ValueError("theta out of domain: need Ke, sigma >= 0 and beta in (0, 1)")
-    omb = 1.0 - beta
-    return sigma**2 * omb**2 * _ObservationBlock(times, kernel, quad_grid)(ke * omb)
 
 
 def _likelihood_core(ke, beta, obs, block, A0, v):
@@ -645,6 +614,8 @@ class SensitivitySpec:
     def __post_init__(self):
         if self.tau_kind not in ("fixed", "hit_capped"):
             raise ValueError("tau_kind must be 'fixed' or 'hit_capped'")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if self.tau_kind == "fixed":
             if self.tau_time is None or not 0.0 <= self.tau_time <= self.horizon:
                 raise ValueError("fixed tau needs tau_time in [0, horizon]")
@@ -712,14 +683,6 @@ def _report(samples: np.ndarray, spec: SensitivitySpec, capped) -> SensitivityRe
     se = float(np.std(samples, ddof=1) / math.sqrt(spec.M)) if spec.M > 1 else 0.0
     return SensitivityReport(estimate=float(np.mean(samples)), std_error=se, M=spec.M,
                              tau_kind=spec.tau_kind, capped_fraction=float(np.mean(capped)))
-
-
-def concentration_functional_samples(
-    pk: PkParams, x: float, spec: SensitivitySpec, kernel: CovarianceKernel
-) -> np.ndarray:
-    """Per-path values F(C_tau^x) for the spec's ensemble (for oracles)."""
-    [(mp, tau, y_tau, _)] = _stopped_levels(pk, (x,), spec, kernel)
-    return _finite(spec.F(_concentration(mp, tau, y_tau)), "F")
 
 
 def sensitivity_plsin(

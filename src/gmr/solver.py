@@ -5,8 +5,10 @@ root (f is increasing and concave on (0, inf) with f(0+) = -inf), which
 keeps every node strictly positive whatever the sign of the Gaussian
 increment. The scalar and the vectorized solver run one algorithm: plain
 Newton from a start where f <= 0, which climbs monotonically to the root.
-One path is one row: solve_matrix solves (M, n+1) rows of wtilde, and the
-scheme picks its Newton kernel from the row count. The scheme converges
+One solve serves every a: solve_columns takes the explicit solution when
+a = 0 and runs the scheme otherwise, and solve_matrix is the same solve
+on (M, n+1) rows of wtilde, one path a row. The scheme picks its Newton
+kernel from the row count. The scheme converges
 uniformly with rate n^(-alpha*min(1,gamma)) for alpha-Holder drivers;
 convergence_study measures the empirical slope against a nested
 fine-grid reference.
@@ -21,14 +23,7 @@ import numpy as np
 
 from .artifacts import write_csv, write_json
 from .drivers import SamplePath
-from .transform import (
-    ModelParams,
-    absorbed_lift,
-    explicit_a0_matrix,
-    lift,
-    lift_into,
-    tilde_w_path,
-)
+from .transform import ModelParams, absorbed_lift, lift_into, tilde_w_path
 
 __all__ = [
     "RootSolveError",
@@ -173,7 +168,7 @@ def implicit_euler(p: ModelParams, tilde_w: SamplePath) -> EulerSolution:
     t = tilde_w.times
     y = implicit_euler_nodes(p, t, tilde_w.values[None])[0]
     return EulerSolution(n=tilde_w.n_steps, params=p, y_path=SamplePath(t, y),
-                         x_path=SamplePath(t, lift(y, t, p)))
+                         x_path=SamplePath(t, lift_into(np.empty_like(y), y, t, p)))
 
 
 def implicit_euler_nodes(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray) -> np.ndarray:
@@ -223,28 +218,26 @@ def implicit_euler_nodes(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray)
 def solve_matrix(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray):
     """Solve the equation on (M, n+1) rows of wtilde on one grid.
 
-    a > 0 runs solve_columns on a time-major copy of the rows (the scheme
-    steps time-major anyway); a = 0 is the explicit solution absorbed at
-    its first zero hit (explicit_a0_matrix), on the rows as given. Either
-    way a lift that is not finite raises OverflowError. Returns
-    (x, y, hit): the lifted rows, the levels (before truncation for
-    a = 0) and each row's first absorbed index, n+1 for a row that never
-    hits (only a = 0 can hit). One path is one row.
+    solve_columns on a time-major copy of the rows (the scheme steps
+    time-major anyway), so tilde_w is left as it is. Returns (x, y, hit)
+    as solve_columns does: the lifted rows, the levels (before truncation
+    for a = 0) and each row's first absorbed index, n+1 for a row that
+    never hits (only a = 0 can hit). A lift that is not finite raises
+    OverflowError. One path is one row.
     """
-    if p.a == 0.0:
-        return explicit_a0_matrix(tilde_w, times, p)
     return solve_columns(p, times, np.atleast_2d(tilde_w).T.copy())
 
 
 def solve_columns(p: ModelParams, times: np.ndarray, wt: np.ndarray):
-    """solve_matrix(p, times, wt.T), bitwise, in the buffer of wt.
+    """The solution on a time-major (n+1, M) wtilde array, in its buffer.
 
-    wt is a time-major (n+1, M) wtilde array, one path per column, and is
-    overwritten. With a > 0 it is dead once implicit_euler_nodes has the
-    nodes, so the lift is written into it; with a = 0 it takes the levels
-    x0^(1-beta) + wtilde, from which absorbed_lift makes x. Either way
-    the call holds two arrays of wt's size, x and y, which it returns as
-    Fortran-ordered (M, n+1) views, with the hit indices.
+    wt holds one path per column and is overwritten. With a > 0 it is
+    dead once implicit_euler_nodes has the nodes, so the lift is written
+    into it; with a = 0 it takes the levels x0^(1-beta) + wtilde of the
+    explicit solution, from which absorbed_lift makes x, absorbed at the
+    first zero hit. Either way the call holds two arrays of wt's size, x
+    and y, which it returns as Fortran-ordered (M, n+1) views, with the
+    hit indices.
     """
     if p.a == 0.0:
         y = np.add(wt.T, p.y0, out=wt.T)

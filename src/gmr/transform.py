@@ -33,12 +33,10 @@ __all__ = [
     "tilde_w_covariance_matrix",
     "tilde_w_variance",
     "y0_from_x0",
-    "lift",
     "lift_into",
     "check_lift",
     "first_hit",
     "absorbed_lift",
-    "explicit_a0_matrix",
 ]
 
 # rows of the driver covariance per block in tilde_w_variance: a few
@@ -201,22 +199,16 @@ def y0_from_x0(x0: float, p: ModelParams) -> float:
     return x0 ** (1.0 - p.beta)
 
 
-def lift(y, times, p: ModelParams):
-    """The lift x = y^(gamma+1) e^(-bt), elementwise.
+def lift_into(out, y, times, p: ModelParams):
+    """The lift x = y^(gamma+1) e^(-bt), elementwise, written into ``out``.
 
     ``times`` broadcasts against ``y``: one grid for (M, n+1) rows, or
-    one time per entry (such as a per-row stopping time).
-    """
-    return y ** (p.gamma + 1.0) * np.exp(-p.b * times)
-
-
-def lift_into(out, y, times, p: ModelParams):
-    """check_lift(lift(y, times, p)), bitwise, written into ``out``.
-
-    ``out`` has y's shape and may be a dead buffer of the caller's (an
-    ensemble's wtilde). y is copied into it and raised in place, which
-    takes numpy's scalar-power route as ``y ** (gamma+1)`` does, so no
-    temporary of y's size is made.
+    one time per entry (such as a per-row stopping time). ``out`` has y's
+    shape and may be a dead buffer of the caller's (an ensemble's
+    wtilde). y is copied into it and raised in place, which takes numpy's
+    scalar-power route as ``y ** (gamma+1)`` does, so no temporary of y's
+    size is made. Returns ``out``; OverflowError (check_lift) if a value
+    is not finite.
     """
     np.copyto(out, y)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -270,7 +262,7 @@ def absorbed_lift(y: np.ndarray, times: np.ndarray, p: ModelParams):
     before the hit is not finite; a NaN there would otherwise read as a
     hit.
     """
-    # lift(max(y, 0)) in place: x holds no more than one (M, n+1) array
+    # the lift of max(y, 0), in place: x holds no more than one (M, n+1) array
     x = np.where(y > 0.0, y, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         x **= p.gamma + 1.0
@@ -282,16 +274,3 @@ def absorbed_lift(y: np.ndarray, times: np.ndarray, p: ModelParams):
     check_lift(x, times, p)  # only values before the hit are left to check
     return x, hit
 
-
-def explicit_a0_matrix(tilde_w: np.ndarray, times: np.ndarray, p: ModelParams):
-    """Closed-form a = 0 solution for rows of wtilde, absorbed at the first hit.
-
-    absorbed_lift of the levels y = x0^(1-beta) + wtilde. Returns
-    (x, y, hit): the lifted rows, the untruncated levels and the per-row
-    hit indices (n+1 for a row that never hits).
-    """
-    if p.a != 0.0:
-        raise ValueError("explicit solution requires a = 0")
-    y = p.y0 + tilde_w
-    x, hit = absorbed_lift(y, times, p)
-    return x, y, hit

@@ -28,16 +28,15 @@ from gmr.pk import (
     ThetaBounds,
     build_quad_grid,
     fit_mle,
-    gamma_matrix_from_theta,
     log_likelihood,
     sensitivity_fd,
     sensitivity_plsin,
     simulate_concentration,
-    z_mean,
 )
 from gmr.solver import convergence_study, implicit_euler_nodes, implicit_step_root, solve_gmr
 from gmr.transform import ModelParams, first_hit, tilde_w_covariance_matrix, tilde_w_matrix
 from test_montecarlo import scaling_ks
+from test_pk import gamma_matrix_from_theta, z_mean
 from test_solver import deterministic_ode_solution, ensemble_sup_bounds
 
 FIG1 = PkParams(A0=1.0, v=1.0, Ke=4.0, sigma=1.0, beta=0.8)

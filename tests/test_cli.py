@@ -563,6 +563,8 @@ def _with(command, **changes):
         ("pk-fit", FIT_TEXT % "0", "config.quad_refine"),
         ("pk-fit", FIT_TEXT % "-1", "config.quad_refine"),
         ("pk-fit", _with("pk-fit", observations="absent.csv"), "config.observations"),
+        ("pk-fit", _with("pk-fit", observations="empty.csv"),
+         "config.observations: CSV is empty"),
         ("pk-sensitivity", SENS_TEXT % ("0.5", "0"), "config.M"),
         ("pk-sensitivity", SENS_TEXT % ("0.3", "40"), "tau.time"),  # off the 16-step grid
         ("pk-sensitivity", _with("pk-sensitivity", x=-1.0), "config.x: must be positive"),
@@ -577,7 +579,8 @@ def _with(command, **changes):
          "hit-times-negative-horizon", "survival-zero-M", "survival-negative-y0",
          "converge-zero-ref_n", "converge-boolean-n_list", "converge-short-ref_n",
          "converge-negative-T", "converge-zero-a", "subnormal-T", "pk-fit-zero-quad_refine",
-         "pk-fit-negative-quad_refine", "pk-fit-missing-observations", "pk-sensitivity-zero-M",
+         "pk-fit-negative-quad_refine", "pk-fit-missing-observations",
+         "pk-fit-empty-observations", "pk-sensitivity-zero-M",
          "pk-sensitivity-off-grid-tau-time", "pk-sensitivity-negative-x", "pk-sensitivity-large-h",
          "pk-sensitivity-unknown-functional", "pk-sensitivity-unknown-method"],
 )
@@ -587,6 +590,7 @@ def test_bad_config_values_exit_1_before_writing(tmp_path, capsys, monkeypatch, 
     # and every config error must come before any artifact is written
     if command == "pk-fit":
         (tmp_path / "obs.csv").write_text(PK_FIT_OBS)
+        (tmp_path / "empty.csv").write_text("")
         monkeypatch.chdir(tmp_path)  # FIT_TEXT names its observations relative to here
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

@@ -13,7 +13,7 @@ from gmr.drivers import (
     custom_kernel,
     driver_factor,
     fbm_kernel,
-    kernel_eval,
+    grid_index,
     sample_path_matrix,
     sample_paths,
     uniform_grid,
@@ -25,6 +25,16 @@ from gmr.drivers import (
     _fgn_circulant_row,
     _next_fast_len,
 )
+
+
+def kernel_eval(kernel, s, t):
+    """Covariance c(s, t) of the driver, one pair at a time: the samplers' oracle."""
+    if kernel.kind == "fbm":
+        h2 = 2.0 * kernel.hurst
+        return 0.5 * (s**h2 + t**h2 - abs(t - s) ** h2)
+    if kernel.kind == "brownian":
+        return min(s, t)
+    return float(kernel.matrix[grid_index(kernel.grid, s), grid_index(kernel.grid, t)])
 
 
 def test_kernel_eval_fbm_values():

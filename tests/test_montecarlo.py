@@ -31,16 +31,15 @@ from gmr.solver import (
     solve_gmr,
     solve_matrix,
 )
-from gmr.transform import (
-    ModelParams,
-    explicit_a0_matrix,
-    first_hit,
-    lift,
-    tilde_w_covariance_matrix,
-    tilde_w_matrix,
-)
+from gmr.transform import ModelParams, first_hit, tilde_w_covariance_matrix, tilde_w_matrix
 from test_pk import ROUTES, traced_peak
-from test_solver import deterministic_ode_solution, ensemble_sup_bounds, scalar_scheme
+from test_solver import (
+    deterministic_ode_solution,
+    ensemble_sup_bounds,
+    explicit_a0_oracle,
+    scalar_scheme,
+)
+from test_transform import lift
 
 
 def _spec(**kw):
@@ -227,14 +226,11 @@ def test_survival_randomized_sweep():
 
 def _full_matrix_hit_rates(p, kernel, M, horizons, n, seed):
     """hitting_time_stats on the whole (M, n+1) wtilde matrix, as it was
-    before the probe streamed blocks, with the explicit solution's hit rule
-    inline: the oracle of the streamed probe."""
+    before the probe streamed blocks, with the hits of explicit_a0_oracle:
+    the oracle of the streamed probe."""
     t_max = horizons[-1]
     times = uniform_grid(n, t_max)
-    y = p.y0 + sampled_tilde_w(kernel, times, M, seed, p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = lift(np.where(y > 0.0, y, 0.0), times, p)
-    hit_steps = first_hit(np.where(np.isfinite(x), x, 1.0))
+    hit_steps = explicit_a0_oracle(p, times, sampled_tilde_w(kernel, times, M, seed, p))[2]
     hit_time = np.where(hit_steps < times.size, times[np.minimum(hit_steps, n)], np.inf)
     out = []
     for t in horizons:
@@ -566,11 +562,11 @@ def test_nonfinite_lift_of_a_positive_level_raises():
     # after a hit the level is discarded, so a non-finite lift there is not an error
     times = uniform_grid(4, 1.0)
     absorbed = np.array([[0.0, -2.0, 1e150, 1e150, 1e150]])
-    x, _, hit = explicit_a0_matrix(absorbed, times, p)
+    x, _, hit = solve_matrix(p, times, absorbed)
     assert hit.tolist() == [1]
     assert np.all(x[0, 1:] == 0.0)
     with pytest.raises(OverflowError, match="not finite"):
-        explicit_a0_matrix(np.array([[0.0, 0.0, 0.0, 0.0, 1e150]]), times, p)
+        solve_matrix(p, times, np.array([[0.0, 0.0, 0.0, 0.0, 1e150]]))
 
 
 def _admissible_draws(count, seed):

@@ -26,16 +26,15 @@ from gmr.pk import (
     SensitivitySpec,
     ThetaBounds,
     build_quad_grid,
-    concentration_functional_samples,
     deterministic_concentration,
     fit_mle,
-    gamma_matrix_from_theta,
     log_likelihood,
     sensitivity_fd,
     sensitivity_plsin,
     simulate_concentration,
-    z_mean,
     _brent_minimize,
+    _concentration,
+    _finite,
     _likelihood_core,
     _log_likelihood_from,
     _ObservationBlock,
@@ -45,12 +44,41 @@ from gmr.transform import (
     ModelParams,
     check_lift,
     first_hit,
-    lift,
     tilde_w_covariance_matrix,
     tilde_w_matrix,
 )
+from test_transform import lift
 
 FIG1 = dict(A0=1.0, v=1.0, Ke=4.0, sigma=1.0, beta=0.8)
+
+
+def z_mean(t, pk: PkParams):
+    """Mean of the transformed concentration: (A0/v)^(1-beta) e^(-Ke(1-beta)t)."""
+    t = np.asarray(t, dtype=float)
+    omb = 1.0 - pk.beta
+    out = pk.initial_concentration**omb * np.exp(-pk.Ke * omb * t)
+    return float(out) if out.ndim == 0 else out
+
+
+def gamma_matrix_from_theta(theta, times, kernel, quad_grid):
+    """Covariance of the transformed observations for theta = (Ke, sigma, beta).
+
+    The transformed process minus its mean is e^(-Ke(1-beta)t) wtilde_t,
+    so entry (i, j) is e^(-Ke(1-beta)(t_i+t_j)) Cov(wtilde_ti, wtilde_tj).
+    It is computed as sigma^2 (1-beta)^2 G(Ke(1-beta)) with G = R C R^T
+    from _ObservationBlock. R is the damped observation rows of the map A
+    that tilde_w_covariance_matrix applies on both sides of C, so this is
+    that covariance's observation block, damped, up to rounding.
+    """
+    ke, sigma, beta = (float(v) for v in theta)
+    omb = 1.0 - beta
+    return sigma**2 * omb**2 * _ObservationBlock(times, kernel, quad_grid)(ke * omb)
+
+
+def concentration_functional_samples(pk, x, spec, kernel):
+    """Per-path values F(C_tau^x) for the spec's ensemble, as the estimators make them."""
+    [(mp, tau, y_tau, _)] = _stopped_levels(pk, (x,), spec, kernel)
+    return _finite(spec.F(_concentration(mp, tau, y_tau)), "F")
 
 
 def zero_kernel(n, horizon):
@@ -776,6 +804,11 @@ def test_sensitivity_input_validation():
     with pytest.raises(ValueError, match="not on the grid"):  # before any path is drawn
         SensitivitySpec(F=lambda r: r, Fdot=lambda r: r, tau_kind="fixed", M=8, n=16,
                         tau_time=0.3)
+    # checked when built, before any path is drawn
+    for horizon in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            SensitivitySpec(F=lambda r: r, Fdot=lambda r: r, tau_kind="hit_capped", M=8,
+                            horizon=horizon)
 
 
 def test_concentration_series_csv(tmp_path):
@@ -786,6 +819,10 @@ def test_concentration_series_csv(tmp_path):
     back = ConcentrationSeries.from_csv(out)
     assert np.array_equal(back.times, series.times)
     assert np.array_equal(back.concentrations, series.concentrations)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match="no header row"):
+        ConcentrationSeries.from_csv(empty)
 
 
 def test_concentration_series_reads_simulation_output(tmp_path):

@@ -28,15 +28,11 @@ from gmr.solver import (
     rate_report_to_csv,
     rate_report_to_json,
     solve_gmr,
+    solve_matrix,
 )
-from gmr.transform import (
-    ModelParams,
-    explicit_a0_matrix,
-    first_hit,
-    lift,
-    tilde_w_matrix,
-    tilde_w_path,
-)
+from gmr.transform import ModelParams, first_hit, tilde_w_matrix, tilde_w_path
+from test_pk import ROUTES
+from test_transform import lift
 
 
 def bisect_root(A, B, gamma, iters=200):
@@ -317,13 +313,27 @@ def _row_major_nodes(p, times, tilde_w):
     return y
 
 
+def explicit_a0_oracle(p, times, tilde_w):
+    """The a = 0 solution on row-major (M, n+1) wtilde: (x, y, hit).
+
+    The levels y = y0 + wtilde, the lift of max(y, 0), and each row's
+    first zero of that lift, with x = 0 from there on.
+    """
+    y = p.y0 + tilde_w
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = lift(np.where(y > 0.0, y, 0.0), times, p)
+    hit = first_hit(np.where(np.isfinite(x), x, 1.0))
+    x[np.arange(times.size) >= hit[:, None]] = 0.0
+    return x, y, hit
+
+
 def _row_major_ensemble(spec):
     """ensemble_simulate on the whole (M, n+1) driver matrix, the oracle route."""
     times = uniform_grid(spec.n, spec.horizon)
     drivers = sample_path_matrix(spec.kernel, times, spec.M, spec.seed)
     wt = tilde_w_matrix(drivers, times, spec.params)
     if spec.params.a == 0.0:
-        x, y, hit = explicit_a0_matrix(wt, times, spec.params)
+        x, y, hit = explicit_a0_oracle(spec.params, times, wt)
     else:
         y = _row_major_nodes(spec.params, times, wt)
         x, hit = lift(y, times, spec.params), np.full(spec.M, times.size)
@@ -365,6 +375,23 @@ def test_ensemble_matches_the_row_major_oracle_bitwise(kernel, n):
             assert got.stats.marginal_samples.keys() == marginal.keys()
             for t, values in marginal.items():
                 assert np.array_equal(got.stats.marginal_samples[t], values)
+
+
+@pytest.mark.parametrize("M", [1, 31, 32, 33, 70])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_solve_matrix_a_zero_matches_the_row_major_oracle_bitwise(route, M):
+    horizon = 2.0
+    kernel, n = ROUTES[route](horizon)
+    times = uniform_grid(n, horizon)
+    p = ModelParams(x0=1.0, a=0.0, b=2.0, sigma=1.5, beta=0.5)
+    wt = tilde_w_matrix(sample_path_matrix(kernel, times, M, M), times, p)
+    given = wt.copy()
+    got = solve_matrix(p, times, wt)
+    for value, oracle in zip(got, explicit_a0_oracle(p, times, wt)):
+        assert np.array_equal(value, oracle)
+    assert np.array_equal(wt, given)
+    if M == 70:
+        assert 0 < np.sum(got[2] < times.size) < M
 
 
 def test_implicit_euler_nodes_ignores_the_memory_order():
@@ -431,6 +458,14 @@ def test_implicit_euler_requires_positive_a():
     p = ModelParams(x0=1.0, a=0.0, b=0.0, sigma=0.0, beta=0.5)
     with pytest.raises(ValueError, match="a > 0"):
         implicit_euler(p, tilde_w_path(zero_driver(8, 1.0), p))
+
+
+def test_implicit_euler_raises_on_a_nonfinite_lift():
+    # beta = 0.99 lifts y to its 100th power, and y passes 1e4 here
+    p = ModelParams(x0=1.0, a=1.0, b=0.0, sigma=1e6, beta=0.99)
+    grid = uniform_grid(8, 1.0)
+    with pytest.raises(OverflowError, match="lift .* not finite"):
+        implicit_euler(p, tilde_w_path(SamplePath(grid, grid.copy()), p))
 
 
 def test_solve_gmr_ode_oracle():

@@ -14,11 +14,11 @@ from gmr.drivers import (
     uniform_grid,
 )
 from gmr.pk import build_quad_grid
+from gmr.solver import solve_matrix
 from gmr.transform import (
     ModelParams,
-    explicit_a0_matrix,
     first_hit,
-    lift,
+    lift_into,
     theta_weight,
     tilde_w_covariance_matrix,
     tilde_w_matrix,
@@ -26,6 +26,15 @@ from gmr.transform import (
     tilde_w_variance,
     y0_from_x0,
 )
+
+
+def lift(y, times, p):
+    """The lift x = y^(gamma+1) e^(-bt), elementwise: the oracle of lift_into.
+
+    ``times`` broadcasts against ``y``: one grid for (M, n+1) rows, or
+    one time per entry (such as a per-row stopping time).
+    """
+    return y ** (p.gamma + 1.0) * np.exp(-p.b * times)
 
 
 def _params(**kw):
@@ -223,24 +232,26 @@ def test_y0_from_x0_values():
 def test_lift_values():
     grid = uniform_grid(4, 1.0)
     p = _params(beta=0.5, b=0.0)
-    assert np.all(lift(np.full(5, 2.0), grid, p) == 4.0)
+    assert np.all(lift_into(np.empty(5), np.full(5, 2.0), grid, p) == 4.0)
     q = _params(beta=0.5, b=1.0)
-    assert lift(np.ones(5), grid, q)[-1] == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert lift_into(np.empty(5), np.ones(5), grid, q)[-1] == pytest.approx(math.exp(-1.0),
+                                                                           rel=1e-15)
 
 
 def test_lift_roundtrip_identity():
     p = _params(beta=0.8, b=2.5, sigma=0.3)
     grid = uniform_grid(64, 1.0)
     y = 1.0 + 0.5 * np.sin(3 * grid) + 0.1 * grid
-    x = lift(y, grid, p)
+    x = lift_into(np.empty_like(y), y, grid, p)
+    assert np.array_equal(x, lift(y, grid, p))
     # the algebraic inverse y = x^(1-beta) e^(b(1-beta)t)
     back = x ** (1.0 - p.beta) * np.exp(p.b * (1.0 - p.beta) * grid)
     np.testing.assert_allclose(back, y, rtol=1e-12)
 
 
 def _explicit(driver, p):
-    """One row of explicit_a0_matrix on the driver's wtilde: (x, hit index)."""
-    x, _, hit = explicit_a0_matrix(tilde_w_path(driver, p).values[None], driver.times, p)
+    """One row of solve_matrix (a = 0) on the driver's wtilde: (x, hit index)."""
+    x, _, hit = solve_matrix(p, driver.times, tilde_w_path(driver, p).values[None])
     return x[0], int(hit[0])
 
 
@@ -295,13 +306,6 @@ def test_explicit_solution_nonnegative_with_hits():
         assert np.all(x[:hit] > 0.0) and np.all(x[hit:] == 0.0)
         hit_seen |= hit < x.size
     assert hit_seen
-
-
-def test_explicit_solution_requires_a_zero():
-    p = _params(a=1.0)
-    grid = uniform_grid(4, 1.0)
-    with pytest.raises(ValueError, match="a = 0"):
-        explicit_a0_matrix(np.zeros((1, 5)), grid, p)
 
 
 def test_first_hit_rows():
