@@ -8,7 +8,8 @@ Newton from a start where f <= 0, which climbs monotonically to the root.
 One solve serves every a: solve_columns takes the explicit solution when
 a = 0 and runs the scheme otherwise, and solve_matrix is the same solve
 on (M, n+1) rows of wtilde, one path a row. The scheme picks its Newton
-kernel from the row count. The scheme converges
+kernel from the row count: one row runs the scalar kernel on Python
+floats, and implicit_step_root is its one-step form. The scheme converges
 uniformly with rate n^(-alpha*min(1,gamma)) for alpha-Holder drivers;
 convergence_study measures the empirical slope against a nested
 fine-grid reference.
@@ -90,32 +91,63 @@ class RateReport:
 def implicit_step_root(A: float, B: float, gamma: float) -> float:
     """Unique positive root of x - B x^(-gamma) - A = 0.
 
-    One element of _implicit_roots_newton, with the same start, the same
-    plain Newton steps and the same stopping rule |f| <= 1e-12 * max(1, |A|).
-    The start lies where f <= 0, so the iterates climb monotonically to
-    the root and stay positive.
+    One step of _newton_row from y = A with dw = 0 (A + 0.0 is A), so it
+    runs the one-row scheme's Newton body, on Python floats.
     """
     if B <= 0:
         raise ValueError("B must be positive")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    tol = 1e-12 * max(1.0, abs(A))
-    scale = B ** (1.0 / (gamma + 1.0))
-    # min returns its first argument when it compares with NaN, so a NaN A
-    # gives a NaN start here, as np.minimum does in the vectorized solver
-    x = max(A, scale) if A > 0.0 else min((B / (scale + abs(A))) ** (1.0 / gamma), scale)
-    if not 0.0 < x < math.inf:  # the start underflowed, or A is NaN or inf
-        raise RootSolveError(
-            f"Newton start {x!r} is not positive and finite (A={A!r}, B={B!r}, gamma={gamma!r})")
-    for _ in range(_MAX_ITER):
-        f = x - B * x**-gamma - A
-        if abs(f) <= tol:
-            return x
-        fprime = 1.0 + B * gamma * x ** -(gamma + 1.0)
-        x -= f / fprime
-    raise RootSolveError(
-        f"no convergence after {_MAX_ITER} iterations (A={A!r}, B={B!r}, gamma={gamma!r})"
-    )
+    return _newton_row(float(A), [(0.0, float(B))], float(gamma))[-1]
+
+
+def _newton_row(y: float, steps, gamma: float) -> list:
+    """The nodes [y, ...] of the scheme from y over (dw, B) steps, on Python floats.
+
+    Step k solves the root equation with A = y_k + dw_k and B = B_k by
+    _implicit_roots_newton's iteration for one element: the same start,
+    the same plain Newton steps and the same stopping rule. steps may be
+    lazy; a B that raises or is not positive is reached after the nodes
+    before it.
+
+    Float ** raises OverflowError where float64 arithmetic returns inf,
+    and this does what float64 did. The start's (B/(s+|A|))^(1/gamma) is
+    at most about s = B^(1/(gamma+1)) and overflows only for gamma below
+    about 1e-8, where min(inf, s) is s. The iterates rise from the start,
+    so x^-gamma or x^-(gamma+1) overflows on the first pass or never, and
+    float64 then stalls with x unchanged (f / inf = 0) or NaN.
+    """
+    out = [y]
+    for dw, B in steps:
+        if B <= 0:
+            raise ValueError("B must be positive")
+        A = y + dw
+        tol = 1e-12 * max(1.0, abs(A))
+        scale = B ** (1.0 / (gamma + 1.0))
+        try:
+            # min returns its first argument when it compares with NaN, so a NaN A
+            # gives a NaN start here, as np.minimum does in the vectorized solver
+            x = max(A, scale) if A > 0.0 else min((B / (scale + abs(A))) ** (1.0 / gamma), scale)
+        except OverflowError:
+            x = scale
+        if not 0.0 < x < math.inf:  # the start underflowed, or A is NaN or inf
+            raise RootSolveError(
+                f"Newton start {x!r} is not positive and finite (A={A!r}, B={B!r}, gamma={gamma!r})")
+        for _ in range(_MAX_ITER):
+            try:
+                f = x - B * x**-gamma - A
+                if abs(f) <= tol:
+                    break
+                x -= f / (1.0 + B * gamma * x ** -(gamma + 1.0))
+            except OverflowError:
+                x = math.nan  # stall, as float64 did
+        else:
+            raise RootSolveError(
+                f"no convergence after {_MAX_ITER} iterations (A={A!r}, B={B!r}, gamma={gamma!r})"
+            )
+        out.append(x)
+        y = x
+    return out
 
 
 def _implicit_roots_newton(A: np.ndarray, B: float, gamma: float) -> np.ndarray:
@@ -177,9 +209,9 @@ def implicit_euler_nodes(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray)
     Returns the (M, n+1) y nodes. The step at k solves the root equation
     with A = y_k + (wtilde_{k+1} - wtilde_k) and B = a(1-beta) (T/n)
     e^(b t_{k+1}). The kernel follows the row count: one row runs
-    implicit_step_root (a one-row vectorized solve is 8-10x slower at
-    n = 4096), more rows run _implicit_roots_newton on a column at a time.
-    Both run one Newton iteration to one residual tolerance.
+    _newton_row on Python floats (a one-row vectorized solve is 20-30x
+    slower at n = 4096), more rows run _implicit_roots_newton on a column
+    at a time. Both run one Newton iteration to one residual tolerance.
 
     Several rows are stepped time-major: on an (n+1, M) copy of wtilde,
     where each column of the rows is contiguous, and the nodes are
@@ -199,13 +231,10 @@ def implicit_euler_nodes(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray)
         raise ValueError("tilde_w must live on a uniform grid")
     coef = p.a * (1.0 - p.beta) * dt
     if tilde_w.shape[0] == 1:
-        dw = np.diff(tilde_w[0])
-        y = np.empty(times.size)
-        y[0] = p.y0
-        for k in range(n):
-            y[k + 1] = implicit_step_root(y[k] + dw[k], coef * math.exp(p.b * times[k + 1]),
-                                          p.gamma)
-        return y[None]
+        coef, b = float(coef), float(p.b)
+        steps = zip(np.diff(tilde_w[0]).tolist(),
+                    (coef * math.exp(b * t) for t in times[1:].tolist()))
+        return np.array(_newton_row(float(p.y0), steps, float(p.gamma)))[None]
     w = np.ascontiguousarray(tilde_w.T)
     y = np.empty_like(w)
     y[0] = p.y0
@@ -249,7 +278,8 @@ def solve_columns(p: ModelParams, times: np.ndarray, wt: np.ndarray):
 
 def _stride(fine: int, n: int) -> int:
     if n < 1 or fine % n != 0:
-        raise ValueError("the driver grid must refine the scheme grid (n must divide its steps)")
+        raise ValueError(f"the driver grid must refine the scheme grid: n = {n} does not divide "
+                         f"its {fine} steps")
     return fine // n
 
 
@@ -272,12 +302,13 @@ def nested_sup_errors(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray, n_
 
     The reference solves the (M, N+1) rows of wtilde on the whole grid;
     the n-step solution solves every (N/n)-th point of the same rows, so
-    each n must divide N. Returns a (len(n_list), M) array.
+    each n must divide N, which is checked before the reference solve.
+    Returns a (len(n_list), M) array.
     """
+    strides = [_stride(times.size - 1, n) for n in n_list]
     x_ref = solve_matrix(p, times, tilde_w)[0]
     out = np.empty((len(n_list), x_ref.shape[0]))
-    for i, n in enumerate(n_list):
-        stride = _stride(times.size - 1, n)
+    for i, stride in enumerate(strides):
         x = solve_matrix(p, times[::stride], tilde_w[:, ::stride])[0]
         out[i] = np.max(np.abs(x - x_ref[:, ::stride]), axis=1)
     return out
@@ -297,9 +328,11 @@ def convergence_study(
     steps on its subsample, so every n in n_list must divide ref_n;
     ref_n must be at least 8 times the largest n. Errors are sup norms
     over the coarse nodes; the slope is the negated least-squares slope
-    of log error against log n.
+    of log error against log n, so n_list needs at least two sizes.
     """
     n_list = sorted(int(n) for n in n_list)
+    if len(n_list) < 2:
+        raise ValueError("the slope fit needs at least two sizes in n_list")
     if any(n2 <= n1 for n1, n2 in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     if driver.n_steps != ref_n:

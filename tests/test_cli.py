@@ -557,6 +557,10 @@ def _with(command, **changes):
         ("converge", CONV_TEXT % ("[4, 8]", "0"), "config.ref_n: must be >= 1"),
         ("converge", CONV_TEXT % ("[true, 8]", "64"), "config.n_list"),
         ("converge", CONV_TEXT % ("[8, 32]", "128"), "config.n_list/ref_n"),
+        ("converge", CONV_TEXT % ("[32]", "4096"),
+         "config.n_list/ref_n: the slope fit needs at least two sizes"),
+        ("converge", CONV_TEXT % ("[32, 48]", "4096"),
+         "config.n_list/ref_n: the driver grid must refine the scheme grid: n = 48 does not"),
         ("converge", _with("converge", T=-1.0), "config.T: must be positive"),
         ("converge", _with("converge", model={**MODEL, "a": 0.0}), "model.a"),
         ("simulate", SIM_TEXT % ("0.5", "1e-320"), "T"),
@@ -578,6 +582,7 @@ def _with(command, **changes):
          "hit-times-zero-M", "hit-times-zero-steps_per_unit", "hit-times-negative-steps_per_unit",
          "hit-times-negative-horizon", "survival-zero-M", "survival-negative-y0",
          "converge-zero-ref_n", "converge-boolean-n_list", "converge-short-ref_n",
+         "converge-one-size", "converge-non-dividing-n",
          "converge-negative-T", "converge-zero-a", "subnormal-T", "pk-fit-zero-quad_refine",
          "pk-fit-negative-quad_refine", "pk-fit-missing-observations",
          "pk-fit-empty-observations", "pk-sensitivity-zero-M",

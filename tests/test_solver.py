@@ -124,16 +124,56 @@ def ensemble_sup_bounds(spec):
     return np.array([sup_bound(spec.params, s, spec.horizon) for s in sups])
 
 
+def float64_step_root(A, B, gamma):
+    """implicit_step_root's Newton solve in the arithmetic of its arguments.
+
+    Given a numpy float64 A, every iterate is a float64 scalar, where an
+    overflowing power returns inf with a RuntimeWarning instead of raising.
+    """
+    if B <= 0:
+        raise ValueError("B must be positive")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    tol = 1e-12 * max(1.0, abs(A))
+    scale = B ** (1.0 / (gamma + 1.0))
+    x = max(A, scale) if A > 0.0 else min((B / (scale + abs(A))) ** (1.0 / gamma), scale)
+    if not 0.0 < x < math.inf:
+        raise RootSolveError(f"Newton start {x!r} is not positive and finite")
+    for _ in range(200):
+        f = x - B * x**-gamma - A
+        if abs(f) <= tol:
+            return x
+        fprime = 1.0 + B * gamma * x ** -(gamma + 1.0)
+        x -= f / fprime
+    raise RootSolveError("no convergence after 200 iterations")
+
+
 def scalar_scheme(p, times, tilde_w):
-    """The scheme on one row of wtilde, stepped by implicit_step_root."""
+    """The scheme on one row of wtilde, one float64_step_root per step on float64 scalars.
+
+    The oracle of implicit_euler_nodes's one-row loop on Python floats.
+    """
     dt = times[-1] / (times.size - 1)
     dw = np.diff(tilde_w)
     y = np.empty(times.size)
     y[0] = p.y0
     for k in range(times.size - 1):
         B = p.a * (1.0 - p.beta) * dt * math.exp(p.b * times[k + 1])
-        y[k + 1] = implicit_step_root(y[k] + dw[k], B, p.gamma)
+        y[k + 1] = float64_step_root(y[k] + dw[k], B, p.gamma)
     return y
+
+
+def outcome(solve):
+    """solve()'s value, or the class and first two words of what it raised.
+
+    Run with numpy's floating-point warnings off, so that a float64 inf
+    goes on as it does outside the test suite.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            return solve()
+    except (ArithmeticError, ValueError, RootSolveError) as exc:
+        return type(exc), str(exc).split()[:2]
 
 
 def test_step_root_square_case():
@@ -261,8 +301,9 @@ def test_step_roots_raise_when_the_start_underflows():
 
 
 def test_vectorized_euler_matches_scalar_pipeline(monkeypatch):
-    # one row runs implicit_step_root, bitwise; each row of a batch runs the
-    # vectorized kernel and agrees with it to the shared residual tolerance
+    # one row runs the scalar kernel, bitwise the float64 loop; each row of a
+    # batch runs the vectorized kernel and agrees with it to the shared
+    # residual tolerance
     p = ModelParams(x0=1.0, a=1.0, b=2.0, sigma=0.8, beta=0.7)
     grid = uniform_grid(64, 1.0)
     wt = tilde_w_matrix(sample_path_matrix(fbm_kernel(0.8), grid, 8, seed=6), grid, p)
@@ -272,6 +313,121 @@ def test_vectorized_euler_matches_scalar_pipeline(monkeypatch):
     monkeypatch.setattr(gmr.solver, "_implicit_roots_newton", None)
     assert np.array_equal(implicit_euler_nodes(p, grid, wt[:1])[0], loops[0])
     assert np.array_equal(implicit_euler(p, SamplePath(grid, wt[0])).y_path.values, loops[0])
+
+
+_BITWISE_PARAMS = {
+    "fine_path": ModelParams(x0=1.0, a=1.0, b=2.0, sigma=0.5, beta=0.7),
+    # the benchmark's Brownian fault point
+    "fault": ModelParams(x0=1.0, a=0.01, b=1.0, sigma=1.0, beta=0.6),
+    # gamma = 1, and a small y0 with a large sigma: many steps start at A <= 0
+    "negative-A": ModelParams(x0=0.05, a=2.0, b=0.0, sigma=3.0, beta=0.5),
+    "small-a": ModelParams(x0=2.0, a=1e-6, b=5.0, sigma=1.5, beta=0.8),
+    "beta=0.3": ModelParams(x0=1.0, a=1.0, b=1.0, sigma=0.5, beta=0.3),
+    "beta=0.9": ModelParams(x0=1.0, a=0.5, b=1.0, sigma=1.0, beta=0.9),
+}
+_BITWISE_KERNELS = (brownian_kernel(), fbm_kernel(0.3), fbm_kernel(0.9))
+
+
+@pytest.mark.parametrize("name", sorted(_BITWISE_PARAMS))
+def test_one_row_scheme_matches_the_float64_loop_bitwise(name):
+    # n = 4096 down to 2 on every power-of-two stride of one path per
+    # driver and seed; y_k + dw_k <= 0 starts occur for "negative-A"
+    p = _BITWISE_PARAMS[name]
+    times = uniform_grid(4096, 1.0)
+    low_starts = 0
+    for seed, kernel in enumerate(_BITWISE_KERNELS * 2):
+        wt = tilde_w_matrix(sample_path_matrix(kernel, times, 1, seed), times, p)[0]
+        for stride in 2 ** np.arange(12):
+            t, w = times[::stride], wt[::stride]
+            oracle = scalar_scheme(p, t, w)
+            assert np.array_equal(implicit_euler_nodes(p, t, w[None])[0], oracle)
+            low_starts += int(np.sum(oracle[:-1] + np.diff(w) <= 0.0))
+    assert (low_starts > 0) == (name == "negative-A")
+
+
+@pytest.mark.parametrize("name", sorted(_BITWISE_PARAMS))
+def test_solve_gmr_and_convergence_study_match_the_float64_loop_bitwise(name):
+    p = _BITWISE_PARAMS[name]
+    ref_n, n_list = 1024, [16, 32, 64, 128]
+    times = uniform_grid(ref_n, 1.0)
+    driver = SamplePath(times, sample_path_matrix(fbm_kernel(0.9), times, 1, seed=5)[0])
+    wt = tilde_w_path(driver, p).values
+    x_ref = lift(scalar_scheme(p, times, wt), times, p)
+    errors = []
+    for n in n_list:
+        t, w = times[:: ref_n // n], wt[:: ref_n // n]
+        x = lift(scalar_scheme(p, t, w), t, p)
+        assert np.array_equal(solve_gmr(p, driver, n).values, x)
+        errors.append(np.max(np.abs(x - x_ref[:: ref_n // n])))
+    report = convergence_study(p, driver, n_list, ref_n, 0.9)
+    assert np.array_equal(report.errors, errors)
+    assert report.fitted_slope == -np.polyfit(np.log(n_list), np.log(errors), 1)[0]
+
+
+# (A, B, gamma) where the Newton solve fails or a float ** overflows; the
+# scheme's rows below cover NaN, inf and underflowing starts
+_STEP_CASES = {
+    # start about 1e-306: x^-(gamma+1) overflows on the first pass
+    "overflowing-step": (-5.5e-6, 4e-9, 0.01 / 0.99),
+    # a root near 1e15 cannot meet an absolute tolerance of 1e-12
+    "stall": (0.0, 1e30, 1.0),
+    # z = (B/s)^(1/gamma) overflows, and the start is s
+    "overflowing-start": (0.0, 1.7976931348623157e308, 6.309573444801943e-09),
+    "nan-B": (1.0, math.nan, 1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STEP_CASES))
+def test_step_root_raises_as_the_float64_solve(case):
+    A, B, gamma = _STEP_CASES[case]
+    want = outcome(lambda: float64_step_root(np.float64(A), B, gamma))
+    assert outcome(lambda: implicit_step_root(A, B, gamma)) == want
+    assert isinstance(want, tuple) == (case != "overflowing-start")
+
+
+def _admissible_rows(count, seed):
+    """Seeded (params, times, wtilde row) over beta > 1 - H up to 0.99, a down to 1e-6."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(count):
+        hurst = rng.uniform(0.05, 0.995)
+        beta = rng.uniform(1.0 - hurst, 0.99)
+        p = ModelParams(x0=10.0 ** rng.uniform(-3.0, 1.0), a=10.0 ** rng.uniform(-6.0, 0.5),
+                        b=float(rng.choice([0.0, rng.uniform(0.0, 5.0), 200.0, 400.0])),
+                        sigma=float(rng.choice([rng.uniform(0.0, 5.0), 10.0 ** rng.uniform(1, 3)])),
+                        beta=beta)
+        times = uniform_grid(64 if i % 2 else 256, 1.0 if i % 3 else 2.0)
+        with np.errstate(all="ignore"):  # wtilde overflows for b (1 - beta) T past about 709
+            wt = tilde_w_matrix(sample_path_matrix(fbm_kernel(hurst), times, 1, i), times, p)
+        rows.append((p, times, wt[0]))
+    return rows
+
+
+def test_one_row_scheme_raises_as_the_float64_loop_over_the_admissible_box():
+    # every input where the float64 loop raises gives the same class and
+    # message stem, and every other input the same nodes
+    rows = _admissible_rows(60, seed=31)
+    small = ModelParams(x0=1.0, a=1e-6, b=0.0, sigma=1.0, beta=0.01)
+    times = uniform_grid(16, 1.0)
+    rows += [
+        # A = y0 - 1.0027 at the first step, whose root is about 1e-459
+        (small, times, np.where(times > 0.0, -1.0027, 0.0)),
+        (_BITWISE_PARAMS["fine_path"], times, np.where(times < 0.5, 0.0, math.nan)),
+        (_BITWISE_PARAMS["fine_path"], times, np.where(times < 1.0, 0.0, math.inf)),
+        # the roots outgrow the tolerance, and a step stalls before e^(b t) overflows
+        (ModelParams(x0=1.0, a=1.0, b=900.0, sigma=0.0, beta=0.5), times, np.zeros(17)),
+        (_BITWISE_PARAMS["fine_path"], np.zeros(17), np.zeros(17)),  # B = 0
+    ]
+    raised = []
+    for p, t, w in rows:
+        want = outcome(lambda: scalar_scheme(p, t, w))
+        got = outcome(lambda: implicit_euler_nodes(p, t, w[None])[0])
+        if isinstance(want, tuple):
+            assert got == want
+            raised.append(" ".join(want[1]))
+        else:
+            assert np.array_equal(got, want)
+    assert set(raised) == {"math range", "no convergence", "Newton start", "B must"}
 
 
 def _row_major_roots_newton(A, B, gamma):
@@ -304,7 +460,7 @@ def _row_major_nodes(p, times, tilde_w):
     y = np.empty_like(tilde_w)
     y[:, 0] = p.y0
     if y.shape[0] == 1:
-        step, nodes, inc = implicit_step_root, y[0], dw[0]
+        step, nodes, inc = float64_step_root, y[0], dw[0]
     else:
         step, nodes, inc = _row_major_roots_newton, y.T, dw.T
     for k in range(times.size - 1):
@@ -605,10 +761,21 @@ def test_convergence_study_validation():
     p = ModelParams(x0=1.0, a=1.0, b=0.0, sigma=0.0, beta=0.5)
     with pytest.raises(ValueError, match="reference grid"):
         convergence_study(p, zero_driver(512, 1.0), [32, 64], 1024, 1.0)
-    with pytest.raises(ValueError, match="divide"):
-        convergence_study(p, zero_driver(1024, 1.0), [33], 1024, 1.0)
     with pytest.raises(ValueError, match="8"):
-        convergence_study(p, zero_driver(1024, 1.0), [256], 1024, 1.0)
+        convergence_study(p, zero_driver(1024, 1.0), [128, 256], 1024, 1.0)
+    for n_list in ([32], []):
+        with pytest.raises(ValueError, match="at least two sizes"):
+            convergence_study(p, zero_driver(1024, 1.0), n_list, 1024, 1.0)
+
+
+def test_convergence_study_checks_every_n_before_the_reference_solve(monkeypatch):
+    def solve(*args):
+        raise AssertionError("solved before the check")
+
+    monkeypatch.setattr(gmr.solver, "solve_matrix", solve)
+    p = ModelParams(x0=1.0, a=1.0, b=0.0, sigma=0.0, beta=0.5)
+    with pytest.raises(ValueError, match="n = 33 does not divide its 1024 steps"):
+        convergence_study(p, zero_driver(1024, 1.0), [32, 33], 1024, 1.0)
 
 
 def test_rate_report_validation_and_export(tmp_path):
