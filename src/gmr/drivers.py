@@ -114,15 +114,29 @@ def uniform_grid(n: int, horizon: float) -> np.ndarray:
     return np.linspace(0.0, float(horizon), n + 1)
 
 
-def grid_index(grid: np.ndarray, t: float) -> int:
-    """Index of t in grid, matched to relative tolerance; error off-grid."""
+def grid_index(grid: np.ndarray, t):
+    """Index of t in grid, matched to relative tolerance; error off-grid.
+
+    t may be an array of times, for an array of indices of its shape: one
+    searchsorted, then the first of the neighbours i-1, i, i+1 within
+    1e-9 max(|t|, grid[-1]) of t. An off-grid time raises ValueError,
+    naming the first one.
+    """
     grid = np.asarray(grid, dtype=float)
-    i = int(np.searchsorted(grid, t))
-    scale = max(abs(t), grid[-1], 1e-300)
-    for j in (i - 1, i, i + 1):
-        if 0 <= j < grid.size and abs(grid[j] - t) <= _GRID_RTOL * scale:
-            return j
-    raise ValueError(f"time {float(t)!r} is not on the grid")
+    times = np.asarray(t)
+    if times.dtype.kind not in "biuf":
+        raise TypeError(f"grid times must be real numbers, not {times.dtype}")
+    times = times.astype(float)
+    i = np.searchsorted(grid, times)
+    tol = _GRID_RTOL * np.maximum(np.maximum(np.abs(times), grid[-1]), 1e-300)
+    idx = np.full(times.shape, -1)
+    for j in (i + 1, i, i - 1):  # the last written, so the first in order, wins
+        near = np.abs(grid[np.clip(j, 0, grid.size - 1)] - times) <= tol
+        idx = np.where(near & (0 <= j) & (j < grid.size), j, idx)
+    off = idx < 0
+    if off.any():
+        raise ValueError(f"time {float(times[off][0])!r} is not on the grid")
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def _is_uniform(times: np.ndarray) -> bool:
@@ -237,7 +251,7 @@ def covariance_rows(kernel: CovarianceKernel, times: np.ndarray, start: int,
                       - np.abs(rows[:, None] - times[None, :]) ** h2)
     if kernel.kind == "brownian":
         return np.minimum(rows[:, None], times[None, :])
-    idx = np.array([grid_index(kernel.grid, t) for t in times])
+    idx = grid_index(kernel.grid, times)
     return kernel.matrix[np.ix_(idx[start:stop], idx)]
 
 

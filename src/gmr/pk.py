@@ -257,7 +257,7 @@ class _ObservationBlock:
         self.times = times
         self.grid = grid
         self.cov = covariance_matrix(kernel, grid)
-        self.idx = np.array([grid_index(grid, t) for t in times])
+        self.idx = grid_index(grid, times)
         self.rows = np.arange(times.size)
         half = 0.5 * np.diff(grid)
         left, right = np.append(0.0, half), np.append(half, 0.0)

@@ -116,36 +116,59 @@ def _newton_row(y: float, steps, gamma: float) -> list:
     about 1e-8, where min(inf, s) is s. The iterates rise from the start,
     so x^-gamma or x^-(gamma+1) overflows on the first pass or never, and
     float64 then stalls with x unchanged (f / inf = 0) or NaN.
+
+    The exponents, 1/gamma and 1/(gamma+1) are worked out once per call,
+    and B gamma once per step (B gamma x^-(gamma+1) multiplies left to
+    right, so that is the same product). Comparisons stand in for the
+    builtins and give the same float in every case, NaN and -0.0
+    included. max and min keep their first argument unless a later one
+    compares strictly greater (smaller), so the order matters for NaN:
+    max(A, s) is `s if s > A else A`, which keeps A when B is NaN, and
+    min(z, s) is `s if s < z else z`, which keeps a NaN z when A is NaN.
+    max(1, |A|) is `a if a > 1 else 1`; |A| is `-A if A < 0 else A`,
+    which leaves -0.0 as it is, the same here since s + -0.0 is s and
+    -0.0 compares as 0.0 does; and |f| <= tol is
+    `(f if f >= 0 else -f) <= tol`, false for a NaN f.
     """
     out = [y]
+    append = out.append
+    inf = math.inf
+    iterations = range(_MAX_ITER)
+    neg_gamma, neg_gamma1 = -gamma, -(gamma + 1.0)
+    inv_gamma, inv_gamma1 = 1.0 / gamma, 1.0 / (gamma + 1.0)
     for dw, B in steps:
         if B <= 0:
             raise ValueError("B must be positive")
         A = y + dw
-        tol = 1e-12 * max(1.0, abs(A))
-        scale = B ** (1.0 / (gamma + 1.0))
-        try:
-            # min returns its first argument when it compares with NaN, so a NaN A
-            # gives a NaN start here, as np.minimum does in the vectorized solver
-            x = max(A, scale) if A > 0.0 else min((B / (scale + abs(A))) ** (1.0 / gamma), scale)
-        except OverflowError:
-            x = scale
-        if not 0.0 < x < math.inf:  # the start underflowed, or A is NaN or inf
+        abs_A = -A if A < 0.0 else A
+        tol = 1e-12 * (abs_A if abs_A > 1.0 else 1.0)
+        scale = B**inv_gamma1
+        Bg = B * gamma
+        if A > 0.0:
+            x = scale if scale > A else A
+        else:
+            try:
+                x = (B / (scale + abs_A)) ** inv_gamma
+                if scale < x:
+                    x = scale
+            except OverflowError:
+                x = scale
+        if not 0.0 < x < inf:  # the start underflowed, or A is NaN or inf
             raise RootSolveError(
                 f"Newton start {x!r} is not positive and finite (A={A!r}, B={B!r}, gamma={gamma!r})")
-        for _ in range(_MAX_ITER):
+        for _ in iterations:
             try:
-                f = x - B * x**-gamma - A
-                if abs(f) <= tol:
+                f = x - B * x**neg_gamma - A
+                if (f if f >= 0.0 else -f) <= tol:
                     break
-                x -= f / (1.0 + B * gamma * x ** -(gamma + 1.0))
+                x -= f / (1.0 + Bg * x**neg_gamma1)
             except OverflowError:
                 x = math.nan  # stall, as float64 did
         else:
             raise RootSolveError(
                 f"no convergence after {_MAX_ITER} iterations (A={A!r}, B={B!r}, gamma={gamma!r})"
             )
-        out.append(x)
+        append(x)
         y = x
     return out
 
@@ -209,7 +232,7 @@ def implicit_euler_nodes(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray)
     Returns the (M, n+1) y nodes. The step at k solves the root equation
     with A = y_k + (wtilde_{k+1} - wtilde_k) and B = a(1-beta) (T/n)
     e^(b t_{k+1}). The kernel follows the row count: one row runs
-    _newton_row on Python floats (a one-row vectorized solve is 20-30x
+    _newton_row on Python floats (a one-row vectorized solve is 30-70x
     slower at n = 4096), more rows run _implicit_roots_newton on a column
     at a time. Both run one Newton iteration to one residual tolerance.
 
@@ -233,7 +256,7 @@ def implicit_euler_nodes(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray)
     if tilde_w.shape[0] == 1:
         coef, b = float(coef), float(p.b)
         steps = zip(np.diff(tilde_w[0]).tolist(),
-                    (coef * math.exp(b * t) for t in times[1:].tolist()))
+                    map(coef.__mul__, map(math.exp, map(b.__mul__, times[1:].tolist()))))
         return np.array(_newton_row(float(p.y0), steps, float(p.gamma)))[None]
     w = np.ascontiguousarray(tilde_w.T)
     y = np.empty_like(w)

@@ -74,6 +74,53 @@ def test_custom_kernel_off_grid_errors():
         kernel_eval(k, 0.3, 0.5)
 
 
+def _scalar_grid_index(grid, times):
+    """grid_index one time at a time: the indices, or the first ValueError's message."""
+    try:
+        return [grid_index(grid, t) for t in times]
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_index_on_arrays_matches_the_scalar_loop(seed):
+    # times just inside and just outside the 1e-9 relative tolerance of
+    # uniform and uneven grids, past both ends included: the array call
+    # gives the scalar loop's indices in the times' shape, or raises the
+    # scalar loop's first ValueError
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    horizon = 10.0 ** rng.uniform(-3.0, 3.0)
+    uneven = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, n))])
+    for grid in (uniform_grid(n, horizon), horizon * uneven / uneven[-1]):
+        on = grid[rng.integers(0, n + 1, 60)]
+        tol = 1e-9 * np.maximum(np.abs(on), grid[-1])
+        inside = on + rng.choice([-0.999, -0.5, 0.0, 0.5, 0.999], on.size) * tol
+        outside = on + rng.choice([-1.001, 1.001], on.size) * tol
+        want = _scalar_grid_index(grid, inside)
+        assert isinstance(want, list) and np.array_equal(grid_index(grid, inside), want)
+        assert grid_index(grid, inside.reshape(6, 10)).shape == (6, 10)
+        assert grid_index(grid, inside[:0]).shape == (0,)
+        for times in (outside, np.concatenate([inside[:30], outside[:5], inside[30:]])):
+            want = _scalar_grid_index(grid, times)
+            assert isinstance(want, str)
+            with pytest.raises(ValueError) as exc:
+                grid_index(grid, times)
+            assert str(exc.value) == want
+
+
+def test_grid_index_keeps_its_scalar_form():
+    grid = uniform_grid(8, 2.0)
+    assert grid_index(grid, 0.5) == 2 and type(grid_index(grid, 0.5)) is int
+    assert grid_index(grid, -1e-12) == 0 and grid_index(grid, 2.0 + 1e-9) == 8
+    for t in (2.0 + 3e-9, -1e-8, float("nan")):
+        with pytest.raises(ValueError, match=f"^time {t!r} is not on the grid$"):
+            grid_index(grid, t)
+    for bad in ("0.5", None):
+        with pytest.raises(TypeError):
+            grid_index(grid, bad)
+
+
 def test_custom_kernel_validation():
     grid = uniform_grid(2, 1.0)
     asym = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.2, 1.0]])

@@ -364,8 +364,9 @@ def test_solve_gmr_and_convergence_study_match_the_float64_loop_bitwise(name):
     assert report.fitted_slope == -np.polyfit(np.log(n_list), np.log(errors), 1)[0]
 
 
-# (A, B, gamma) where the Newton solve fails or a float ** overflows; the
-# scheme's rows below cover NaN, inf and underflowing starts
+# (A, B, gamma) where the Newton solve fails, a float ** overflows, or a
+# max, min or abs of the float64 solve decides the result; the scheme's
+# rows below cover NaN, inf and underflowing starts
 _STEP_CASES = {
     # start about 1e-306: x^-(gamma+1) overflows on the first pass
     "overflowing-step": (-5.5e-6, 4e-9, 0.01 / 0.99),
@@ -373,16 +374,32 @@ _STEP_CASES = {
     "stall": (0.0, 1e30, 1.0),
     # z = (B/s)^(1/gamma) overflows, and the start is s
     "overflowing-start": (0.0, 1.7976931348623157e308, 6.309573444801943e-09),
+    # max(A, s) with s NaN keeps A
     "nan-B": (1.0, math.nan, 1.5),
+    # max(A, s) with A equal to s = B^(1/(gamma+1))
+    "A-equals-start": (2.0, 4.0, 1.0),
+    # |A| and the start's s + |A| with A = -0.0
+    "negative-zero-A": (-0.0, 4.0, 1.0),
+    # max(1, |A|) and min(z, s) with z NaN
+    "nan-A": (math.nan, 1.0, 1.5),
+    # s = inf, and max(A, s) is inf
+    "inf-B": (1.0, math.inf, 1.5),
 }
+_STEP_ROOTS = {"overflowing-start", "A-equals-start", "negative-zero-A"}
 
 
 @pytest.mark.parametrize("case", sorted(_STEP_CASES))
 def test_step_root_raises_as_the_float64_solve(case):
+    # a root is compared by float.hex, so -0.0 would differ from 0.0
     A, B, gamma = _STEP_CASES[case]
-    want = outcome(lambda: float64_step_root(np.float64(A), B, gamma))
-    assert outcome(lambda: implicit_step_root(A, B, gamma)) == want
-    assert isinstance(want, tuple) == (case != "overflowing-start")
+
+    def hexed(solve):
+        got = outcome(solve)
+        return got if isinstance(got, tuple) else float.hex(float(got))
+
+    want = hexed(lambda: float64_step_root(np.float64(A), B, gamma))
+    assert hexed(lambda: implicit_step_root(A, B, gamma)) == want
+    assert isinstance(want, tuple) == (case not in _STEP_ROOTS)
 
 
 def _admissible_rows(count, seed):
@@ -428,6 +445,24 @@ def test_one_row_scheme_raises_as_the_float64_loop_over_the_admissible_box():
         else:
             assert np.array_equal(got, want)
     assert set(raised) == {"math range", "no convergence", "Newton start", "B must"}
+
+
+def test_vectorized_route_raises_where_the_stopping_rule_stalls():
+    # |f| <= 1e-12 max(1, |A|) cannot be met for a root far above |A|: draw 6
+    # (b = 200, a root near 1e12) stalls. Two rows run the vectorized kernel,
+    # which raises wherever one row raises and otherwise returns finite,
+    # positive nodes within the residual tolerance of the one-row scheme's
+    raised = {}
+    for i, (p, t, w) in enumerate(_admissible_rows(60, seed=31)):
+        one = outcome(lambda: implicit_euler_nodes(p, t, w[None])[0])
+        two = outcome(lambda: implicit_euler_nodes(p, t, np.stack([w, w])))
+        if isinstance(one, tuple):
+            assert isinstance(two, tuple) and two[0] is one[0]
+            raised[i] = two
+        else:
+            assert np.all(np.isfinite(two)) and np.all(two > 0.0)
+            assert np.all(np.abs(two - one) <= 1e-10 * np.maximum(1.0, one))
+    assert raised[6] == (RootSolveError, ["vectorized", "step"])
 
 
 def _row_major_roots_newton(A, B, gamma):
