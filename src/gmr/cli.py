@@ -1,4 +1,4 @@
-"""Batch command-line front-end.
+"""Batch command-line front-end, and the one module that reads or writes files.
 
 Each subcommand reads a single JSON config object, runs the library and
 writes plot-ready CSV / JSON artifacts into the output directory. Config
@@ -6,20 +6,25 @@ keys are validated strictly (unknown keys are rejected and range errors
 name the offending key); identical config + seed produces byte-identical
 output files. Exit codes: 0 success, 1 validation error, 2 numerical
 failure.
+
+CSV files have a header row, CRLF row ends and every number written as
+%.17g (a lossless float64 round-trip). JSON files are UTF-8 with sorted
+keys, a two-space indent and a trailing newline.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
 
 import numpy as np
 
-from .artifacts import write_csv, write_json
 from .drivers import (
     CovarianceError,
     CovarianceKernel,
@@ -30,11 +35,10 @@ from .drivers import (
 )
 from .montecarlo import (
     EnsembleSpec,
+    EnsembleStats,
     ensemble_simulate,
     ensemble_stats,
     hitting_time_stats,
-    paths_to_csv,
-    stats_to_json,
     survival_bound_check,
 )
 from .pk import (
@@ -53,8 +57,6 @@ from .pk import (
 from .solver import (
     RootSolveError,
     convergence_study,
-    rate_report_to_csv,
-    rate_report_to_json,
     solve_gmr,
 )
 from .transform import ModelParams
@@ -71,6 +73,67 @@ _FUNCTIONALS = {
     "square": (lambda r: r**2, lambda r: 2.0 * r),
     "sin": (np.sin, np.cos),
 }
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each row of numbers, formatted as %.17g."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(["%.17g" % v for v in row] for row in rows)
+
+
+def _write_json(path, payload: dict) -> None:
+    """Write ``payload`` with sorted keys, indent 2 and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _read_observations(path, column, drop_nonpositive: bool) -> ConcentrationSeries:
+    """Read ``t,concentration`` CSV; also accepts simulation output.
+
+    Reads ``column``, or when it is None the ``concentration`` column,
+    falling back to a ``stochastic`` column (pk-simulate files) and then
+    to the second column. A row without a finite time and concentration (too
+    short, unparsable or not finite) raises ValueError naming its 1-based
+    data row. Rows at t = 0 are never observations and are dropped;
+    ``drop_nonpositive`` additionally drops rows with concentration <= 0
+    (post-hit zeros).
+    """
+    with open(path, "r", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        rows = [r for r in reader if r]
+    if header is None:
+        raise ValueError("CSV is empty: it has no header row")
+    if "t" not in header:
+        raise ValueError("CSV must have a 't' column")
+    ti = header.index("t")
+    if column is not None:
+        if column not in header:
+            raise ValueError(f"CSV has no column {column!r}")
+        ci = header.index(column)
+    elif "concentration" in header:
+        ci = header.index("concentration")
+    elif "stochastic" in header:
+        ci = header.index("stochastic")
+    else:
+        ci = 1 if ti != 1 else 0
+    t, x = np.empty(len(rows)), np.empty(len(rows))
+    for k, r in enumerate(rows):
+        try:
+            t[k], x[k] = float(r[ti]), float(r[ci])
+        except (IndexError, ValueError):
+            t[k] = math.nan
+        if not (math.isfinite(t[k]) and math.isfinite(x[k])):
+            raise ValueError(f"data row {k + 1}: t and {header[ci]!r} must be finite numbers")
+    keep = t > 0
+    if drop_nonpositive:
+        keep &= x > 0
+    if not keep.any():
+        raise ValueError("no usable observations in CSV")
+    return ConcentrationSeries(t[keep], x[keep])
 
 
 def _check_keys(obj: dict, allowed: set, ctx: str) -> None:
@@ -230,8 +293,9 @@ def _cmd_simulate(cfg: dict, args) -> list:
     n, horizon = _grid_from(_get(cfg, "grid", "config", kind=dict))
     seed = _seed_from(cfg, args)
     driver = sample_paths(kernel, uniform_grid(n, horizon), 1, seed)[0]
+    path = solve_gmr(model, driver, n)
     out = os.path.join(args.out, "simulate.csv")
-    solve_gmr(model, driver, n).to_csv(out)
+    _write_csv(out, ["t", "value"], zip(path.times, path.values))
     return [out]
 
 
@@ -253,9 +317,22 @@ def _cmd_converge(cfg: dict, args) -> list:
         report = convergence_study(model, driver, n_list, ref_n, kernel.holder_exponent)
     csv_out = os.path.join(args.out, "converge.csv")
     json_out = os.path.join(args.out, "converge.json")
-    rate_report_to_csv(report, csv_out)
-    rate_report_to_json(report, json_out)
+    _write_csv(csv_out, ["n", "error"], zip(report.n_list, report.errors))
+    _write_json(json_out, {"fitted_slope": report.fitted_slope,
+                           "theoretical_rate": report.theoretical_rate})
     return [csv_out, json_out]
+
+
+def _stats_payload(stats: EnsembleStats) -> dict:
+    return {
+        "lp_estimates": [{"p": p, "estimate": v} for p, v in sorted(stats.lp_estimates.items())],
+        "hit_fraction": stats.hit_fraction,
+        "hit_times": [float(t) for t in stats.hit_times],
+        "marginal_samples": {
+            "%.17g" % t: [float(v) for v in vals]
+            for t, vals in sorted(stats.marginal_samples.items())
+        },
+    }
 
 
 def _cmd_ensemble(cfg: dict, args) -> list:
@@ -284,12 +361,14 @@ def _cmd_ensemble(cfg: dict, args) -> list:
     written = [os.path.join(args.out, "ensemble.json")]
     if not write_paths:
         # the statistics alone, chunk by chunk: no (M, n+1) array is held
-        stats_to_json(ensemble_stats(spec), written[-1])
+        _write_json(written[-1], _stats_payload(ensemble_stats(spec)))
         return written
     result = ensemble_simulate(spec)
-    stats_to_json(result.stats, written[-1])
+    _write_json(written[-1], _stats_payload(result.stats))
     written.append(os.path.join(args.out, "ensemble_paths.csv"))
-    paths_to_csv(result, written[-1])
+    # the raw ensemble: columns t, path_0, ..., path_{M-1}
+    header = ["t"] + [f"path_{i}" for i in range(result.x.shape[0])]
+    _write_csv(written[-1], header, np.column_stack([result.times, result.x.T]))
     return written
 
 
@@ -308,7 +387,7 @@ def _cmd_hit_times(cfg: dict, args) -> list:
     seed = _seed_from(cfg, args)
     rates = hitting_time_stats(model, kernel, m_count, horizons, seed=seed, **spu)
     out = os.path.join(args.out, "hit_times.json")
-    write_json(out, {"M": m_count, "horizons": [asdict(r) for r in rates]})
+    _write_json(out, {"M": m_count, "horizons": [asdict(r) for r in rates]})
     return [out]
 
 
@@ -336,7 +415,7 @@ def _cmd_survival(cfg: dict, args) -> list:
     seed = _seed_from(cfg, args)
     report = survival_bound_check(y0, model, kernel, uniform_grid(n, horizon), m_count, seed)
     out = os.path.join(args.out, "survival.json")
-    write_json(out, asdict(report))
+    _write_json(out, asdict(report))
     return [out]
 
 
@@ -349,7 +428,7 @@ def _cmd_pk_simulate(cfg: dict, args) -> list:
     stochastic = simulate_concentration(pk, kernel, n, seed, horizon)
     deterministic = deterministic_concentration(pk, stochastic.times)
     out = os.path.join(args.out, "pk_simulate.csv")
-    write_csv(
+    _write_csv(
         out,
         ["t", "stochastic", "deterministic"],
         zip(stochastic.times, stochastic.values, deterministic),
@@ -375,7 +454,7 @@ def _cmd_pk_fit(cfg: dict, args) -> list:
     column = _get(cfg, "column", "config", kind=str, required=False)
     drop = _get(cfg, "drop_nonpositive", "config", kind=bool, required=False, default=True)
     try:
-        obs = ConcentrationSeries.from_csv(obs_path, column=column, drop_nonpositive=drop)
+        obs = _read_observations(obs_path, column, drop)
     except OSError as exc:
         raise ConfigError(f"config.observations: cannot read {obs_path!r} ({exc})") from exc
     except ValueError as exc:
@@ -398,7 +477,7 @@ def _cmd_pk_fit(cfg: dict, args) -> list:
     with _config_errors("init"):
         est = fit_mle(obs, kernel, init, a0, vol, bounds=bounds, quad_grid=quad)
     out = os.path.join(args.out, "pk_fit.json")
-    write_json(out, asdict(est))
+    _write_json(out, asdict(est))
     return [out]
 
 
@@ -456,7 +535,7 @@ def _cmd_pk_sensitivity(cfg: dict, args) -> list:
         "method": method,
     }
     out = os.path.join(args.out, "pk_sensitivity.json")
-    write_json(out, payload)
+    _write_json(out, payload)
     return [out]
 
 

@@ -28,8 +28,6 @@ from typing import Callable, Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .artifacts import write_csv
-
 __all__ = [
     "CovarianceError",
     "SamplePath",
@@ -71,7 +69,7 @@ class CovarianceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SamplePath:
-    """A path on a time grid: times start at 0 and increase strictly.
+    """A path on a time grid (checked_grid): times start at 0 and increase strictly.
 
     Used for drivers (values[0] == 0), weighted integrals and solutions
     alike; it is the common currency between modules.
@@ -81,18 +79,10 @@ class SamplePath:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = checked_grid(self.times)
         values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or values.ndim != 1:
-            raise ValueError("times and values must be 1-d arrays")
         if times.shape != values.shape:
             raise ValueError("times and values must have equal length")
-        if times.size < 2:
-            raise ValueError("a path needs at least 2 grid points")
-        if times[0] != 0.0:
-            raise ValueError("times must start at 0")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -100,9 +90,22 @@ class SamplePath:
     def n_steps(self) -> int:
         return self.times.size - 1
 
-    def to_csv(self, path) -> None:
-        """Write the path as CSV with header ``t,value``."""
-        write_csv(path, ["t", "value"], zip(self.times, self.values))
+
+def checked_grid(times, uniform: bool = False) -> np.ndarray:
+    """times as a float array, which must be a time grid.
+
+    A time grid is 1-d with at least 2 points, starts at 0, increases
+    strictly and is finite (no NaN, and no inf at its end); with
+    ``uniform`` its steps must also be equal (_is_uniform).
+    """
+    times = np.asarray(times, dtype=float)
+    if not (times.ndim == 1 and times.size >= 2 and times[0] == 0.0
+            and np.all(np.diff(times) > 0.0) and np.isfinite(times[-1])
+            and (not uniform or _is_uniform(times))):
+        shape = "uniform and increasing" if uniform else "strictly increasing"
+        raise ValueError(f"grid must start at 0 and be finite and {shape}, "
+                         "with at least 2 points")
+    return times
 
 
 def uniform_grid(n: int, horizon: float) -> np.ndarray:
@@ -119,8 +122,8 @@ def grid_index(grid: np.ndarray, t):
 
     t may be an array of times, for an array of indices of its shape: one
     searchsorted, then the first of the neighbours i-1, i, i+1 within
-    1e-9 max(|t|, grid[-1]) of t. An off-grid time raises ValueError,
-    naming the first one.
+    1e-9 max(|t|, grid[-1]) of t. A NaN or infinite time is off the
+    grid. An off-grid time raises ValueError, naming the first one.
     """
     grid = np.asarray(grid, dtype=float)
     times = np.asarray(t)
@@ -133,7 +136,7 @@ def grid_index(grid: np.ndarray, t):
     for j in (i + 1, i, i - 1):  # the last written, so the first in order, wins
         near = np.abs(grid[np.clip(j, 0, grid.size - 1)] - times) <= tol
         idx = np.where(near & (0 <= j) & (j < grid.size), j, idx)
-    off = idx < 0
+    off = (idx < 0) | ~np.isfinite(times)
     if off.any():
         raise ValueError(f"time {float(times[off][0])!r} is not on the grid")
     return int(idx) if idx.ndim == 0 else idx
@@ -193,9 +196,7 @@ def custom_kernel(
     The covariance is materialized on ``grid`` at construction and
     validated: symmetric, zero on the ``t = 0`` row/column.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing and start at 0")
+    grid = checked_grid(grid)
     if callable(cov):
         mat = np.array([[float(cov(s, t)) for t in grid] for s in grid])
     else:
@@ -420,11 +421,7 @@ def driver_blocks(kernel: CovarianceKernel, grid: np.ndarray, count: int, seed: 
     maps each block as it comes (to wtilde, say) never holds the whole
     driver matrix.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0:
-        raise ValueError("grid must start at 0 with at least 2 points")
-    if not (grid[1] > 0.0 and _is_uniform(grid)):
-        raise ValueError("grid must be uniform and increasing")
+    grid = checked_grid(grid, uniform=True)
     if count < 1:
         raise ValueError("count must be >= 1")
     width, rows_from, row_wise = _block_sampler(kernel, grid)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_csv, write_json
 from .drivers import (
     _BLOCK,
     CovarianceKernel,
@@ -34,8 +33,6 @@ __all__ = [
     "ensemble_stats",
     "survival_bound_check",
     "hitting_time_stats",
-    "stats_to_json",
-    "paths_to_csv",
 ]
 
 _DEFAULT_P = (1.0, 2.0, 4.0, 8.0)
@@ -302,25 +299,3 @@ def hitting_time_stats(
         )
     return out
 
-
-def stats_to_json(stats: EnsembleStats, path) -> None:
-    write_json(
-        path,
-        {
-            "lp_estimates": [
-                {"p": p, "estimate": v} for p, v in sorted(stats.lp_estimates.items())
-            ],
-            "hit_fraction": stats.hit_fraction,
-            "hit_times": [float(t) for t in stats.hit_times],
-            "marginal_samples": {
-                "%.17g" % t: [float(v) for v in vals]
-                for t, vals in sorted(stats.marginal_samples.items())
-            },
-        },
-    )
-
-
-def paths_to_csv(result: EnsembleResult, path) -> None:
-    """Raw ensemble matrix as CSV: columns t, path_0, ..., path_{M-1}."""
-    header = ["t"] + [f"path_{i}" for i in range(result.x.shape[0])]
-    write_csv(path, header, np.column_stack([result.times, result.x.T]))

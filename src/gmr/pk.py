@@ -15,18 +15,17 @@ so importing gmr does not load scipy.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .artifacts import write_csv
 from .drivers import (
     CovarianceError,
     CovarianceKernel,
     SamplePath,
+    checked_grid,
     covariance_matrix,
     driver_blocks,
     grid_index,
@@ -75,6 +74,9 @@ class PkParams:
     Ka: float = 0.0
 
     def __post_init__(self):
+        for name in ("A0", "v", "Ke", "sigma", "Ka"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.A0 <= 0 or self.v <= 0:
             raise ValueError("A0 and v must be positive")
         if self.Ke <= 0:
@@ -131,55 +133,6 @@ class ConcentrationSeries:
 
     def __len__(self) -> int:
         return self.times.size
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["t", "concentration"], zip(self.times, self.concentrations))
-
-    @classmethod
-    def from_csv(cls, path, column: Optional[str] = None,
-                 drop_nonpositive: bool = False) -> "ConcentrationSeries":
-        """Read ``t,concentration`` CSV; also accepts simulation output.
-
-        Falls back to a ``stochastic`` column (pk simulation files) and
-        then to the second column. A row without a finite time and
-        concentration (too short, unparsable or not finite) raises
-        ValueError naming its 1-based data row. Rows at t = 0 are
-        never observations and are dropped; ``drop_nonpositive``
-        additionally drops rows with concentration <= 0 (post-hit zeros).
-        """
-        with open(path, "r", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = [r for r in reader if r]
-        if header is None:
-            raise ValueError("CSV is empty: it has no header row")
-        if "t" not in header:
-            raise ValueError("CSV must have a 't' column")
-        ti = header.index("t")
-        if column is not None:
-            if column not in header:
-                raise ValueError(f"CSV has no column {column!r}")
-            ci = header.index(column)
-        elif "concentration" in header:
-            ci = header.index("concentration")
-        elif "stochastic" in header:
-            ci = header.index("stochastic")
-        else:
-            ci = 1 if ti != 1 else 0
-        t, x = np.empty(len(rows)), np.empty(len(rows))
-        for k, r in enumerate(rows):
-            try:
-                t[k], x[k] = float(r[ti]), float(r[ci])
-            except (IndexError, ValueError):
-                t[k] = math.nan
-            if not (math.isfinite(t[k]) and math.isfinite(x[k])):
-                raise ValueError(f"data row {k + 1}: t and {header[ci]!r} must be finite numbers")
-        keep = t > 0
-        if drop_nonpositive:
-            keep &= x > 0
-        if not keep.any():
-            raise ValueError("no usable observations in CSV")
-        return cls(t[keep], x[keep])
 
 
 def deterministic_concentration(pk: PkParams, t):
@@ -251,9 +204,7 @@ class _ObservationBlock:
         times = np.asarray(times, dtype=float)
         if np.any(times <= 0) or np.any(np.diff(times) <= 0):
             raise ValueError("observation times must be positive and increasing")
-        grid = np.asarray(quad_grid, dtype=float)
-        if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing and start at 0")
+        grid = checked_grid(quad_grid)
         self.times = times
         self.grid = grid
         self.cov = covariance_matrix(kernel, grid)

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_csv, write_json
-from .drivers import SamplePath
+from .drivers import SamplePath, checked_grid
 from .transform import ModelParams, absorbed_lift, lift_into, tilde_w_path
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "solve_gmr",
     "nested_sup_errors",
     "convergence_study",
-    "rate_report_to_csv",
-    "rate_report_to_json",
 ]
 
 _MAX_ITER = 200
@@ -244,14 +241,12 @@ def implicit_euler_nodes(p: ModelParams, times: np.ndarray, tilde_w: np.ndarray)
     """
     if p.a <= 0:
         raise ValueError("implicit Euler requires a > 0")
-    times = np.asarray(times, dtype=float)
+    times = checked_grid(times, uniform=True)
     tilde_w = np.atleast_2d(np.asarray(tilde_w, dtype=float))
-    n = times.size - 1
-    dt = times[-1] / n
     if tilde_w.shape[1] != times.size:
         raise ValueError("tilde_w must have one column per grid time")
-    if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=0.0):
-        raise ValueError("tilde_w must live on a uniform grid")
+    n = times.size - 1
+    dt = times[-1] / n
     coef = p.a * (1.0 - p.beta) * dt
     if tilde_w.shape[0] == 1:
         coef, b = float(coef), float(p.b)
@@ -372,15 +367,4 @@ def convergence_study(
         errors=errors,
         fitted_slope=float(slope),
         theoretical_rate=float(holder_exponent * p.mu),
-    )
-
-
-def rate_report_to_csv(report: RateReport, path) -> None:
-    write_csv(path, ["n", "error"], zip(report.n_list, report.errors))
-
-
-def rate_report_to_json(report: RateReport, path) -> None:
-    write_json(
-        path,
-        {"fitted_slope": report.fitted_slope, "theoretical_rate": report.theoretical_rate},
     )

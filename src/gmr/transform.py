@@ -14,6 +14,7 @@ absolutely continuous remainder; this is exact when b = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from .drivers import (
     CovarianceKernel,
     SamplePath,
+    checked_grid,
     covariance_matrix,
     covariance_rows,
 )
@@ -60,6 +62,9 @@ class ModelParams:
     beta: float
 
     def __post_init__(self):
+        for name in ("x0", "a", "b", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.x0 > 0:
             raise ValueError("x0 must be positive")
         if self.a < 0:
@@ -126,13 +131,6 @@ def tilde_w_matrix(drivers: np.ndarray, times: np.ndarray, p: ModelParams) -> np
     return out
 
 
-def _checked_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing and start at 0")
-    return grid
-
-
 def tilde_w_covariance_matrix(
     p: ModelParams,
     kernel: CovarianceKernel,
@@ -144,7 +142,7 @@ def tilde_w_covariance_matrix(
     path, so Cov(wtilde) = A C A^T: tilde_w_matrix on the rows of C gives
     C A^T, and on the rows of its transpose A C, A C A^T. Exact when b = 0.
     """
-    grid = _checked_grid(grid)
+    grid = checked_grid(grid)
     cov_at = tilde_w_matrix(covariance_matrix(kernel, grid), grid, p)
     out = tilde_w_matrix(cov_at.T, grid, p)
     return 0.5 * (out + out.T)
@@ -162,7 +160,7 @@ def tilde_w_variance(p: ModelParams, kernel: CovarianceKernel, grid: np.ndarray)
     finished. numpy accumulates in order, so every partial sum is the
     full map's.
     """
-    grid = _checked_grid(grid)
+    grid = checked_grid(grid)
     th = theta_weight(grid, p)
     dth = p.b * (1.0 - p.beta) * th
     dt = np.diff(grid)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from gmr import montecarlo
-from gmr.cli import run
-from gmr.drivers import SamplePath, fbm_kernel, sample_path_matrix, uniform_grid
-from gmr.solver import solve_matrix
+from gmr.cli import _read_observations, _write_csv, _write_json, run
+from gmr.drivers import SamplePath, fbm_kernel, sample_path_matrix, sample_paths, uniform_grid
+from gmr.pk import ConcentrationSeries
+from gmr.solver import convergence_study, solve_matrix
 from gmr.transform import ModelParams, tilde_w_matrix
 from test_solver import deterministic_ode_solution
 
@@ -27,6 +28,55 @@ def read_csv(path):
         header = next(reader)
         rows = [[float(v) for v in row] for row in reader if row]
     return header, np.array(rows)
+
+
+def test_csv_bytes(tmp_path):
+    path = tmp_path / "a.csv"
+    _write_csv(path, ["t", "value"], [(0.0, 0.1), (0.5, -2), (1.0, 1e-300)])
+    assert path.read_bytes() == (
+        b"t,value\r\n0,0.10000000000000001\r\n0.5,-2\r\n1,1e-300\r\n"
+    )
+
+
+def test_json_bytes(tmp_path):
+    path = tmp_path / "a.json"
+    _write_json(path, {"b": [0.1, 2], "a": {"z": True, "y": None}})
+    assert path.read_bytes() == (
+        b'{\n  "a": {\n    "y": null,\n    "z": true\n  },\n'
+        b'  "b": [\n    0.1,\n    2\n  ]\n}\n'
+    )
+
+
+def test_observations_csv_round_trip(tmp_path):
+    series = ConcentrationSeries(np.array([0.5, 0.2]), np.array([0.1, 0.7]))
+    out = tmp_path / "obs.csv"
+    _write_csv(out, ["t", "concentration"], zip(series.times, series.concentrations))
+    back = _read_observations(out, None, False)
+    assert np.array_equal(back.times, series.times)
+    assert np.array_equal(back.concentrations, series.concentrations)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match="no header row"):
+        _read_observations(empty, None, False)
+
+
+def test_observations_read_simulation_output(tmp_path):
+    path = tmp_path / "sim.csv"
+    path.write_text(
+        "t,stochastic,deterministic\r\n"
+        "0,1,1\r\n"
+        "0.5,0.4,0.45\r\n"
+        "1,0,0.018\r\n"
+    )
+    series = _read_observations(path, None, True)
+    assert np.array_equal(series.times, [0.5])
+    assert np.array_equal(series.concentrations, [0.4])
+    strict = _read_observations(path, None, False)
+    assert np.array_equal(strict.times, [0.5, 1.0])  # keeps the post-hit zero
+    named = _read_observations(path, "deterministic", False)
+    assert np.array_equal(named.concentrations, [0.45, 0.018])
+    with pytest.raises(ValueError, match="no column"):
+        _read_observations(path, "missing", False)
 
 
 def test_simulate_zero_noise_matches_ode(tmp_path):
@@ -235,11 +285,16 @@ def test_converge_outputs(tmp_path):
     )
     out = tmp_path / "out"
     assert run(["converge", "--config", cfg, "--out", str(out)]) == 0
+    # the artifacts hold the library's RateReport, every number round-tripped
+    p = ModelParams(x0=1.0, a=1.0, b=1.0, sigma=0.3, beta=0.8)
+    driver = sample_paths(fbm_kernel(0.9), uniform_grid(512, 1.0), 1, 5)[0]
+    report = convergence_study(p, driver, [16, 32, 64], 512, 0.9)
     header, rows = read_csv(out / "converge.csv")
     assert header == ["n", "error"]
-    assert rows.shape == (3, 2)
+    assert np.array_equal(rows, np.column_stack([report.n_list, report.errors]))
     payload = json.loads((out / "converge.json").read_text())
-    assert set(payload) == {"fitted_slope", "theoretical_rate"}
+    assert payload == {"fitted_slope": report.fitted_slope,
+                       "theoretical_rate": report.theoretical_rate}
     assert payload["theoretical_rate"] == pytest.approx(0.9)
 
 
@@ -259,10 +314,12 @@ def test_ensemble_outputs(tmp_path):
     out = tmp_path / "out"
     assert run(["ensemble", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "ensemble.json").read_text())
+    assert {e["p"] for e in payload["lp_estimates"]} == {1.0, 2.0, 4.0, 8.0}
     assert payload["hit_fraction"] == 0.0
     assert len(payload["marginal_samples"]["0.5"]) == 25
     header, rows = read_csv(out / "ensemble_paths.csv")
-    assert len(header) == 26 and rows.shape == (33, 26)
+    assert header == ["t"] + [f"path_{i}" for i in range(25)]
+    assert rows.shape == (33, 26)
 
 
 @pytest.mark.parametrize("a", [1.0, 0.0])

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
@@ -121,6 +119,18 @@ def test_grid_index_keeps_its_scalar_form():
             grid_index(grid, bad)
 
 
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_grid_index_puts_nonfinite_times_off_the_grid(t):
+    # the tolerance 1e-9 max(|t|, T) is infinite at t = +-inf, which used
+    # to match the last or the first grid point
+    grid = uniform_grid(8, 2.0)
+    with pytest.raises(ValueError, match=f"^time {t!r} is not on the grid$"):
+        grid_index(grid, t)
+    with pytest.raises(ValueError, match=f"^time {t!r} is not on the grid$"):
+        grid_index(grid, np.array([[0.5, 1.0], [t, 2.0]]))
+    assert np.array_equal(grid_index(grid, np.array([0.5, 2.0])), [2, 8])
+
+
 def test_custom_kernel_validation():
     grid = uniform_grid(2, 1.0)
     asym = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.2, 1.0]])
@@ -129,6 +139,9 @@ def test_custom_kernel_validation():
     nonzero_row = np.array([[0.1, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
     with pytest.raises(ValueError, match="vanish"):
         custom_kernel(grid, nonzero_row, holder_exponent=0.5)
+    for bad in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            custom_kernel(np.array(bad), lambda s, t: min(s, t), holder_exponent=0.5)
 
 
 @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.75, 0.95])
@@ -331,9 +344,12 @@ def test_circulant_negative_eigenvalue_errors():
         (np.zeros((2, 2)), 1, "start at 0"),
         (np.array([0.0, 0.1, 0.3]), 1, "uniform"),
         (np.array([0.0, -0.5, -1.0]), 1, "uniform and increasing"),
+        (np.array([0.0, np.nan, 1.0]), 1, "finite and uniform"),
+        (np.array([0.0, 0.5, np.inf]), 1, "finite and uniform"),
         (uniform_grid(4, 1.0), 0, "count"),
     ],
-    ids=["late-start", "one-point", "two-d", "nonuniform", "decreasing", "zero-count"],
+    ids=["late-start", "one-point", "two-d", "nonuniform", "decreasing", "nan", "inf-end",
+         "zero-count"],
 )
 def test_sample_path_matrix_rejects_bad_arguments(grid, count, message):
     for k in (fbm_kernel(0.7), brownian_kernel()):
@@ -434,23 +450,13 @@ def test_fbm_self_similarity_of_variances():
     assert abs(np.var(vals[:, et_idx], ddof=1) - target) <= 3 * se
 
 
-def test_sample_path_csv_roundtrip(tmp_path):
-    grid = uniform_grid(16, 1.0)
-    path = sample_paths(fbm_kernel(0.65), grid, 1, seed=2)[0]
-    out = tmp_path / "path.csv"
-    path.to_csv(out)
-    with open(out, newline="") as fh:
-        header, *rows = csv.reader(fh)
-    assert header == ["t", "value"]
-    back = np.array(rows, dtype=float)
-    assert np.array_equal(back[:, 0], path.times)
-    assert np.array_equal(back[:, 1], path.values)
-
-
 def test_sample_path_validation():
     with pytest.raises(ValueError, match="start at 0"):
         SamplePath(np.array([0.5, 1.0]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="increasing"):
         SamplePath(np.array([0.0, 1.0, 1.0]), np.zeros(3))
+    for bad in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [0.0, 1.0, np.nan]):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            SamplePath(np.array(bad), np.zeros(3))
     with pytest.raises(ValueError, match="equal length"):
         SamplePath(np.array([0.0, 1.0]), np.zeros(3))

@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 
@@ -20,8 +19,6 @@ from gmr.montecarlo import (
     ensemble_simulate,
     ensemble_stats,
     hitting_time_stats,
-    paths_to_csv,
-    stats_to_json,
     survival_bound_check,
 )
 from gmr.solver import (
@@ -380,20 +377,6 @@ def test_density_smoke_cases():
     assert np.var(samples(_spec(M=100), 0.0), ddof=1) == 0.0
 
 
-def test_exports(tmp_path):
-    spec = _spec(M=4, n=8, marginal_times=(0.5,))
-    res = ensemble_simulate(spec)
-    jpath = tmp_path / "stats.json"
-    stats_to_json(res.stats, jpath)
-    payload = json.loads(jpath.read_text())
-    assert {e["p"] for e in payload["lp_estimates"]} == {1.0, 2.0, 4.0, 8.0}
-    cpath = tmp_path / "paths.csv"
-    paths_to_csv(res, cpath)
-    lines = cpath.read_text().splitlines()
-    assert lines[0] == "t,path_0,path_1,path_2,path_3"
-    assert len(lines) == spec.n + 2
-
-
 def test_ensemble_brownian_fault_point_stays_positive_and_finite():
     # a small a with beta = 0.6 drives many steps to A <= 0, where the
     # vectorized root solver must not overshoot below zero
@@ -488,6 +471,8 @@ def test_ensemble_stats_are_the_simulated_stats_bitwise(monkeypatch, params):
 @pytest.mark.parametrize("fields, name", [
     (dict(marginal_times=(0.3,)), "marginal_times"),
     (dict(marginal_times=(0.5, math.nan)), "marginal_times"),
+    (dict(marginal_times=(math.inf,)), "marginal_times"),
+    (dict(marginal_times=(0.5, -math.inf)), "marginal_times"),
     (dict(p_exponents=(2.0, math.nan)), "p_exponents"),
     (dict(p_exponents=(math.inf,)), "p_exponents"),
     (dict(p_exponents=(0.5,)), "p_exponents"),

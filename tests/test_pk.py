@@ -107,6 +107,20 @@ def test_pk_params_validation_and_mapping():
         PkParams(A0=1.0, v=1.0, Ke=4.0, sigma=0.0, beta=0.8)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["A0", "v", "Ke", "sigma", "Ka"])
+def test_pk_params_reject_nonfinite_constants(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        PkParams(**{**FIG1, field: value})
+
+
+def test_observation_block_checks_the_quadrature_grid():
+    times = np.array([0.5, 1.0])
+    for grid in ([0.0, 0.5, 1.0, math.inf], [0.0, 0.5, math.nan, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            _ObservationBlock(times, brownian_kernel(), np.array(grid))
+
+
 def test_deterministic_concentration_cases():
     oral = PkParams(A0=2.0, v=1.0, Ka=1.0, Ke=4.0, sigma=1.0, beta=0.8)
     assert deterministic_concentration(oral, 0.0) == 0.0
@@ -804,6 +818,10 @@ def test_sensitivity_input_validation():
     with pytest.raises(ValueError, match="not on the grid"):  # before any path is drawn
         SensitivitySpec(F=lambda r: r, Fdot=lambda r: r, tau_kind="fixed", M=8, n=16,
                         tau_time=0.3)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="tau_time"):
+            SensitivitySpec(F=lambda r: r, Fdot=lambda r: r, tau_kind="fixed", M=8, n=16,
+                            tau_time=t)
     # checked when built, before any path is drawn
     for horizon in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
@@ -811,40 +829,10 @@ def test_sensitivity_input_validation():
                             horizon=horizon)
 
 
-def test_concentration_series_csv(tmp_path):
+def test_concentration_series_validation():
     series = ConcentrationSeries(np.array([0.5, 0.2]), np.array([0.1, 0.7]))
     assert np.array_equal(series.times, [0.2, 0.5])  # sorted at construction
-    out = tmp_path / "obs.csv"
-    series.to_csv(out)
-    back = ConcentrationSeries.from_csv(out)
-    assert np.array_equal(back.times, series.times)
-    assert np.array_equal(back.concentrations, series.concentrations)
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(ValueError, match="no header row"):
-        ConcentrationSeries.from_csv(empty)
-
-
-def test_concentration_series_reads_simulation_output(tmp_path):
-    path = tmp_path / "sim.csv"
-    path.write_text(
-        "t,stochastic,deterministic\r\n"
-        "0,1,1\r\n"
-        "0.5,0.4,0.45\r\n"
-        "1,0,0.018\r\n"
-    )
-    series = ConcentrationSeries.from_csv(path, drop_nonpositive=True)
-    assert np.array_equal(series.times, [0.5])
-    assert np.array_equal(series.concentrations, [0.4])
-    strict = ConcentrationSeries.from_csv(path)
-    assert np.array_equal(strict.times, [0.5, 1.0])  # keeps the post-hit zero
-    named = ConcentrationSeries.from_csv(path, column="deterministic")
-    assert np.array_equal(named.concentrations, [0.45, 0.018])
-    with pytest.raises(ValueError, match="no column"):
-        ConcentrationSeries.from_csv(path, column="missing")
-
-
-def test_concentration_series_validation():
+    assert np.array_equal(series.concentrations, [0.7, 0.1])
     with pytest.raises(ValueError, match="positive"):
         ConcentrationSeries(np.array([0.0, 0.5]), np.array([1.0, 0.5]))
     with pytest.raises(ValueError, match="distinct"):

@@ -1,5 +1,6 @@
-"""The README's quick start and CLI examples run as written, and the
-package's imports and exports agree with its definitions."""
+"""The README's quick start and CLI examples run as written, the
+package's imports and exports agree with its definitions, and only the
+CLI reads or writes files."""
 
 import ast
 import re
@@ -50,10 +51,37 @@ def _bound_names(node):
     return [(a.asname or a.name).split(".")[0] for a in node.names]
 
 
+def _sources():
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted((ROOT / "src" / "gmr").glob("*.py"))}
+
+
+def test_only_the_cli_reads_or_writes_files():
+    # the numerical modules take and return arrays; every file format
+    # lives in gmr.cli
+    problems = []
+    for module, tree in _sources().items():
+        if module == "cli":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                names = []
+            problems += [f"{module} imports {name}" for name in names
+                         if name.split(".")[0] in ("csv", "json")]
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "open":
+                    problems.append(f"{module} calls open at line {node.lineno}")
+    assert not problems, "\n".join(problems)
+
+
 def test_source_imports_and_exports_are_consistent():
     # an export left behind by a deleted function, or an import nothing uses
-    trees = {path.stem: ast.parse(path.read_text(), str(path))
-             for path in sorted((ROOT / "src" / "gmr").glob("*.py"))}
+    trees = _sources()
     problems = []
     for module, tree in trees.items():
         defined = set()

@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -25,8 +24,6 @@ from gmr.solver import (
     implicit_euler,
     implicit_euler_nodes,
     implicit_step_root,
-    rate_report_to_csv,
-    rate_report_to_json,
     solve_gmr,
     solve_matrix,
 )
@@ -433,7 +430,8 @@ def test_one_row_scheme_raises_as_the_float64_loop_over_the_admissible_box():
         (_BITWISE_PARAMS["fine_path"], times, np.where(times < 1.0, 0.0, math.inf)),
         # the roots outgrow the tolerance, and a step stalls before e^(b t) overflows
         (ModelParams(x0=1.0, a=1.0, b=900.0, sigma=0.0, beta=0.5), times, np.zeros(17)),
-        (_BITWISE_PARAMS["fine_path"], np.zeros(17), np.zeros(17)),  # B = 0
+        # B = 0: a (1 - beta) rounds to 0 from the least subnormal a
+        (ModelParams(x0=1.0, a=5e-324, b=0.0, sigma=1.0, beta=0.5), times, np.zeros(17)),
     ]
     raised = []
     for p, t, w in rows:
@@ -813,19 +811,11 @@ def test_convergence_study_checks_every_n_before_the_reference_solve(monkeypatch
         convergence_study(p, zero_driver(1024, 1.0), [32, 33], 1024, 1.0)
 
 
-def test_rate_report_validation_and_export(tmp_path):
+def test_rate_report_validation():
     with pytest.raises(ValueError, match="increasing"):
         RateReport(np.array([64, 32]), np.array([0.1, 0.2]), 1.0, 0.9)
     with pytest.raises(ValueError, match="positive"):
         RateReport(np.array([32, 64]), np.array([0.1, 0.0]), 1.0, 0.9)
-    report = RateReport(np.array([32, 64]), np.array([0.2, 0.1]), 1.0, 0.9)
-    csv_path = tmp_path / "rate.csv"
-    json_path = tmp_path / "rate.json"
-    rate_report_to_csv(report, csv_path)
-    rate_report_to_json(report, json_path)
-    assert csv_path.read_text().splitlines()[0] == "n,error"
-    payload = json.loads(json_path.read_text())
-    assert payload == {"fitted_slope": 1.0, "theoretical_rate": 0.9}
 
 
 def test_euler_solution_rejects_nonpositive_nodes():

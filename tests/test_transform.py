@@ -56,6 +56,15 @@ def test_model_params_validation():
         _params(sigma=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["x0", "a", "b", "sigma"])
+def test_model_params_reject_nonfinite_constants(field, value):
+    # a NaN or infinite sigma used to run, and an ensemble then reported a
+    # hit fraction of 1 and lp estimates of 0
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        _params(**{field: value})
+
+
 def test_model_params_derived_exponents():
     p = _params(beta=0.75)
     assert p.gamma == 3.0  # 0.75 / 0.25 exactly
@@ -196,8 +205,9 @@ def test_tilde_w_variance_is_the_covariance_diagonal_bitwise(kernel, n):
     if kernel.kind == "fbm":
         assert np.array_equal(tilde_w_variance(p, kernel, nonuniform),
                               np.diag(tilde_w_covariance_matrix(p, kernel, nonuniform)))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        tilde_w_variance(p, kernel, grid[::-1])
+    for bad in (grid[::-1], np.append(grid, math.inf), np.where(grid == grid[1], math.nan, grid)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            tilde_w_variance(p, kernel, bad)
 
 
 @pytest.mark.parametrize("kernel", [brownian_kernel(), fbm_kernel(0.7)])
