@@ -16,6 +16,8 @@ so importing gmr does not load scipy.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -180,6 +182,15 @@ def build_quad_grid(times: np.ndarray, refine: Optional[int] = None) -> np.ndarr
     return np.concatenate(pieces)
 
 
+# G(kappa) depends on the design (observation times, quadrature grid and
+# kernel) and on kappa, never on the data, so fits on one design share it:
+# the last design's block stays in one slot with a memo of G(kappa) and its
+# factor. The block and its memo together take at most this many bytes.
+_DESIGN_BUDGET = 4 << 20
+_design_lock = threading.Lock()  # guards _design and every block's memo
+_design: Optional[_ObservationBlock] = None
+
+
 class _ObservationBlock:
     """G(kappa) = R C R^T, the damped wtilde covariance at the observation times.
 
@@ -198,15 +209,21 @@ class _ObservationBlock:
     integrals. G therefore equals the damped observation block of
     tilde_w_covariance_matrix up to rounding. C, E and TW do not depend on
     theta and are built once; G is the two products (R C) R^T.
+
+    G(kappa) and its factor are kept, read-only, in a least-recently-used
+    memo keyed by the exact kappa, while the block and the memo fit in
+    _DESIGN_BUDGET bytes; a block that alone exceeds it keeps nothing.
     """
 
     def __init__(self, times: np.ndarray, kernel: CovarianceKernel, quad_grid: np.ndarray):
-        times = np.asarray(times, dtype=float)
+        # private copies: a kept block compares them with later designs
+        times = np.array(times, dtype=float)
         if np.any(times <= 0) or np.any(np.diff(times) <= 0):
             raise ValueError("observation times must be positive and increasing")
-        grid = checked_grid(quad_grid)
+        grid = np.array(checked_grid(quad_grid))
         self.times = times
         self.grid = grid
+        self.kind, self.hurst = kernel.kind, kernel.hurst
         self.cov = covariance_matrix(kernel, grid)
         self.idx = grid_index(grid, times)
         self.rows = np.arange(times.size)
@@ -215,8 +232,38 @@ class _ObservationBlock:
         # trapezoid through s_k: both half intervals inside, the left one at s_k
         col, k = np.arange(grid.size), self.idx[:, None]
         self.tw = np.where(col < k, left + right, np.where(col == k, left, 0.0))
+        self.nbytes = sum(a.nbytes for a in (times, grid, self.cov, self.idx, self.rows, self.tw))
+        self._memo = OrderedDict()  # kappa -> [G, factor or None], oldest first
+        self._memo_bytes = 0
 
     def __call__(self, kappa: float) -> np.ndarray:
+        """G(kappa), read-only."""
+        return self._memoized(kappa, 0, self._build)
+
+    def factor(self, kappa: float) -> np.ndarray:
+        """The lower Cholesky factor of G(kappa), with jitter if needed, read-only."""
+        return self._memoized(kappa, 1, lambda k: _cholesky_with_jitter(self(k)))
+
+    def _memoized(self, kappa, slot, make):
+        with _design_lock:
+            entry = self._memo.get(kappa)
+            if entry is not None and entry[slot] is not None:
+                self._memo.move_to_end(kappa)
+                return entry[slot]
+        value = make(kappa)
+        value.flags.writeable = False
+        with _design_lock:
+            entry = self._memo.setdefault(kappa, [None, None])
+            if entry[slot] is None:
+                entry[slot] = value
+                self._memo_bytes += value.nbytes
+            self._memo.move_to_end(kappa)
+            while self._memo and self.nbytes + self._memo_bytes > _DESIGN_BUDGET:
+                _, old = self._memo.popitem(last=False)
+                self._memo_bytes -= sum(a.nbytes for a in old if a is not None)
+        return value
+
+    def _build(self, kappa: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             ek = np.exp(kappa * self.grid)
             r = self.tw * (-kappa * ek)
@@ -230,17 +277,42 @@ class _ObservationBlock:
         return 0.5 * (g + g.T)
 
 
+def _design_block(times, kernel: CovarianceKernel, quad_grid) -> _ObservationBlock:
+    """The _ObservationBlock of this design: the kept one if it is equal by value.
+
+    The design is the times, the grid and the kernel's kind and Hurst
+    index, and for a custom kernel its matrix on the grid. Otherwise a new
+    block, kept in the slot in place of the last one if it fits in
+    _DESIGN_BUDGET.
+    """
+    global _design
+    grid = checked_grid(quad_grid)
+    with _design_lock:
+        block = _design
+    if (block is not None and np.array_equal(block.times, times)
+            and np.array_equal(block.grid, grid)
+            and (block.kind, block.hurst) == (kernel.kind, kernel.hurst)
+            and (kernel.kind != "custom"
+                 or np.array_equal(block.cov, covariance_matrix(kernel, grid)))):
+        return block
+    block = _ObservationBlock(times, kernel, grid)
+    with _design_lock:
+        _design = block if block.nbytes <= _DESIGN_BUDGET else None
+    return block
+
+
 def _likelihood_core(ke, beta, obs, block, A0, v):
     """log det L_1 and q = |L_1^{-1} U|^2, with L_1 the Cholesky factor of Gamma_1.
 
     Gamma_1 = (1-beta)^2 G(Ke(1-beta)) is the observation covariance at
     sigma = 1, from ``block``, the _ObservationBlock of obs.times; its two
-    matrix products are most of the cost of a call. Every entry of the
-    covariance carries two weights sigma(1-beta)e^(Ke(1-beta)t), so
-    Gamma(Ke, sigma, beta) = sigma^2 Gamma_1 and U does not depend on
-    sigma. The jitter ladder is relative to the largest diagonal entry, so
-    Gamma_1 needs the jitter that Gamma would, up to rounding. A zero
-    covariance (from a zero kernel) factors as 0 and raises CovarianceError.
+    matrix products, unless G is in the block's memo, are most of the cost
+    of a call. Every entry of the covariance carries two weights
+    sigma(1-beta)e^(Ke(1-beta)t), so Gamma(Ke, sigma, beta) = sigma^2 Gamma_1
+    and U does not depend on sigma. The jitter ladder is relative to the
+    largest diagonal entry, so Gamma_1 needs the jitter that Gamma would,
+    up to rounding. A zero covariance (from a zero kernel) factors as 0 and
+    raises CovarianceError.
     """
     from scipy.linalg import solve_triangular
 
@@ -287,7 +359,7 @@ def log_likelihood(
         return -math.inf
     if quad_grid is None:
         quad_grid = build_quad_grid(obs.times)
-    block = _ObservationBlock(obs.times, kernel, quad_grid)
+    block = _design_block(obs.times, kernel, quad_grid)
     logdet, q = _likelihood_core(ke, beta, obs, block, A0, v)
     return _log_likelihood_from(sigma, beta, obs.concentrations, logdet, q)
 
@@ -302,6 +374,9 @@ class ThetaBounds:
     beta_max: float = 0.95
 
     def __post_init__(self):
+        for name in ("ke_max", "sigma_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.ke_max <= 0 or self.sigma_max <= 0:
             raise ValueError("upper bounds must be positive")
         if not 0.0 < self.beta_min < self.beta_max < 1.0:
@@ -400,8 +475,8 @@ def _brent_minimize(f, lo: float, hi: float, xatol: float):
                 v, fv = u, fu
 
 
-class _BuildCap(Exception):
-    """fit_mle's outer search reached max_iter builds of G(kappa)."""
+class _StepCap(Exception):
+    """fit_mle's outer search reached max_iter steps."""
 
 
 def fit_mle(
@@ -439,10 +514,12 @@ def fit_mle(
     ``init`` is a full theta whose sigma is only checked against the
     bounds; when it is at least as likely as the optimum found, it is
     returned, so the result never loses likelihood against the start.
-    ``max_iter`` caps the outer steps, each one build and factorization
-    of G(kappa); ``iterations`` counts them. Convergence means the outer
-    search stopped on its tolerance, not at the cap, and not at the
-    lowest point of the extended scan.
+    ``max_iter`` caps the outer steps, each one evaluation at a kappa whose
+    beta bracket is not empty; ``iterations`` counts them, whether G(kappa)
+    and its factor were built or came from the design's memo (see
+    _design_block), so both read the same on a warm and a cold design.
+    Convergence means the outer search stopped on its tolerance, not at
+    the cap, and not at the lowest point of the extended scan.
     """
     from scipy.linalg.blas import dtrsv
 
@@ -455,24 +532,24 @@ def fit_mle(
         raise AdmissibilityError("no admissible parameters")
     if quad_grid is None:
         quad_grid = build_quad_grid(obs.times)
-    block = _ObservationBlock(obs.times, kernel, quad_grid)  # theta-independent
+    block = _design_block(obs.times, kernel, quad_grid)  # theta-independent
     n, c0, sum_log_x = x.size, A0 / v, float(np.sum(np.log(x)))
     kappa_max = bounds.ke_max * (1.0 - bounds.beta_min)
-    builds = 0
+    steps = 0
     best = (math.inf, None, None)  # -log-likelihood up to a constant, kappa, beta
 
     def outer(log_kappa: float) -> float:
         """-log-likelihood at kappa, up to a constant, maximized over beta and sigma."""
-        nonlocal builds, best
+        nonlocal steps, best
         kappa = math.exp(log_kappa)
         beta_hi = min(bounds.beta_max, 1.0 - kappa / bounds.ke_max)
         if not beta_hi > bounds.beta_min:
             return math.inf
-        if builds == max_iter:
-            raise _BuildCap
-        builds += 1
+        if steps == max_iter:
+            raise _StepCap
+        steps += 1
         try:
-            factor = _cholesky_with_jitter(block(kappa))
+            factor = block.factor(kappa)
         except CovarianceError:
             return math.inf  # degenerate G at an extreme kappa: step back
         diag = np.diag(factor)
@@ -517,7 +594,7 @@ def fit_mle(
             hi = points[i + 1] if i + 1 < len(points) else top
             _brent_minimize(outer, points[max(i - 1, 0)], hi, _XATOL_LOG_KAPPA)
             converged = i > 0  # not pinned at the lowest point of the extended scan
-    except _BuildCap:
+    except _StepCap:
         pass
 
     def at(ke: float, beta: float):
@@ -538,7 +615,7 @@ def fit_mle(
     if not math.isfinite(ll):
         raise AdmissibilityError("no admissible parameters")
     # ll is log_likelihood(theta) bitwise: the same core and the same sum
-    return ThetaEstimate(*theta, log_likelihood=ll, converged=converged, iterations=builds)
+    return ThetaEstimate(*theta, log_likelihood=ll, converged=converged, iterations=steps)
 
 
 @dataclass(frozen=True)

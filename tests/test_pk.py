@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -435,8 +436,8 @@ def test_fit_mle_ascent_and_convergence():
 
 
 def test_fit_mle_capped_by_max_iter_is_not_converged():
-    # max_iter caps the outer builds of G(kappa), inside the scan (3) and
-    # one build short of the natural stop of Brent's search
+    # max_iter caps the outer steps, inside the scan (3) and one step
+    # short of the natural stop of Brent's search
     obs = _synthetic_obs(1)
     quad = build_quad_grid(obs.times)
     bounds = ThetaBounds(ke_max=20.0, sigma_max=10.0)
@@ -609,6 +610,202 @@ def test_fit_mle_validates_init():
     with pytest.raises(ValueError, match="bounds"):
         fit_mle(obs, brownian_kernel(), (100.0, 1.0, 0.8), 1.0, 1.0,
                 bounds=ThetaBounds(ke_max=20.0))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["ke_max", "sigma_max"])
+def test_theta_bounds_reject_nonfinite_limits(field, value):
+    # an infinite ke_max made every scan point infinite, and a fit then ran
+    # all max_iter builds of G(kappa)
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        ThetaBounds(**{field: value})
+
+
+def _fbm_matrix(grid, hurst):
+    s, t = grid[:, None], grid[None, :]
+    return 0.5 * (s ** (2 * hurst) + t ** (2 * hurst) - np.abs(s - t) ** (2 * hurst))
+
+
+def _memo_designs():
+    """(kernel, observation sets, quadrature grid) of three designs sharing 40 times."""
+    brownian = [obs for obs in map(_synthetic_obs, range(8)) if obs is not None][:3]
+    times = brownian[0].times
+    fbm = [ConcentrationSeries(times, obs.concentrations)
+           for obs in map(lambda k: _synthetic_obs(k, kernel=fbm_kernel(0.9)), range(8))
+           if obs is not None][:3]
+    quad = build_quad_grid(times, 2)
+    custom = custom_kernel(quad, _fbm_matrix(quad, 0.7), holder_exponent=0.7)
+    return [(fbm_kernel(0.9), fbm, build_quad_grid(times)), (brownian_kernel(), brownian, None),
+            (custom, brownian, quad)]
+
+
+def _estimate_bits(est):
+    return (est.Ke.hex(), est.sigma.hex(), est.beta.hex(), est.log_likelihood.hex(),
+            est.converged, est.iterations)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the builds of G(kappa), from an empty design slot."""
+    count = [0]
+    build = _ObservationBlock._build
+
+    def counted(self, kappa):
+        count[0] += 1
+        return build(self, kappa)
+
+    monkeypatch.setattr(_ObservationBlock, "_build", counted)
+    monkeypatch.setattr(gmr.pk, "_design", None)
+    return count
+
+
+def _fit_and_likelihood(kernel, obs, quad):
+    bounds = ThetaBounds(ke_max=20.0, sigma_max=10.0)
+    est = fit_mle(obs, kernel, (2.0, 0.5, 0.5), 1.0, 1.0, bounds=bounds, quad_grid=quad)
+    ll = log_likelihood((3.0, 0.7, 0.6), obs, kernel, 1.0, 1.0, quad_grid=quad)
+    return _estimate_bits(est), ll.hex()
+
+
+def test_warm_memo_estimates_are_bitwise_the_cold_ones(builds):
+    # two passes over fBm H = 0.9, Brownian and custom-kernel designs, one
+    # design after another, so the second pass meets each design's memo
+    # warm from the first; cold fits start from an empty slot each
+    designs = _memo_designs()
+    warm = [_fit_and_likelihood(kernel, obs, quad)
+            for _ in range(2) for kernel, sets, quad in designs for obs in sets]
+    warm_builds, builds[0] = builds[0], 0
+    cold = []
+    for _ in range(2):
+        for kernel, sets, quad in designs:
+            for obs in sets:
+                gmr.pk._design = None
+                cold.append(_fit_and_likelihood(kernel, obs, quad))
+    assert warm == cold
+    assert warm_builds < 0.75 * builds[0]
+
+
+def test_a_changed_design_never_reuses_the_block(builds):
+    times = np.arange(1, 41) / 40
+    quad = build_quad_grid(times, 2)
+    fbm = (times, fbm_kernel(0.9), quad)
+    base = gmr.pk._design_block(*fbm)
+    # equal by value is the same design, through copies and a new kernel object
+    assert gmr.pk._design_block(times.copy(), fbm_kernel(0.9), quad.copy()) is base
+    matrix = _fbm_matrix(quad, 0.7)
+    custom = (times, custom_kernel(quad, matrix, holder_exponent=0.7), quad)
+    # each design kept first, then one part of it changed
+    changed = {
+        "quad_refine": (fbm, (times, fbm_kernel(0.9), build_quad_grid(times, 3))),
+        "H": (fbm, (times, fbm_kernel(0.8), quad)),
+        "times": (fbm, (times[1:], fbm_kernel(0.9), quad)),
+        "kind": (fbm, (times, brownian_kernel(), quad)),
+        "custom to brownian": (custom, (times, brownian_kernel(), quad)),
+        "custom matrix": (custom, (times, custom_kernel(quad, 2.0 * matrix, 0.7), quad)),
+    }
+    for name, (kept_design, design) in changed.items():
+        gmr.pk._design = None
+        kept = gmr.pk._design_block(*kept_design)
+        block = gmr.pk._design_block(*design)
+        assert block is not kept, name
+        assert gmr.pk._design is block, name
+        cold = _ObservationBlock(*design)
+        for kappa in (0.5, 3.0):
+            assert np.array_equal(block(kappa), cold(kappa)), name
+    # a custom matrix changed in place is a new design too
+    kept = gmr.pk._design_block(*custom)
+    custom[1].matrix[1:, 1:] *= 3.0
+    block = gmr.pk._design_block(*custom)
+    assert block is not kept
+    assert np.array_equal(block(0.5), _ObservationBlock(*custom)(0.5))
+
+
+def _held_bytes(block):
+    held = sum(a.nbytes for entry in block._memo.values() for a in entry if a is not None)
+    assert held == block._memo_bytes
+    return block.nbytes + held
+
+
+@pytest.mark.parametrize("n_obs", [40, 400])
+def test_the_slot_and_memo_stay_within_the_budget(builds, n_obs):
+    times = np.arange(1, n_obs + 1) / n_obs
+    block = gmr.pk._design_block(times, fbm_kernel(0.9), build_quad_grid(times))
+    assert gmr.pk._design is block
+    kappas = np.geomspace(0.1, 30.0, 200 if n_obs == 40 else 4)
+    for kappa in kappas:
+        block.factor(kappa)
+        assert _held_bytes(block) <= gmr.pk._DESIGN_BUDGET
+    if n_obs == 40:
+        # the most recent kappa stays, the oldest went first; the memo is
+        # full up to one entry of G and its factor, far below 200 entries
+        assert float(kappas[-1]) in block._memo
+        assert float(kappas[0]) not in block._memo
+        assert _held_bytes(block) > gmr.pk._DESIGN_BUDGET - 2 * n_obs**2 * 8
+        assert len(block._memo) < 150
+    else:
+        # room for one G(kappa), not for its factor too
+        assert not block._memo
+        block(1.0)
+        assert list(block._memo) == [1.0]
+        assert _held_bytes(block) <= gmr.pk._DESIGN_BUDGET
+
+
+def test_a_block_over_the_budget_is_not_kept(builds):
+    times = np.arange(1, 1001) / 1000
+    obs = ConcentrationSeries(times, np.exp(-times))
+    log_likelihood((3.0, 0.7, 0.6), obs, brownian_kernel(), 1.0, 1.0)
+    assert gmr.pk._design is None
+    block = gmr.pk._design_block(times, brownian_kernel(), build_quad_grid(times))
+    assert block.nbytes > gmr.pk._DESIGN_BUDGET
+    block(1.0)
+    assert not block._memo
+    assert builds[0] == 2
+
+
+def test_memoized_arrays_are_read_only(builds):
+    times = np.arange(1, 41) / 40
+    block = gmr.pk._design_block(times, fbm_kernel(0.9), build_quad_grid(times))
+    for array in (block(1.5), block.factor(1.5)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+    assert block(1.5) is block(1.5)
+    assert builds[0] == 1
+
+
+def test_the_memo_key_is_the_exact_kappa(builds):
+    times = np.arange(1, 41) / 40
+    block = gmr.pk._design_block(times, fbm_kernel(0.9), build_quad_grid(times))
+    cold = _ObservationBlock(times, fbm_kernel(0.9), build_quad_grid(times))
+    kappas = (1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-9, 1.0 - 1e-9)
+    for kappa in kappas:
+        block.factor(kappa)
+    assert builds[0] == len(kappas)
+    for kappa in kappas:
+        assert np.array_equal(block(kappa), cold(kappa))
+        assert np.array_equal(block.factor(kappa), _cholesky_with_jitter(cold(kappa)))
+    assert builds[0] == 2 * len(kappas)  # only the cold block built again
+
+
+def test_two_threads_at_one_design_return_the_serial_estimates(builds):
+    kernel, sets, quad = _memo_designs()[0]
+    serial = []
+    for obs in sets:
+        gmr.pk._design = None
+        serial.append(_fit_and_likelihood(kernel, obs, quad))
+    gmr.pk._design = None
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def worker(i):
+        start.wait()
+        results[i] = [_fit_and_likelihood(kernel, obs, quad) for obs in sets]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == [serial, serial]
 
 
 def _sens_spec(F, Fdot, **kw):
