@@ -215,7 +215,8 @@ class _ObservationBlock:
     _DESIGN_BUDGET bytes; a block that alone exceeds it keeps nothing.
     """
 
-    def __init__(self, times: np.ndarray, kernel: CovarianceKernel, quad_grid: np.ndarray):
+    def __init__(self, times: np.ndarray, kernel: CovarianceKernel, quad_grid: np.ndarray,
+                 cov: Optional[np.ndarray] = None):
         # private copies: a kept block compares them with later designs
         times = np.array(times, dtype=float)
         if np.any(times <= 0) or np.any(np.diff(times) <= 0):
@@ -224,7 +225,8 @@ class _ObservationBlock:
         self.times = times
         self.grid = grid
         self.kind, self.hurst = kernel.kind, kernel.hurst
-        self.cov = covariance_matrix(kernel, grid)
+        # cov, when given, is covariance_matrix(kernel, quad_grid), built by the caller
+        self.cov = covariance_matrix(kernel, grid) if cov is None else cov
         self.idx = grid_index(grid, times)
         self.rows = np.arange(times.size)
         half = 0.5 * np.diff(grid)
@@ -233,35 +235,36 @@ class _ObservationBlock:
         col, k = np.arange(grid.size), self.idx[:, None]
         self.tw = np.where(col < k, left + right, np.where(col == k, left, 0.0))
         self.nbytes = sum(a.nbytes for a in (times, grid, self.cov, self.idx, self.rows, self.tw))
-        self._memo = OrderedDict()  # kappa -> [G, factor or None], oldest first
+        self._memo = OrderedDict()  # kappa -> (G, factor or None), oldest first
         self._memo_bytes = 0
 
     def __call__(self, kappa: float) -> np.ndarray:
         """G(kappa), read-only."""
-        return self._memoized(kappa, 0, self._build)
+        return self._entry(kappa, False)[0]
 
     def factor(self, kappa: float) -> np.ndarray:
         """The lower Cholesky factor of G(kappa), with jitter if needed, read-only."""
-        return self._memoized(kappa, 1, lambda k: _cholesky_with_jitter(self(k)))
+        return self._entry(kappa, True)[1]
 
-    def _memoized(self, kappa, slot, make):
+    def _entry(self, kappa, factored):
+        """(G(kappa), its factor or None) from the memo, else made and kept."""
         with _design_lock:
             entry = self._memo.get(kappa)
-            if entry is not None and entry[slot] is not None:
+            if entry is not None and (entry[1] is not None or not factored):
                 self._memo.move_to_end(kappa)
-                return entry[slot]
-        value = make(kappa)
-        value.flags.writeable = False
+                return entry
+        g = self._build(kappa) if entry is None else entry[0]
+        g.flags.writeable = False
+        entry = (g, _cholesky_with_jitter(g) if factored else None)
+        if factored:
+            entry[1].flags.writeable = False
         with _design_lock:
-            entry = self._memo.setdefault(kappa, [None, None])
-            if entry[slot] is None:
-                entry[slot] = value
-                self._memo_bytes += value.nbytes
-            self._memo.move_to_end(kappa)
+            old = self._memo.pop(kappa, (None, None))
+            self._memo[kappa] = entry
+            self._memo_bytes += _held(entry) - _held(old)
             while self._memo and self.nbytes + self._memo_bytes > _DESIGN_BUDGET:
-                _, old = self._memo.popitem(last=False)
-                self._memo_bytes -= sum(a.nbytes for a in old if a is not None)
-        return value
+                self._memo_bytes -= _held(self._memo.popitem(last=False)[1])
+        return entry
 
     def _build(self, kappa: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -277,6 +280,11 @@ class _ObservationBlock:
         return 0.5 * (g + g.T)
 
 
+def _held(entry) -> int:
+    """Bytes of the arrays in a memo entry."""
+    return sum(a.nbytes for a in entry if a is not None)
+
+
 def _design_block(times, kernel: CovarianceKernel, quad_grid) -> _ObservationBlock:
     """The _ObservationBlock of this design: the kept one if it is equal by value.
 
@@ -287,15 +295,16 @@ def _design_block(times, kernel: CovarianceKernel, quad_grid) -> _ObservationBlo
     """
     global _design
     grid = checked_grid(quad_grid)
+    # a custom kernel's matrix on the grid is compared, and built only once
+    cov = covariance_matrix(kernel, grid) if kernel.kind == "custom" else None
     with _design_lock:
         block = _design
     if (block is not None and np.array_equal(block.times, times)
             and np.array_equal(block.grid, grid)
             and (block.kind, block.hurst) == (kernel.kind, kernel.hurst)
-            and (kernel.kind != "custom"
-                 or np.array_equal(block.cov, covariance_matrix(kernel, grid)))):
+            and (cov is None or np.array_equal(block.cov, cov))):
         return block
-    block = _ObservationBlock(times, kernel, grid)
+    block = _ObservationBlock(times, kernel, grid, cov)
     with _design_lock:
         _design = block if block.nbytes <= _DESIGN_BUDGET else None
     return block

@@ -719,6 +719,25 @@ def test_a_changed_design_never_reuses_the_block(builds):
     assert np.array_equal(block(0.5), _ObservationBlock(*custom)(0.5))
 
 
+def test_a_custom_design_builds_its_matrix_once_per_call(builds, monkeypatch):
+    # a custom kernel's matrix on the grid is both the key of its design
+    # and the block's C: each call builds it once, whether the design is
+    # kept, new, or new with the kept design's times and grid
+    calls = [0]
+    build = gmr.pk.covariance_matrix
+
+    def counted(kernel, grid):
+        calls[0] += 1
+        return build(kernel, grid)
+
+    monkeypatch.setattr(gmr.pk, "covariance_matrix", counted)
+    kernel, sets, quad = _memo_designs()[2]
+    other = custom_kernel(quad, 2.0 * kernel.matrix, holder_exponent=0.7)
+    for expected, k in enumerate((kernel, kernel, other, kernel), start=1):
+        log_likelihood((3.0, 0.7, 0.6), sets[0], k, 1.0, 1.0, quad_grid=quad)
+        assert calls[0] == expected
+
+
 def _held_bytes(block):
     held = sum(a.nbytes for entry in block._memo.values() for a in entry if a is not None)
     assert held == block._memo_bytes
