@@ -632,6 +632,28 @@ def _with(command, **changes):
         ("pk-sensitivity", _with("pk-sensitivity", h=2.0), "config.h"),
         ("pk-sensitivity", _with("pk-sensitivity", functional="cube"), "config.functional"),
         ("pk-sensitivity", _with("pk-sensitivity", method="mc"), "config.method"),
+        ("simulate", _with("simulate", grid={"n": 1.5, "T": 1.0}), "grid.n: expected an integer"),
+        ("simulate", _with("simulate", kernel={"kind": 3}), "kernel.kind: expected a string"),
+        ("hit-times", _with("hit-times", horizons=0.5), "config.horizons: expected an array"),
+        ("simulate", _with("simulate", model=[]), "config.model: expected an object"),
+        ("simulate", _with("simulate", kernel={"kind": "rough"}),
+         "kernel.kind: expected 'fbm' or 'brownian'"),
+        ("simulate", _with("simulate", kernel={"kind": "brownian", "hurst": 0.5}),
+         "kernel.hurst: not applicable to the brownian kernel"),
+        ("simulate", json.dumps({k: v for k, v in RERUN_CONFIGS["simulate"].items()
+                                 if k != "seed"}), "seed: missing"),
+        ("simulate", _with("simulate", seed=-1), "seed: expected an unsigned 64-bit integer"),
+        ("survival", _with("survival", model={"b": 1.0, "sigma": 0.5, "beta": 1.0}),
+         "model.beta: must lie in (0, 1)"),
+        ("pk-fit", _with("pk-fit", pk_constants={"A0": 1.0, "v": 0}),
+         "pk_constants: A0 and v must be positive"),
+        ("pk-sensitivity", _with("pk-sensitivity", tau={"kind": "random"}),
+         "tau.kind: expected 'fixed' or 'hit_capped'"),
+        ("pk-fit", _with("pk-fit", observations="no_t.csv"),
+         "config.observations: CSV must have a 't' column"),
+        ("pk-fit", _with("pk-fit", observations="unusable.csv"),
+         "config.observations: no usable observations in CSV"),
+        ("simulate", "[1, 2]", "config: expected a single top-level JSON object"),
     ],
     ids=["nan-sigma", "infinite-T", "scalar-p_exponents", "nan-p_exponents",
          "string-marginal_times", "string-write_paths", "off-grid-marginal_times",
@@ -644,7 +666,12 @@ def _with(command, **changes):
          "pk-fit-negative-quad_refine", "pk-fit-missing-observations",
          "pk-fit-empty-observations", "pk-sensitivity-zero-M",
          "pk-sensitivity-off-grid-tau-time", "pk-sensitivity-negative-x", "pk-sensitivity-large-h",
-         "pk-sensitivity-unknown-functional", "pk-sensitivity-unknown-method"],
+         "pk-sensitivity-unknown-functional", "pk-sensitivity-unknown-method",
+         "fractional-grid-n", "integer-kernel-kind", "scalar-horizons", "array-model",
+         "unknown-kernel-kind", "brownian-hurst", "missing-seed", "negative-seed",
+         "survival-unit-beta", "pk-fit-zero-v", "pk-sensitivity-unknown-tau-kind",
+         "pk-fit-observations-without-t", "pk-fit-observations-without-usable-row",
+         "top-level-array"],
 )
 def test_bad_config_values_exit_1_before_writing(tmp_path, capsys, monkeypatch, command, text,
                                                  key):
@@ -653,6 +680,8 @@ def test_bad_config_values_exit_1_before_writing(tmp_path, capsys, monkeypatch, 
     if command == "pk-fit":
         (tmp_path / "obs.csv").write_text(PK_FIT_OBS)
         (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "no_t.csv").write_text("time,concentration\r\n0.2,0.5\r\n")
+        (tmp_path / "unusable.csv").write_text("t,concentration\r\n0,0.5\r\n")
         monkeypatch.chdir(tmp_path)  # FIT_TEXT names its observations relative to here
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -660,3 +689,10 @@ def test_bad_config_values_exit_1_before_writing(tmp_path, capsys, monkeypatch, 
     assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
     assert key in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_argument_errors_exit_1_and_help_exits_0(capsys):
+    assert run([]) == 1
+    assert "usage" in capsys.readouterr().err
+    assert run(["simulate", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
