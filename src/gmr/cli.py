@@ -1,9 +1,11 @@
 """Batch command-line front-end, and the one module that reads or writes files.
 
 Each subcommand reads a single JSON config object, runs the library and
-writes plot-ready CSV / JSON artifacts into the output directory. Config
-keys are validated strictly (unknown keys are rejected and range errors
-name the offending key); identical config + seed produces byte-identical
+returns the contents of its plot-ready CSV / JSON artifacts by file name;
+only ``run`` writes them into the output directory, once every artifact
+of the run has been computed, so a failed run writes none. Config keys
+are validated strictly (unknown keys are rejected and range errors name
+the offending key); identical config + seed produces byte-identical
 output files. Exit codes: 0 success, 1 validation error, 2 numerical
 failure.
 
@@ -94,8 +96,8 @@ def _read_observations(path, column, drop_nonpositive: bool) -> ConcentrationSer
     """Read ``t,concentration`` CSV; also accepts simulation output.
 
     Reads ``column``, or when it is None the ``concentration`` column,
-    falling back to a ``stochastic`` column (pk-simulate files) and then
-    to the second column. A row without a finite time and concentration (too
+    else the ``stochastic`` column (pk-simulate files); a file with
+    neither needs ``column``. A row without a finite time and concentration (too
     short, unparsable or not finite) raises ValueError naming its 1-based
     data row. Rows at t = 0 are never observations and are dropped;
     ``drop_nonpositive`` additionally drops rows with concentration <= 0
@@ -119,7 +121,7 @@ def _read_observations(path, column, drop_nonpositive: bool) -> ConcentrationSer
     elif "stochastic" in header:
         ci = header.index("stochastic")
     else:
-        ci = 1 if ti != 1 else 0
+        raise ValueError("CSV has no 'concentration' or 'stochastic' column: set config.column")
     t, x = np.empty(len(rows)), np.empty(len(rows))
     for k, r in enumerate(rows):
         try:
@@ -137,8 +139,6 @@ def _read_observations(path, column, drop_nonpositive: bool) -> ConcentrationSer
 
 
 def _check_keys(obj: dict, allowed: set, ctx: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{ctx}: expected a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"{ctx}: unknown key {sorted(unknown)[0]!r}")
@@ -169,42 +169,29 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# each kind _get reads: its check, and what its error says was expected
+_KINDS = {
+    float: (_is_number, "a finite number"),
+    int: (_is_int, "an integer"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    list: (lambda v: isinstance(v, list), "an array"),
+    tuple: (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+            "an array of finite numbers"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+}
+
+
 def _get(obj: dict, key: str, ctx: str, kind=float, required=True, default=None):
-    """Read and type-check ``obj[key]``; kind=tuple reads an array of finite numbers."""
+    """Read and type-check ``obj[key]`` as one of _KINDS; tuple reads an array of numbers."""
     if key not in obj:
         if required:
             raise ConfigError(f"{ctx}: missing key {key!r}")
         return default
-    value = obj[key]
-    if kind is float:
-        if not _is_number(value):
-            raise ConfigError(f"{ctx}.{key}: expected a finite number")
-        return float(value)
-    if kind is int:
-        if not _is_int(value):
-            raise ConfigError(f"{ctx}.{key}: expected an integer")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{ctx}.{key}: expected a string")
-        return value
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{ctx}.{key}: expected a boolean")
-        return value
-    if kind is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{ctx}.{key}: expected an array")
-        return value
-    if kind is tuple:
-        if not isinstance(value, list) or not all(_is_number(v) for v in value):
-            raise ConfigError(f"{ctx}.{key}: expected an array of finite numbers")
-        return tuple(value)
-    if kind is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{ctx}.{key}: expected an object")
-        return value
-    raise AssertionError(kind)
+    check, expected = _KINDS[kind]
+    if not check(obj[key]):
+        raise ConfigError(f"{ctx}.{key}: expected {expected}")
+    return kind(obj[key])
 
 
 def _count(obj: dict, key: str, ctx: str) -> int:
@@ -215,21 +202,21 @@ def _count(obj: dict, key: str, ctx: str) -> int:
     return value
 
 
+def _numbers(obj: dict, keys, ctx: str) -> dict:
+    """Read exactly the given keys of ``obj``, in their order, each a finite number."""
+    _check_keys(obj, set(keys), ctx)
+    return {key: _get(obj, key, ctx) for key in keys}
+
+
 def _present(obj: dict, keys, ctx: str, kind=float) -> dict:
     """The given keys that ``obj`` sets, read with _get; the library owns the defaults."""
     return {key: _get(obj, key, ctx, kind=kind) for key in keys if key in obj}
 
 
 def _model_from(cfg: dict, ctx: str = "model") -> ModelParams:
-    _check_keys(cfg, {"x0", "a", "b", "sigma", "beta"}, ctx)
+    values = _numbers(cfg, ("x0", "a", "b", "sigma", "beta"), ctx)
     with _config_errors(ctx):
-        return ModelParams(
-            x0=_get(cfg, "x0", ctx),
-            a=_get(cfg, "a", ctx),
-            b=_get(cfg, "b", ctx),
-            sigma=_get(cfg, "sigma", ctx),
-            beta=_get(cfg, "beta", ctx),
-        )
+        return ModelParams(**values)
 
 
 def _kernel_from(cfg: dict, ctx: str = "kernel") -> CovarianceKernel:
@@ -277,8 +264,8 @@ def _pk_from(cfg: dict, ctx: str = "pk") -> PkParams:
         )
 
 
-def _seed_from(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else cfg.get("seed")
+def _seed_from(cfg: dict, seed) -> int:
+    seed = seed if seed is not None else cfg.get("seed")  # --seed overrides the config
     if seed is None:
         raise ConfigError("seed: missing (set it in the config or pass --seed)")
     if not _is_int(seed) or not 0 <= seed < 2**64:
@@ -286,20 +273,18 @@ def _seed_from(cfg: dict, args) -> int:
     return seed
 
 
-def _cmd_simulate(cfg: dict, args) -> list:
+def _cmd_simulate(cfg: dict, seed) -> dict:
     _check_keys(cfg, {"model", "kernel", "grid", "seed"}, "config")
     model = _model_from(_get(cfg, "model", "config", kind=dict))
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
     n, horizon = _grid_from(_get(cfg, "grid", "config", kind=dict))
-    seed = _seed_from(cfg, args)
+    seed = _seed_from(cfg, seed)
     driver = sample_paths(kernel, uniform_grid(n, horizon), 1, seed)[0]
     path = solve_gmr(model, driver, n)
-    out = os.path.join(args.out, "simulate.csv")
-    _write_csv(out, ["t", "value"], zip(path.times, path.values))
-    return [out]
+    return {"simulate.csv": (["t", "value"], zip(path.times, path.values))}
 
 
-def _cmd_converge(cfg: dict, args) -> list:
+def _cmd_converge(cfg: dict, seed) -> dict:
     _check_keys(cfg, {"model", "kernel", "T", "n_list", "ref_n", "seed"}, "config")
     model = _model_from(_get(cfg, "model", "config", kind=dict))
     if model.a == 0.0:
@@ -308,19 +293,18 @@ def _cmd_converge(cfg: dict, args) -> list:
     horizon = _get(cfg, "T", "config")
     n_list = _get(cfg, "n_list", "config", kind=list)
     ref_n = _get(cfg, "ref_n", "config", kind=int)
-    seed = _seed_from(cfg, args)
+    seed = _seed_from(cfg, seed)
     if not n_list or not all(_is_int(n) and n >= 1 for n in n_list):
         raise ConfigError("config.n_list: expected a nonempty array of positive integers")
     _check_steps(ref_n, horizon, "config.ref_n", "config.T", 1)
     driver = sample_paths(kernel, uniform_grid(ref_n, horizon), 1, seed)[0]
     with _config_errors("config.n_list/ref_n"):
         report = convergence_study(model, driver, n_list, ref_n, kernel.holder_exponent)
-    csv_out = os.path.join(args.out, "converge.csv")
-    json_out = os.path.join(args.out, "converge.json")
-    _write_csv(csv_out, ["n", "error"], zip(report.n_list, report.errors))
-    _write_json(json_out, {"fitted_slope": report.fitted_slope,
-                           "theoretical_rate": report.theoretical_rate})
-    return [csv_out, json_out]
+    return {
+        "converge.csv": (["n", "error"], zip(report.n_list, report.errors)),
+        "converge.json": {"fitted_slope": report.fitted_slope,
+                          "theoretical_rate": report.theoretical_rate},
+    }
 
 
 def _stats_payload(stats: EnsembleStats) -> dict:
@@ -335,7 +319,7 @@ def _stats_payload(stats: EnsembleStats) -> dict:
     }
 
 
-def _cmd_ensemble(cfg: dict, args) -> list:
+def _cmd_ensemble(cfg: dict, seed) -> dict:
     _check_keys(cfg, {"model", "kernel", "grid", "ensemble", "seed", "write_paths"}, "config")
     model = _model_from(_get(cfg, "model", "config", kind=dict))
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
@@ -345,34 +329,23 @@ def _cmd_ensemble(cfg: dict, args) -> list:
     m_count = _count(ens, "M", "ensemble")
     optional = _present(ens, ("p_exponents", "marginal_times"), "ensemble", kind=tuple)
     write_paths = _get(cfg, "write_paths", "config", kind=bool, required=False, default=False)
-    seed = _seed_from(cfg, args)
+    seed = _seed_from(cfg, seed)
     try:
-        spec = EnsembleSpec(
-            params=model,
-            kernel=kernel,
-            M=m_count,
-            n=n,
-            seed=seed,
-            horizon=horizon,
-            **optional,
-        )
+        spec = EnsembleSpec(params=model, kernel=kernel, M=m_count, n=n, seed=seed,
+                            horizon=horizon, **optional)
     except ValueError as exc:  # its message starts with the field's name
         raise ConfigError(f"ensemble.{exc}") from exc
-    written = [os.path.join(args.out, "ensemble.json")]
     if not write_paths:
         # the statistics alone, chunk by chunk: no (M, n+1) array is held
-        _write_json(written[-1], _stats_payload(ensemble_stats(spec)))
-        return written
+        return {"ensemble.json": _stats_payload(ensemble_stats(spec))}
     result = ensemble_simulate(spec)
-    _write_json(written[-1], _stats_payload(result.stats))
-    written.append(os.path.join(args.out, "ensemble_paths.csv"))
     # the raw ensemble: columns t, path_0, ..., path_{M-1}
     header = ["t"] + [f"path_{i}" for i in range(result.x.shape[0])]
-    _write_csv(written[-1], header, np.column_stack([result.times, result.x.T]))
-    return written
+    return {"ensemble.json": _stats_payload(result.stats),
+            "ensemble_paths.csv": (header, np.column_stack([result.times, result.x.T]))}
 
 
-def _cmd_hit_times(cfg: dict, args) -> list:
+def _cmd_hit_times(cfg: dict, seed) -> dict:
     _check_keys(cfg, {"model", "kernel", "horizons", "steps_per_unit", "M", "seed"}, "config")
     model = _model_from(_get(cfg, "model", "config", kind=dict))
     if model.a != 0.0:
@@ -384,14 +357,12 @@ def _cmd_hit_times(cfg: dict, args) -> list:
     spu = ({"steps_per_unit": _count(cfg, "steps_per_unit", "config")}
            if "steps_per_unit" in cfg else {})
     m_count = _count(cfg, "M", "config")
-    seed = _seed_from(cfg, args)
+    seed = _seed_from(cfg, seed)
     rates = hitting_time_stats(model, kernel, m_count, horizons, seed=seed, **spu)
-    out = os.path.join(args.out, "hit_times.json")
-    _write_json(out, {"M": m_count, "horizons": [asdict(r) for r in rates]})
-    return [out]
+    return {"hit_times.json": {"M": m_count, "horizons": [asdict(r) for r in rates]}}
 
 
-def _cmd_survival(cfg: dict, args) -> list:
+def _cmd_survival(cfg: dict, seed) -> dict:
     _check_keys(cfg, {"y0", "model", "kernel", "grid", "M", "seed"}, "config")
     y0 = _get(cfg, "y0", "config")
     if y0 <= 0:
@@ -412,31 +383,24 @@ def _cmd_survival(cfg: dict, args) -> list:
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
     n, horizon = _grid_from(_get(cfg, "grid", "config", kind=dict))
     m_count = _count(cfg, "M", "config")
-    seed = _seed_from(cfg, args)
+    seed = _seed_from(cfg, seed)
     report = survival_bound_check(y0, model, kernel, uniform_grid(n, horizon), m_count, seed)
-    out = os.path.join(args.out, "survival.json")
-    _write_json(out, asdict(report))
-    return [out]
+    return {"survival.json": asdict(report)}
 
 
-def _cmd_pk_simulate(cfg: dict, args) -> list:
+def _cmd_pk_simulate(cfg: dict, seed) -> dict:
     _check_keys(cfg, {"pk", "kernel", "grid", "seed"}, "config")
     pk = _pk_from(_get(cfg, "pk", "config", kind=dict))
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
     n, horizon = _grid_from(_get(cfg, "grid", "config", kind=dict))
-    seed = _seed_from(cfg, args)
+    seed = _seed_from(cfg, seed)
     stochastic = simulate_concentration(pk, kernel, n, seed, horizon)
     deterministic = deterministic_concentration(pk, stochastic.times)
-    out = os.path.join(args.out, "pk_simulate.csv")
-    _write_csv(
-        out,
-        ["t", "stochastic", "deterministic"],
-        zip(stochastic.times, stochastic.values, deterministic),
-    )
-    return [out]
+    return {"pk_simulate.csv": (["t", "stochastic", "deterministic"],
+                                zip(stochastic.times, stochastic.values, deterministic))}
 
 
-def _cmd_pk_fit(cfg: dict, args) -> list:
+def _cmd_pk_fit(cfg: dict, seed) -> dict:
     _check_keys(
         cfg,
         {"pk_constants", "kernel", "observations", "column", "drop_nonpositive",
@@ -444,9 +408,7 @@ def _cmd_pk_fit(cfg: dict, args) -> list:
         "config",
     )
     constants = _get(cfg, "pk_constants", "config", kind=dict)
-    _check_keys(constants, {"A0", "v"}, "pk_constants")
-    a0 = _get(constants, "A0", "pk_constants")
-    vol = _get(constants, "v", "pk_constants")
+    a0, vol = _numbers(constants, ("A0", "v"), "pk_constants").values()
     if a0 <= 0 or vol <= 0:
         raise ConfigError("pk_constants: A0 and v must be positive")
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
@@ -460,12 +422,7 @@ def _cmd_pk_fit(cfg: dict, args) -> list:
     except ValueError as exc:
         raise ConfigError(f"config.observations: {exc}") from exc
     init_cfg = _get(cfg, "init", "config", kind=dict)
-    _check_keys(init_cfg, {"Ke", "sigma", "beta"}, "init")
-    init = (
-        _get(init_cfg, "Ke", "init"),
-        _get(init_cfg, "sigma", "init"),
-        _get(init_cfg, "beta", "init"),
-    )
+    init = tuple(_numbers(init_cfg, ("Ke", "sigma", "beta"), "init").values())
     bounds_cfg = _get(cfg, "bounds", "config", kind=dict, required=False, default={})
     bound_keys = [f.name for f in fields(ThetaBounds)]
     _check_keys(bounds_cfg, set(bound_keys), "bounds")
@@ -476,12 +433,10 @@ def _cmd_pk_fit(cfg: dict, args) -> list:
         quad = build_quad_grid(obs.times, refine)
     with _config_errors("init"):
         est = fit_mle(obs, kernel, init, a0, vol, bounds=bounds, quad_grid=quad)
-    out = os.path.join(args.out, "pk_fit.json")
-    _write_json(out, asdict(est))
-    return [out]
+    return {"pk_fit.json": asdict(est)}
 
 
-def _cmd_pk_sensitivity(cfg: dict, args) -> list:
+def _cmd_pk_sensitivity(cfg: dict, seed) -> dict:
     _check_keys(
         cfg,
         {"pk", "kernel", "x", "functional", "tau", "grid", "M", "method", "h", "seed"},
@@ -507,18 +462,10 @@ def _cmd_pk_sensitivity(cfg: dict, args) -> list:
     method = _get(cfg, "method", "config", kind=str, required=False, default="pathwise")
     if method not in ("pathwise", "fd"):
         raise ConfigError("config.method: expected 'pathwise' or 'fd'")
-    seed = _seed_from(cfg, args)
+    seed = _seed_from(cfg, seed)
     with _config_errors("tau.time"):  # M, tau.kind and the grid are checked above
-        spec = SensitivitySpec(
-            F=func,
-            Fdot=fdot,
-            tau_kind=tau_kind,
-            M=m_count,
-            n=n,
-            horizon=horizon,
-            tau_time=tau_time,
-            seed=seed,
-        )
+        spec = SensitivitySpec(F=func, Fdot=fdot, tau_kind=tau_kind, M=m_count, n=n,
+                               horizon=horizon, tau_time=tau_time, seed=seed)
     if method == "pathwise":
         report = sensitivity_plsin(pk, x, spec, kernel)
     else:
@@ -526,17 +473,14 @@ def _cmd_pk_sensitivity(cfg: dict, args) -> list:
         if not 0.0 < h < x:
             raise ConfigError("config.h: must satisfy 0 < h < x")
         report = sensitivity_fd(pk, x, spec, kernel, h)
-    payload = {
+    return {"pk_sensitivity.json": {
         "estimate": report.estimate,
         "std_error": report.std_error,
         "M": report.M,
         "tau": {"kind": tau_kind, "time": tau_time},
         "capped_fraction": report.capped_fraction,
         "method": method,
-    }
-    out = os.path.join(args.out, "pk_sensitivity.json")
-    _write_json(out, payload)
-    return [out]
+    }}
 
 
 _COMMANDS = {
@@ -587,7 +531,13 @@ def run(argv) -> int:
     try:
         cfg = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        for path in _COMMANDS[args.command](cfg, args):
+        artifacts = _COMMANDS[args.command](cfg, args.seed)
+        for name, contents in artifacts.items():
+            path = os.path.join(args.out, name)
+            if name.endswith(".json"):
+                _write_json(path, contents)
+            else:
+                _write_csv(path, *contents)
             print(path)
         return 0
     except (ConfigError, ValueError) as exc:

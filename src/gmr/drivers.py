@@ -194,7 +194,7 @@ def custom_kernel(
     """Kernel given by an explicit function or matrix on a fixed grid.
 
     The covariance is materialized on ``grid`` at construction and
-    validated: symmetric, zero on the ``t = 0`` row/column.
+    validated: finite, symmetric, zero on the ``t = 0`` row/column.
     """
     grid = checked_grid(grid)
     if callable(cov):
@@ -203,6 +203,8 @@ def custom_kernel(
         mat = np.asarray(cov, dtype=float)
         if mat.shape != (grid.size, grid.size):
             raise ValueError("matrix shape must match the grid")
+    if not np.isfinite(mat).all():
+        raise ValueError("covariance must be finite")
     if not np.allclose(mat, mat.T, rtol=0, atol=1e-12 * max(1.0, np.abs(mat).max())):
         raise ValueError("covariance must be symmetric")
     mat = 0.5 * (mat + mat.T)

@@ -310,6 +310,11 @@ def _design_block(times, kernel: CovarianceKernel, quad_grid) -> _ObservationBlo
     return block
 
 
+def _check_dose(A0, v) -> None:
+    if not (0.0 < A0 < math.inf and 0.0 < v < math.inf):
+        raise ValueError("A0 and v must be positive and finite")
+
+
 def _likelihood_core(ke, beta, obs, block, A0, v):
     """log det L_1 and q = |L_1^{-1} U|^2, with L_1 the Cholesky factor of Gamma_1.
 
@@ -364,6 +369,7 @@ def log_likelihood(
     ke, sigma, beta = (float(u) for u in theta)
     if ke <= 0 or sigma <= 0 or not 0.0 < beta < 1.0:
         raise ValueError("theta out of domain: need Ke, sigma > 0 and beta in (0, 1)")
+    _check_dose(A0, v)
     if np.any(obs.concentrations <= 0):
         return -math.inf
     if quad_grid is None:
@@ -535,6 +541,7 @@ def fit_mle(
     init = tuple(float(u) for u in init)
     if not bounds.contains(init):
         raise ValueError("initial theta must lie inside the bounds")
+    _check_dose(A0, v)
     x = obs.concentrations
     if np.any(x <= 0):
         # the indicator kills the likelihood at every theta

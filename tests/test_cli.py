@@ -79,6 +79,15 @@ def test_observations_read_simulation_output(tmp_path):
         _read_observations(path, "missing", False)
 
 
+def test_observations_without_a_known_column_name_one(tmp_path):
+    # no column is guessed: the second one used to be read
+    path = tmp_path / "obs.csv"
+    path.write_text("t,value\r\n0.5,0.4\r\n")
+    with pytest.raises(ValueError, match="set config.column"):
+        _read_observations(path, None, False)
+    assert np.array_equal(_read_observations(path, "value", False).concentrations, [0.4])
+
+
 def test_simulate_zero_noise_matches_ode(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -489,6 +498,18 @@ def test_overflow_exits_as_numerical_failure(tmp_path, capsys):
         assert run([command, "--config", cfg, "--out", str(out)]) == 2
         assert "numerical failure" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+
+def test_a_run_that_fails_after_one_artifact_writes_none(tmp_path, monkeypatch):
+    # ensemble.json used to be written before the path table was built
+    def fail(*args, **kwargs):
+        raise OverflowError("no path table")
+
+    monkeypatch.setattr(np, "column_stack", fail)
+    cfg = write_config(tmp_path, "ens.json", RERUN_CONFIGS["ensemble"])
+    out = tmp_path / "out"
+    assert run(["ensemble", "--config", cfg, "--out", str(out)]) == 2
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -139,6 +139,14 @@ def test_custom_kernel_validation():
     nonzero_row = np.array([[0.1, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
     with pytest.raises(ValueError, match="vanish"):
         custom_kernel(grid, nonzero_row, holder_exponent=0.5)
+    # an inf entry made np.allclose's atol infinite, and a NaN read as asymmetric
+    for bad in (np.inf, -np.inf, np.nan):
+        mat = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, bad]])
+        with pytest.raises(ValueError, match="^covariance must be finite$"):
+            custom_kernel(grid, mat, holder_exponent=0.5)
+        with pytest.raises(ValueError, match="^covariance must be finite$"):
+            custom_kernel(grid, lambda s, t: bad if s == t == 1.0 else min(s, t),
+                          holder_exponent=0.5)
     for bad in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
         with pytest.raises(ValueError, match="finite and strictly increasing"):
             custom_kernel(np.array(bad), lambda s, t: min(s, t), holder_exponent=0.5)

@@ -612,6 +612,19 @@ def test_fit_mle_validates_init():
                 bounds=ThetaBounds(ke_max=20.0))
 
 
+@pytest.mark.parametrize("a0, v", [(-1.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (1.0, math.nan)])
+def test_likelihood_and_fit_reject_a_dose_that_is_not_positive_and_finite(a0, v):
+    # A0 = -1 gave a finite log-likelihood from a dropped imaginary part, and
+    # v = 0 a ZeroDivisionError
+    times = np.linspace(0.1, 1.0, 10)
+    obs = ConcentrationSeries(times, np.exp(-2.0 * times))
+    kernel = fbm_kernel(0.8)
+    with pytest.raises(ValueError, match="^A0 and v must be positive and finite$"):
+        log_likelihood((2.0, 0.5, 0.5), obs, kernel, a0, v)
+    with pytest.raises(ValueError, match="^A0 and v must be positive and finite$"):
+        fit_mle(obs, kernel, (2.0, 0.5, 0.5), a0, v)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["ke_max", "sigma_max"])
 def test_theta_bounds_reject_nonfinite_limits(field, value):
