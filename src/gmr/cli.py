@@ -331,8 +331,15 @@ def _cmd_ensemble(cfg: dict, seed) -> dict:
     write_paths = _get(cfg, "write_paths", "config", kind=bool, required=False, default=False)
     seed = _seed_from(cfg, seed)
     try:
-        spec = EnsembleSpec(params=model, kernel=kernel, M=m_count, n=n, seed=seed,
-                            horizon=horizon, **optional)
+        spec = EnsembleSpec(
+            params=model,
+            kernel=kernel,
+            M=m_count,
+            n=n,
+            seed=seed,
+            horizon=horizon,
+            **optional,
+        )
     except ValueError as exc:  # its message starts with the field's name
         raise ConfigError(f"ensemble.{exc}") from exc
     if not write_paths:
@@ -464,8 +471,16 @@ def _cmd_pk_sensitivity(cfg: dict, seed) -> dict:
         raise ConfigError("config.method: expected 'pathwise' or 'fd'")
     seed = _seed_from(cfg, seed)
     with _config_errors("tau.time"):  # M, tau.kind and the grid are checked above
-        spec = SensitivitySpec(F=func, Fdot=fdot, tau_kind=tau_kind, M=m_count, n=n,
-                               horizon=horizon, tau_time=tau_time, seed=seed)
+        spec = SensitivitySpec(
+            F=func,
+            Fdot=fdot,
+            tau_kind=tau_kind,
+            M=m_count,
+            n=n,
+            horizon=horizon,
+            tau_time=tau_time,
+            seed=seed,
+        )
     if method == "pathwise":
         report = sensitivity_plsin(pk, x, spec, kernel)
     else:

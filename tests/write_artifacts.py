@@ -29,15 +29,18 @@ from test_cli import PK_FIT_OBS, RERUN_CONFIGS  # noqa: E402
 from test_readme import EXAMPLES, blocks  # noqa: E402
 
 
-def configs(work: Path):
-    """(output name, command, config) in run order; pk-fit's inputs go to ``work``."""
+def configs(work: Path, out: Path):
+    """(output name, command, config) in run order; pk-fit's observations go to ``work``."""
     (work / "obs.csv").write_text(PK_FIT_OBS)
     for command, payload in RERUN_CONFIGS.items():
         if command == "pk-fit":
             payload = dict(payload, observations=str(work / "obs.csv"))
         yield command, command, payload
     for (command, _), text in zip(EXAMPLES, blocks("json")):
-        yield f"readme-{command}", command, json.loads(text)
+        payload = json.loads(text)
+        if command == "pk-fit":  # the README fit reads the README pk-simulate output
+            payload["observations"] = str(out / "readme-pk-simulate" / "pk_simulate.csv")
+        yield f"readme-{command}", command, payload
 
 
 def main(argv) -> int:
@@ -51,9 +54,7 @@ def main(argv) -> int:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name, command, payload in configs(work):
-            if name == "readme-pk-fit":  # the README fit reads the README pk-simulate output
-                payload["observations"] = str(out / "readme-pk-simulate" / "pk_simulate.csv")
+        for name, command, payload in configs(work, out):
             cfg = work / f"{name}.json"
             cfg.write_text(json.dumps(payload))
             subprocess.run([sys.executable, "-m", "gmr.cli", command, "--config", str(cfg),
