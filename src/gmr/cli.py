@@ -2,12 +2,13 @@
 
 Each subcommand reads a single JSON config object, runs the library and
 returns the contents of its plot-ready CSV / JSON artifacts by file name;
-only ``run`` writes them into the output directory, once every artifact
-of the run has been computed, so a failed run writes none. Config keys
-are validated strictly (unknown keys are rejected and range errors name
-the offending key); identical config + seed produces byte-identical
-output files. Exit codes: 0 success, 1 validation error, 2 numerical
-failure.
+only ``run`` makes the output directory and writes them into it, once
+every artifact of the run has been computed, so a failed run makes and
+writes nothing. Config keys are validated strictly (unknown keys are
+rejected and range errors name the offending key); identical config +
+seed produces byte-identical output files. Exit codes: 0 success, 1
+validation error or an output directory that cannot be made or written,
+2 numerical failure.
 
 CSV files have a header row, CRLF row ends and every number written as
 %.17g (a lossless float64 round-trip). JSON files are UTF-8 with sorted
@@ -544,17 +545,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        cfg = _load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
-        artifacts = _COMMANDS[args.command](cfg, args.seed)
-        for name, contents in artifacts.items():
-            path = os.path.join(args.out, name)
-            if name.endswith(".json"):
-                _write_json(path, contents)
-            else:
-                _write_csv(path, *contents)
-            print(path)
-        return 0
+        artifacts = _COMMANDS[args.command](_load_config(args.config), args.seed)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -562,6 +553,19 @@ def run(argv) -> int:
             OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for name, contents in artifacts.items():
+            path = os.path.join(args.out, name)
+            if name.endswith(".json"):
+                _write_json(path, contents)
+            else:
+                _write_csv(path, *contents)
+            print(path)
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def main() -> None:

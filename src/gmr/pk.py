@@ -15,9 +15,8 @@ so importing gmr does not load scipy.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -184,10 +183,11 @@ def build_quad_grid(times: np.ndarray, refine: Optional[int] = None) -> np.ndarr
 
 # G(kappa) depends on the design (observation times, quadrature grid and
 # kernel) and on kappa, never on the data, so fits on one design share it:
-# the last design's block stays in one slot with a memo of G(kappa) and its
-# factor. The block and its memo together take at most this many bytes.
+# the last design's block stays in one slot with a cache of G(kappa) and its
+# factor. The block and its cache together take at most this many bytes.
+# The slot is one reference, read and written whole, and lru_cache is
+# thread-safe, so threads fitting at one design need no lock.
 _DESIGN_BUDGET = 4 << 20
-_design_lock = threading.Lock()  # guards _design and every block's memo
 _design: Optional[_ObservationBlock] = None
 
 
@@ -210,9 +210,12 @@ class _ObservationBlock:
     tilde_w_covariance_matrix up to rounding. C, E and TW do not depend on
     theta and are built once; G is the two products (R C) R^T.
 
-    G(kappa) and its factor are kept, read-only, in a least-recently-used
-    memo keyed by the exact kappa, while the block and the memo fit in
-    _DESIGN_BUDGET bytes; a block that alone exceeds it keeps nothing.
+    ``pair(kappa)`` is (G(kappa), its lower Cholesky factor), read-only, from
+    a least-recently-used cache keyed by the exact kappa. It holds as many
+    pairs as fit beside the block in _DESIGN_BUDGET bytes, none for a block
+    that alone exceeds it. The cache wraps a function of the block's arrays,
+    not a bound method, so a block holds no reference cycle and is freed as
+    soon as the slot lets it go.
     """
 
     def __init__(self, times: np.ndarray, kernel: CovarianceKernel, quad_grid: np.ndarray,
@@ -227,86 +230,67 @@ class _ObservationBlock:
         self.kind, self.hurst = kernel.kind, kernel.hurst
         # cov, when given, is covariance_matrix(kernel, quad_grid), built by the caller
         self.cov = covariance_matrix(kernel, grid) if cov is None else cov
-        self.idx = grid_index(grid, times)
-        self.rows = np.arange(times.size)
+        idx = grid_index(grid, times)
+        rows = np.arange(times.size)
         half = 0.5 * np.diff(grid)
         left, right = np.append(0.0, half), np.append(half, 0.0)
         # trapezoid through s_k: both half intervals inside, the left one at s_k
-        col, k = np.arange(grid.size), self.idx[:, None]
-        self.tw = np.where(col < k, left + right, np.where(col == k, left, 0.0))
-        self.nbytes = sum(a.nbytes for a in (times, grid, self.cov, self.idx, self.rows, self.tw))
-        self._memo = OrderedDict()  # kappa -> (G, factor or None), oldest first
-        self._memo_bytes = 0
-
-    def __call__(self, kappa: float) -> np.ndarray:
-        """G(kappa), read-only."""
-        return self._entry(kappa, False)[0]
-
-    def factor(self, kappa: float) -> np.ndarray:
-        """The lower Cholesky factor of G(kappa), with jitter if needed, read-only."""
-        return self._entry(kappa, True)[1]
-
-    def _entry(self, kappa, factored):
-        """(G(kappa), its factor or None) from the memo, else made and kept."""
-        with _design_lock:
-            entry = self._memo.get(kappa)
-            if entry is not None and (entry[1] is not None or not factored):
-                self._memo.move_to_end(kappa)
-                return entry
-        g = self._build(kappa) if entry is None else entry[0]
-        g.flags.writeable = False
-        entry = (g, _cholesky_with_jitter(g) if factored else None)
-        if factored:
-            entry[1].flags.writeable = False
-        with _design_lock:
-            old = self._memo.pop(kappa, (None, None))
-            self._memo[kappa] = entry
-            self._memo_bytes += _held(entry) - _held(old)
-            while self._memo and self.nbytes + self._memo_bytes > _DESIGN_BUDGET:
-                self._memo_bytes -= _held(self._memo.popitem(last=False)[1])
-        return entry
-
-    def _build(self, kappa: float) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            ek = np.exp(kappa * self.grid)
-            r = self.tw * (-kappa * ek)
-            r[self.rows, self.idx] += ek[self.idx]
-            r *= np.exp(-kappa * self.times)[:, None]
-            g = (r @ self.cov) @ r.T
-        if not np.all(np.isfinite(g)):
-            raise CovarianceError(
-                f"observation covariance overflows at kappa = {kappa!r} "
-                f"(kappa s up to {kappa * self.grid[-1]:.3g})")
-        return 0.5 * (g + g.T)
+        col, k = np.arange(grid.size), idx[:, None]
+        tw = np.where(col < k, left + right, np.where(col == k, left, 0.0))
+        self.nbytes = sum(a.nbytes for a in (times, grid, self.cov, idx, rows, tw))
+        pairs = max(0, (_DESIGN_BUDGET - self.nbytes) // (16 * times.size**2))
+        self.pair = functools.lru_cache(maxsize=pairs)(
+            functools.partial(_g_and_factor, times, grid, self.cov, idx, rows, tw))
 
 
-def _held(entry) -> int:
-    """Bytes of the arrays in a memo entry."""
-    return sum(a.nbytes for a in entry if a is not None)
+def _g_matrix(times, grid, cov, idx, rows, tw, kappa: float) -> np.ndarray:
+    """G(kappa) of the block with these arrays; CovarianceError if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ek = np.exp(kappa * grid)
+        r = tw * (-kappa * ek)
+        r[rows, idx] += ek[idx]
+        r *= np.exp(-kappa * times)[:, None]
+        g = (r @ cov) @ r.T
+    if not np.all(np.isfinite(g)):
+        raise CovarianceError(
+            f"observation covariance overflows at kappa = {kappa!r} "
+            f"(kappa s up to {kappa * grid[-1]:.3g})")
+    return 0.5 * (g + g.T)
 
 
-def _design_block(times, kernel: CovarianceKernel, quad_grid) -> _ObservationBlock:
+def _g_and_factor(times, grid, cov, idx, rows, tw, kappa: float):
+    """(G(kappa), its lower factor with jitter if needed), both read-only.
+
+    G is built in its own call, so the n x (N+1) temporaries of the build
+    are freed before the factorization.
+    """
+    g = _g_matrix(times, grid, cov, idx, rows, tw, kappa)
+    g.flags.writeable = False
+    factor = _cholesky_with_jitter(g)
+    factor.flags.writeable = False
+    return g, factor
+
+
+def _design_block(times, kernel: CovarianceKernel, quad_grid=None) -> _ObservationBlock:
     """The _ObservationBlock of this design: the kept one if it is equal by value.
 
-    The design is the times, the grid and the kernel's kind and Hurst
-    index, and for a custom kernel its matrix on the grid. Otherwise a new
-    block, kept in the slot in place of the last one if it fits in
-    _DESIGN_BUDGET.
+    The design is the times, the grid (build_quad_grid(times) by default)
+    and the kernel's kind and Hurst index, and for a custom kernel its
+    matrix on the grid. Otherwise a new block, kept in the slot in place of
+    the last one if it fits in _DESIGN_BUDGET.
     """
     global _design
-    grid = checked_grid(quad_grid)
+    grid = checked_grid(build_quad_grid(times) if quad_grid is None else quad_grid)
     # a custom kernel's matrix on the grid is compared, and built only once
     cov = covariance_matrix(kernel, grid) if kernel.kind == "custom" else None
-    with _design_lock:
-        block = _design
+    block = _design
     if (block is not None and np.array_equal(block.times, times)
             and np.array_equal(block.grid, grid)
             and (block.kind, block.hurst) == (kernel.kind, kernel.hurst)
             and (cov is None or np.array_equal(block.cov, cov))):
         return block
     block = _ObservationBlock(times, kernel, grid, cov)
-    with _design_lock:
-        _design = block if block.nbytes <= _DESIGN_BUDGET else None
+    _design = block if block.nbytes <= _DESIGN_BUDGET else None
     return block
 
 
@@ -319,8 +303,8 @@ def _likelihood_core(ke, beta, obs, block, A0, v):
     """log det L_1 and q = |L_1^{-1} U|^2, with L_1 the Cholesky factor of Gamma_1.
 
     Gamma_1 = (1-beta)^2 G(Ke(1-beta)) is the observation covariance at
-    sigma = 1, from ``block``, the _ObservationBlock of obs.times; its two
-    matrix products, unless G is in the block's memo, are most of the cost
+    sigma = 1, from ``block``, the _ObservationBlock of obs.times; building
+    and factoring G, unless the block's cache holds it, is most of the cost
     of a call. Every entry of the covariance carries two weights
     sigma(1-beta)e^(Ke(1-beta)t), so Gamma(Ke, sigma, beta) = sigma^2 Gamma_1
     and U does not depend on sigma. The jitter ladder is relative to the
@@ -332,7 +316,7 @@ def _likelihood_core(ke, beta, obs, block, A0, v):
 
     t = obs.times
     omb = 1.0 - beta
-    factor = _cholesky_with_jitter(omb**2 * block(ke * omb))
+    factor = _cholesky_with_jitter(omb**2 * block.pair(ke * omb)[0])
     if not np.diag(factor).min() > 0.0:
         raise CovarianceError("observation covariance is singular (a Cholesky pivot is 0)")
     u = obs.concentrations**omb - (A0 / v) ** omb * np.exp(-ke * omb * t)
@@ -372,8 +356,6 @@ def log_likelihood(
     _check_dose(A0, v)
     if np.any(obs.concentrations <= 0):
         return -math.inf
-    if quad_grid is None:
-        quad_grid = build_quad_grid(obs.times)
     block = _design_block(obs.times, kernel, quad_grid)
     logdet, q = _likelihood_core(ke, beta, obs, block, A0, v)
     return _log_likelihood_from(sigma, beta, obs.concentrations, logdet, q)
@@ -531,7 +513,7 @@ def fit_mle(
     returned, so the result never loses likelihood against the start.
     ``max_iter`` caps the outer steps, each one evaluation at a kappa whose
     beta bracket is not empty; ``iterations`` counts them, whether G(kappa)
-    and its factor were built or came from the design's memo (see
+    and its factor were built or came from the design's cache (see
     _design_block), so both read the same on a warm and a cold design.
     Convergence means the outer search stopped on its tolerance, not at
     the cap, and not at the lowest point of the extended scan.
@@ -546,8 +528,6 @@ def fit_mle(
     if np.any(x <= 0):
         # the indicator kills the likelihood at every theta
         raise AdmissibilityError("no admissible parameters")
-    if quad_grid is None:
-        quad_grid = build_quad_grid(obs.times)
     block = _design_block(obs.times, kernel, quad_grid)  # theta-independent
     n, c0, sum_log_x = x.size, A0 / v, float(np.sum(np.log(x)))
     kappa_max = bounds.ke_max * (1.0 - bounds.beta_min)
@@ -565,7 +545,7 @@ def fit_mle(
             raise _StepCap
         steps += 1
         try:
-            factor = block.factor(kappa)
+            _, factor = block.pair(kappa)
         except CovarianceError:
             return math.inf  # degenerate G at an extreme kappa: step back
         diag = np.diag(factor)

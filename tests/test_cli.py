@@ -497,7 +497,7 @@ def test_overflow_exits_as_numerical_failure(tmp_path, capsys):
         out = tmp_path / command
         assert run([command, "--config", cfg, "--out", str(out)]) == 2
         assert "numerical failure" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 def test_a_run_that_fails_after_one_artifact_writes_none(tmp_path, monkeypatch):
@@ -509,7 +509,20 @@ def test_a_run_that_fails_after_one_artifact_writes_none(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "ens.json", RERUN_CONFIGS["ensemble"])
     out = tmp_path / "out"
     assert run(["ensemble", "--config", cfg, "--out", str(out)]) == 2
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("taken_by", ["file", "artifact directory"])
+def test_an_unusable_out_exits_1_naming_it(tmp_path, capsys, taken_by):
+    # --out names a file, or an artifact's name in it is taken by a directory
+    cfg = write_config(tmp_path, "sim.json", RERUN_CONFIGS["simulate"])
+    out = tmp_path / "out"
+    if taken_by == "file":
+        out.write_text("")
+    else:
+        (out / "simulate.csv").mkdir(parents=True)
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: --out: ")
 
 
 @pytest.mark.parametrize(
@@ -697,7 +710,7 @@ def _with(command, **changes):
 def test_bad_config_values_exit_1_before_writing(tmp_path, capsys, monkeypatch, command, text,
                                                  key):
     # json.load parses NaN and Infinity, so they must be rejected by key,
-    # and every config error must come before any artifact is written
+    # and every config error must come before the output directory is made
     if command == "pk-fit":
         (tmp_path / "obs.csv").write_text(PK_FIT_OBS)
         (tmp_path / "empty.csv").write_text("")
@@ -706,10 +719,10 @@ def test_bad_config_values_exit_1_before_writing(tmp_path, capsys, monkeypatch, 
         monkeypatch.chdir(tmp_path)  # FIT_TEXT names its observations relative to here
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
-    out = tmp_path / "out"
+    out = tmp_path / "new" / "sub"
     assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
     assert key in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not (tmp_path / "new").exists()
 
 
 def test_argument_errors_exit_1_and_help_exits_0(capsys):

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -73,7 +75,7 @@ def gamma_matrix_from_theta(theta, times, kernel, quad_grid):
     """
     ke, sigma, beta = (float(v) for v in theta)
     omb = 1.0 - beta
-    return sigma**2 * omb**2 * _ObservationBlock(times, kernel, quad_grid)(ke * omb)
+    return sigma**2 * omb**2 * _ObservationBlock(times, kernel, quad_grid).pair(ke * omb)[0]
 
 
 def concentration_functional_samples(pk, x, spec, kernel):
@@ -363,6 +365,32 @@ def test_gamma_matrix_overflow_raises_covariance_error():
     with pytest.raises(CovarianceError, match="overflows"):
         gamma_matrix_from_theta((50.0, 1.0, 0.05), times, brownian_kernel(),
                                 build_quad_grid(times))
+
+
+def test_fit_steps_back_from_a_kappa_whose_g_overflows(monkeypatch):
+    # the top scan point kappa_max / 4 = 237.5 puts kappa t up to 2375, past
+    # e^(kappa t)'s range: that outer step scores +inf and the search goes on
+    overflowed = []
+    build = gmr.pk._g_matrix
+
+    def recorded(*arrays_and_kappa):
+        try:
+            return build(*arrays_and_kappa)
+        except CovarianceError:
+            overflowed.append(arrays_and_kappa[-1])
+            raise
+
+    monkeypatch.setattr(gmr.pk, "_g_matrix", recorded)
+    monkeypatch.setattr(gmr.pk, "_design", None)
+    times = np.linspace(0.25, 10.0, 40)
+    noise = np.random.default_rng(3).lognormal(0.0, 0.1, times.size)
+    obs = ConcentrationSeries(times, np.exp(-0.3 * times) * noise)
+    kernel = fbm_kernel(0.8)
+    est = fit_mle(obs, kernel, (2.0, 0.5, 0.5), 1.0, 1.0, bounds=ThetaBounds(ke_max=1000.0))
+    assert overflowed == [pytest.approx(1000.0 * 0.95 / 4.0, rel=1e-12)]
+    assert est.converged
+    theta = (est.Ke, est.sigma, est.beta)
+    assert est.log_likelihood == log_likelihood(theta, obs, kernel, 1.0, 1.0)
 
 
 def test_log_likelihood_permutation_invariant():
@@ -661,13 +689,13 @@ def _estimate_bits(est):
 def builds(monkeypatch):
     """Counts the builds of G(kappa), from an empty design slot."""
     count = [0]
-    build = _ObservationBlock._build
+    build = gmr.pk._g_matrix
 
-    def counted(self, kappa):
+    def counted(*arrays_and_kappa):
         count[0] += 1
-        return build(self, kappa)
+        return build(*arrays_and_kappa)
 
-    monkeypatch.setattr(_ObservationBlock, "_build", counted)
+    monkeypatch.setattr(gmr.pk, "_g_matrix", counted)
     monkeypatch.setattr(gmr.pk, "_design", None)
     return count
 
@@ -723,13 +751,13 @@ def test_a_changed_design_never_reuses_the_block(builds):
         assert gmr.pk._design is block, name
         cold = _ObservationBlock(*design)
         for kappa in (0.5, 3.0):
-            assert np.array_equal(block(kappa), cold(kappa)), name
+            assert np.array_equal(block.pair(kappa)[0], cold.pair(kappa)[0]), name
     # a custom matrix changed in place is a new design too
     kept = gmr.pk._design_block(*custom)
     custom[1].matrix[1:, 1:] *= 3.0
     block = gmr.pk._design_block(*custom)
     assert block is not kept
-    assert np.array_equal(block(0.5), _ObservationBlock(*custom)(0.5))
+    assert np.array_equal(block.pair(0.5)[0], _ObservationBlock(*custom).pair(0.5)[0])
 
 
 def test_a_custom_design_builds_its_matrix_once_per_call(builds, monkeypatch):
@@ -751,34 +779,42 @@ def test_a_custom_design_builds_its_matrix_once_per_call(builds, monkeypatch):
         assert calls[0] == expected
 
 
-def _held_bytes(block):
-    held = sum(a.nbytes for entry in block._memo.values() for a in entry if a is not None)
-    assert held == block._memo_bytes
-    return block.nbytes + held
-
-
 @pytest.mark.parametrize("n_obs", [40, 400])
 def test_the_slot_and_memo_stay_within_the_budget(builds, n_obs):
     times = np.arange(1, n_obs + 1) / n_obs
     block = gmr.pk._design_block(times, fbm_kernel(0.9), build_quad_grid(times))
     assert gmr.pk._design is block
-    kappas = np.geomspace(0.1, 30.0, 200 if n_obs == 40 else 4)
+    # the budget counted in pairs of G(kappa) and its factor: as many as
+    # fit beside the block, and not one more
+    pair_bytes = 16 * n_obs**2
+    room = block.pair.cache_info().maxsize
+    assert block.nbytes + room * pair_bytes <= gmr.pk._DESIGN_BUDGET
+    assert block.nbytes + (room + 1) * pair_bytes > gmr.pk._DESIGN_BUDGET
+    kappas = [float(k) for k in np.geomspace(0.1, 30.0, 200 if n_obs == 40 else 4)]
     for kappa in kappas:
-        block.factor(kappa)
-        assert _held_bytes(block) <= gmr.pk._DESIGN_BUDGET
+        g, factor = block.pair(kappa)
+        assert g.nbytes + factor.nbytes == pair_bytes
+        assert block.pair.cache_info().currsize <= room
+    assert builds[0] == len(kappas)
     if n_obs == 40:
-        # the most recent kappa stays, the oldest went first; the memo is
-        # full up to one entry of G and its factor, far below 200 entries
-        assert float(kappas[-1]) in block._memo
-        assert float(kappas[0]) not in block._memo
-        assert _held_bytes(block) > gmr.pk._DESIGN_BUDGET - 2 * n_obs**2 * 8
-        assert len(block._memo) < 150
+        # full, far below 200 pairs; the least recently used pair goes
+        # first: the oldest kept one, used again, outlives the next oldest
+        assert 0 < block.pair.cache_info().currsize == room < 150
+        oldest, next_oldest = kappas[-room], kappas[-room + 1]
+        block.pair(oldest)
+        block.pair(50.0)
+        assert builds[0] == len(kappas) + 1
+        block.pair(oldest)
+        assert builds[0] == len(kappas) + 1
+        block.pair(next_oldest)
+        assert builds[0] == len(kappas) + 2
     else:
-        # room for one G(kappa), not for its factor too
-        assert not block._memo
-        block(1.0)
-        assert list(block._memo) == [1.0]
-        assert _held_bytes(block) <= gmr.pk._DESIGN_BUDGET
+        # room for one G(kappa), not for its factor too: nothing is kept
+        assert room == 0
+        assert block.nbytes + pair_bytes // 2 <= gmr.pk._DESIGN_BUDGET
+        block.pair(kappas[-1])
+        assert block.pair.cache_info().currsize == 0
+        assert builds[0] == len(kappas) + 1
 
 
 def test_a_block_over_the_budget_is_not_kept(builds):
@@ -788,19 +824,22 @@ def test_a_block_over_the_budget_is_not_kept(builds):
     assert gmr.pk._design is None
     block = gmr.pk._design_block(times, brownian_kernel(), build_quad_grid(times))
     assert block.nbytes > gmr.pk._DESIGN_BUDGET
-    block(1.0)
-    assert not block._memo
+    assert block.pair.cache_info().maxsize == 0
+    block.pair(1.0)
+    assert block.pair.cache_info().currsize == 0
     assert builds[0] == 2
 
 
 def test_memoized_arrays_are_read_only(builds):
     times = np.arange(1, 41) / 40
     block = gmr.pk._design_block(times, fbm_kernel(0.9), build_quad_grid(times))
-    for array in (block(1.5), block.factor(1.5)):
+    g, factor = block.pair(1.5)
+    for array in (g, factor):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0.0
-    assert block(1.5) is block(1.5)
+    again = block.pair(1.5)
+    assert again[0] is g and again[1] is factor
     assert builds[0] == 1
 
 
@@ -810,12 +849,33 @@ def test_the_memo_key_is_the_exact_kappa(builds):
     cold = _ObservationBlock(times, fbm_kernel(0.9), build_quad_grid(times))
     kappas = (1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-9, 1.0 - 1e-9)
     for kappa in kappas:
-        block.factor(kappa)
+        block.pair(kappa)
     assert builds[0] == len(kappas)
     for kappa in kappas:
-        assert np.array_equal(block(kappa), cold(kappa))
-        assert np.array_equal(block.factor(kappa), _cholesky_with_jitter(cold(kappa)))
+        g, factor = block.pair(kappa)
+        cold_g = cold.pair(kappa)[0]
+        assert np.array_equal(g, cold_g)
+        assert np.array_equal(factor, _cholesky_with_jitter(cold_g))
     assert builds[0] == 2 * len(kappas)  # only the cold block built again
+
+
+def test_a_replaced_block_is_freed_without_the_cycle_collector(builds):
+    # the cache wraps a function of the block's arrays: a cache of a bound
+    # method is a reference cycle, and each block that left the slot, up
+    # to 4 MiB with its pairs, would wait for the cycle collector
+    times = np.arange(1, 41) / 40
+    quad = build_quad_grid(times)
+    gc.disable()
+    try:
+        block = gmr.pk._design_block(times, fbm_kernel(0.9), quad)
+        block.pair(1.0)
+        kept = weakref.ref(block)
+        del block
+        assert kept() is gmr.pk._design
+        gmr.pk._design_block(times, brownian_kernel(), quad)
+        assert kept() is None
+    finally:
+        gc.enable()
 
 
 def test_two_threads_at_one_design_return_the_serial_estimates(builds):
