@@ -55,7 +55,6 @@ from .transform import (
     theta_weight,
     tilde_w_matrix,
     tilde_w_path,
-    y0_from_x0,
 )
 
 __version__ = "0.1.0"

@@ -380,9 +380,12 @@ def _cmd_survival(cfg: dict, seed) -> dict:
     beta = _get(raw, "beta", "model")
     if not 0.0 < beta < 1.0:
         raise ConfigError("model.beta: must lie in (0, 1)")
+    # the check reads y0 and the weight (b, sigma, beta), never x0, so any
+    # positive x0 will do; y0 ** (1/(1-beta)) overflows or underflows for
+    # beta near 1
     with _config_errors("model"):
         model = ModelParams(
-            x0=y0 ** (1.0 / (1.0 - beta)),
+            x0=1.0,
             a=0.0,
             b=_get(raw, "b", "model"),
             sigma=_get(raw, "sigma", "model"),

@@ -114,6 +114,8 @@ def uniform_grid(n: int, horizon: float) -> np.ndarray:
         raise ValueError("need at least one step")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    if not np.isfinite(horizon):
+        raise ValueError("horizon must be finite")
     return np.linspace(0.0, float(horizon), n + 1)
 
 
@@ -321,12 +323,6 @@ def sample_paths(
     return [SamplePath(grid, row) for row in sample_path_matrix(kernel, grid, count, seed)]
 
 
-def driver_factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
-    """Cholesky factor of the covariance on grid[1:] (t = 0 is pinned at 0)."""
-    cov = covariance_matrix(kernel, grid)[1:, 1:]
-    return _cholesky_with_jitter(cov)
-
-
 def _next_fast_len(n: int) -> int:
     """Smallest 2^a 3^b 5^c 7^d 11^e >= n, for n >= 1.
 
@@ -409,7 +405,8 @@ def _block_sampler(kernel: CovarianceKernel, grid: np.ndarray):
         row = _fgn_circulant_row(kernel.hurst, n, dt)
         scale = _circulant_scale(row)
         return row.size, lambda z: _circulant_paths(z, scale, n), True
-    factor = driver_factor(kernel, grid)
+    # the Cholesky factor of the covariance on grid[1:] (t = 0 is pinned at 0)
+    factor = _cholesky_with_jitter(covariance_matrix(kernel, grid)[1:, 1:])
     return n, lambda z: z @ factor.T, False
 
 

@@ -20,7 +20,7 @@ from .drivers import (
     grid_index,
     uniform_grid,
 )
-from .solver import solve_columns, solve_matrix
+from .solver import solve_columns
 from .transform import ModelParams, tilde_w_matrix, tilde_w_variance
 
 __all__ = [
@@ -94,7 +94,6 @@ class EnsembleStats:
 class EnsembleResult:
     """Stats plus the raw arrays backing them (the raw paths handle)."""
 
-    spec: EnsembleSpec
     stats: EnsembleStats
     times: np.ndarray
     x: np.ndarray  # (M, n+1) solution values, possibly Fortran-ordered
@@ -169,7 +168,6 @@ def ensemble_simulate(spec: EnsembleSpec) -> EnsembleResult:
     (chunk,) = _solved_chunks(spec, times, spec.M)
     _, x, y, _ = chunk
     return EnsembleResult(
-        spec=spec,
         stats=_statistics(spec, times, [chunk]),
         times=times,
         x=x,
@@ -214,6 +212,7 @@ def survival_bound_check(
     horizon; its probability is at least 1 - 2 exp(-y0^2 / (2 sbar^2))
     with sbar^2 the largest variance of wtilde on the grid, provided
     2 sbar^2 ln 2 < y0^2 (otherwise the check is reported not applicable).
+    Of p, only the weight (b, sigma, beta) enters; its x0 is never read.
 
     Each block of sampled paths is reduced to its no-hit flags as it is
     drawn, and sbar^2 comes from row blocks of the driver covariance
@@ -265,8 +264,8 @@ def hitting_time_stats(
 
     One ensemble is simulated on the largest horizon and each path's hit
     time reused across horizons, so the fractions are monotone by
-    construction. Each block of sampled paths is solved as it is drawn
-    and only its hit indices are kept.
+    construction. The paths go through ensemble_stats' loop in chunks of
+    one sampler block, so only a few numbers per path are held.
     """
     if p.a != 0.0:
         raise ValueError("hitting-time statistics apply to the a = 0 solution")
@@ -278,16 +277,13 @@ def hitting_time_stats(
     if not horizons or not all(0 < t < math.inf for t in horizons):
         raise ValueError("horizons must be a nonempty list of positive finite times")
     t_max = horizons[-1]
-    n = max(2, int(round(steps_per_unit * t_max)))
-    times = uniform_grid(n, t_max)
-    hit_steps = np.empty(M, dtype=int)
-    for start, rows in driver_blocks(kernel, times, M, seed):
-        hit_steps[start:start + rows.shape[0]] = solve_matrix(
-            p, times, tilde_w_matrix(rows, times, p))[2]
-    hit_time = np.where(hit_steps < times.size, times[np.minimum(hit_steps, n)], np.inf)
+    spec = EnsembleSpec(params=p, kernel=kernel, M=M, n=max(2, round(steps_per_unit * t_max)),
+                        seed=seed, horizon=t_max, p_exponents=())
+    times = uniform_grid(spec.n, t_max)
+    hit_times = _statistics(spec, times, _solved_chunks(spec, times, _BLOCK)).hit_times
     out = []
     for t in horizons:
-        frac = float(np.mean(hit_time <= t * (1 + 1e-12)))
+        frac = np.count_nonzero(hit_times <= t * (1 + 1e-12)) / M
         se = math.sqrt(frac * (1.0 - frac) / M)
         out.append(
             HorizonHitRate(

@@ -170,6 +170,8 @@ def build_quad_grid(times: np.ndarray, refine: Optional[int] = None) -> np.ndarr
     point and the covariance quadrature resolves the weight's growth.
     """
     times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError("times must be nonempty")
     if refine is None:
         refine = max(1, -(-256 // times.size))
     if refine < 1:
@@ -691,11 +693,6 @@ def _stopped_levels(pk: PkParams, xs, spec: SensitivitySpec, kernel: CovarianceK
     return out
 
 
-def _concentration(mp: ModelParams, tau: np.ndarray, y_tau: np.ndarray) -> np.ndarray:
-    """The lift of each path's stopped level; OverflowError if one is not finite."""
-    return lift_into(np.empty_like(y_tau), y_tau, tau, mp)
-
-
 def _finite(values, name: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
@@ -720,7 +717,7 @@ def sensitivity_plsin(
     the capped time, where the weight vanishes.
     """
     [(mp, tau, y_tau, capped)] = _stopped_levels(pk, (x,), spec, kernel)
-    fdot = _finite(spec.Fdot(_concentration(mp, tau, y_tau)), "Fdot")
+    fdot = _finite(spec.Fdot(lift_into(np.empty_like(y_tau), y_tau, tau, mp)), "Fdot")
     return _report(x**-pk.beta * np.exp(-pk.Ke * tau) * fdot * y_tau**mp.gamma, spec, capped)
 
 
@@ -741,6 +738,6 @@ def sensitivity_fd(
     values = []
     capped_any = np.zeros(spec.M, dtype=bool)
     for mp, tau, y_tau, capped in _stopped_levels(pk, (x + h, x - h), spec, kernel):
-        values.append(_finite(spec.F(_concentration(mp, tau, y_tau)), "F"))
+        values.append(_finite(spec.F(lift_into(np.empty_like(y_tau), y_tau, tau, mp)), "F"))
         capped_any |= capped
     return _report((values[0] - values[1]) / (2.0 * h), spec, capped_any)

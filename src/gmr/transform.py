@@ -34,7 +34,6 @@ __all__ = [
     "tilde_w_matrix",
     "tilde_w_covariance_matrix",
     "tilde_w_variance",
-    "y0_from_x0",
     "lift_into",
     "check_lift",
     "first_hit",
@@ -87,7 +86,8 @@ class ModelParams:
 
     @property
     def y0(self) -> float:
-        return y0_from_x0(self.x0, self)
+        """Transformed initial condition x0^(1-beta)."""
+        return self.x0 ** (1.0 - self.beta)
 
 
 def theta_weight(t, p: ModelParams):
@@ -188,13 +188,6 @@ def tilde_w_variance(p: ModelParams, kernel: CovarianceKernel, grid: np.ndarray)
         diag[k] -= sums[k - 1 - first, k - start]
         v_last, sum_last = v[-1, stop - start:].copy(), sums[-1, stop - start:].copy()
     return diag
-
-
-def y0_from_x0(x0: float, p: ModelParams) -> float:
-    """Transformed initial condition x0^(1-beta)."""
-    if x0 <= 0:
-        raise ValueError("x0 must be positive")
-    return x0 ** (1.0 - p.beta)
 
 
 def lift_into(out, y, times, p: ModelParams):

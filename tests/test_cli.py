@@ -407,6 +407,28 @@ def test_survival_outputs(tmp_path):
     assert payload["empirical"] >= payload["bound"] - 2 * payload["std_error"]
 
 
+@pytest.mark.parametrize("y0", [3.0, 0.001])
+def test_survival_beta_near_one(tmp_path, y0):
+    # x0 = y0 ** (1/(1-beta)) would overflow at y0 = 3 and underflow to 0
+    # at y0 = 0.001; the check never reads x0
+    cfg = write_config(
+        tmp_path,
+        "surv.json",
+        {
+            "y0": y0,
+            "model": {"b": 1.0, "sigma": 0.3, "beta": 0.999},
+            "kernel": {"kind": "brownian"},
+            "grid": {"n": 16, "T": 1.0},
+            "M": 100,
+            "seed": 0,
+        },
+    )
+    out = tmp_path / "out"
+    assert run(["survival", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "survival.json").read_text())
+    assert 0.0 <= payload["empirical"] <= 1.0
+
+
 def test_pk_simulate_columns_and_determinism(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -221,6 +221,14 @@ def test_survival_randomized_sweep():
         assert rep.passed
 
 
+def test_survival_does_not_read_x0():
+    grid = uniform_grid(64, 1.0)
+    reports = [survival_bound_check(1.0, ModelParams(x0=x0, a=0.0, b=1.0, sigma=3.0, beta=0.7),
+                                    fbm_kernel(0.7), grid, 100, seed=5) for x0 in (1.0, 1e-30)]
+    assert reports[0] == reports[1]
+    assert 0.0 < reports[0].empirical < 1.0
+
+
 def _full_matrix_hit_rates(p, kernel, M, horizons, n, seed):
     """hitting_time_stats on the whole (M, n+1) wtilde matrix, as it was
     before the probe streamed blocks, with the hits of explicit_a0_oracle:
@@ -249,6 +257,20 @@ def test_hitting_time_stats_matches_the_full_matrix_oracle_bitwise(route, M):
     assert got == _full_matrix_hit_rates(p, kernel, M, horizons, n, seed=M)
     if M == 70:
         assert 0.0 < got[-1].fraction < 1.0
+
+
+@pytest.mark.parametrize("M", [1, 31, 32, 33, 70])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_hitting_time_stats_reads_the_ensembles_hit_fraction_bitwise(route, M):
+    # hitting_time_stats solves the ensemble of the spec below one block at
+    # a time; ensemble_stats solves the same spec in wider chunks
+    horizon = 2.0
+    kernel, n = ROUTES[route](horizon)
+    p = ModelParams(x0=1.0, a=0.0, b=2.0, sigma=1.5, beta=0.5)
+    got = hitting_time_stats(p, kernel, M, [0.25, 1.0, horizon], steps_per_unit=n // 2, seed=M)
+    spec = EnsembleSpec(params=p, kernel=kernel, M=M, n=n, seed=M, horizon=horizon,
+                        p_exponents=())
+    assert got[-1].fraction == ensemble_stats(spec).hit_fraction
 
 
 @pytest.mark.parametrize("M", [1, 31, 32, 33, 70])

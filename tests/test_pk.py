@@ -36,7 +36,6 @@ from gmr.pk import (
     sensitivity_plsin,
     simulate_concentration,
     _brent_minimize,
-    _concentration,
     _finite,
     _likelihood_core,
     _log_likelihood_from,
@@ -47,6 +46,7 @@ from gmr.transform import (
     ModelParams,
     check_lift,
     first_hit,
+    lift_into,
     tilde_w_covariance_matrix,
     tilde_w_matrix,
 )
@@ -81,7 +81,7 @@ def gamma_matrix_from_theta(theta, times, kernel, quad_grid):
 def concentration_functional_samples(pk, x, spec, kernel):
     """Per-path values F(C_tau^x) for the spec's ensemble, as the estimators make them."""
     [(mp, tau, y_tau, _)] = _stopped_levels(pk, (x,), spec, kernel)
-    return _finite(spec.F(_concentration(mp, tau, y_tau)), "F")
+    return _finite(spec.F(lift_into(np.empty_like(y_tau), y_tau, tau, mp)), "F")
 
 
 def zero_kernel(n, horizon):

@@ -24,7 +24,6 @@ from gmr.transform import (
     tilde_w_matrix,
     tilde_w_path,
     tilde_w_variance,
-    y0_from_x0,
 )
 
 
@@ -230,13 +229,13 @@ def test_tilde_w_covariance_against_monte_carlo(kernel):
 
 
 def test_y0_from_x0_values():
-    assert y0_from_x0(1.0, _params(beta=0.37)) == 1.0
-    assert y0_from_x0(16.0, _params(beta=0.75)) == pytest.approx(2.0, rel=1e-15)
-    assert y0_from_x0(0.5, _params(beta=0.8)) == pytest.approx(0.5**0.2, rel=1e-15)
-    with pytest.raises(ValueError):
-        y0_from_x0(0.0, _params())
-    with pytest.raises(ValueError):
-        y0_from_x0(-2.0, _params())
+    assert _params(x0=1.0, beta=0.37).y0 == 1.0
+    assert _params(x0=16.0, beta=0.75).y0 == pytest.approx(2.0, rel=1e-15)
+    assert _params(x0=0.5, beta=0.8).y0 == pytest.approx(0.5**0.2, rel=1e-15)
+    with pytest.raises(ValueError, match="^x0 must be positive$"):
+        _params(x0=0.0)
+    with pytest.raises(ValueError, match="^x0 must be positive$"):
+        _params(x0=-2.0)
 
 
 def test_lift_values():

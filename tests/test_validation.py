@@ -25,6 +25,7 @@ from gmr.pk import (
     SensitivitySpec,
     ThetaBounds,
     ThetaEstimate,
+    build_quad_grid,
     sensitivity_fd,
     sensitivity_plsin,
 )
@@ -54,6 +55,9 @@ def _zero_driver(n):
 CASES = {
     "uniform_grid n": (lambda: uniform_grid(0, 1.0), "need at least one step"),
     "uniform_grid horizon": (lambda: uniform_grid(4, 0.0), "horizon must be positive"),
+    "uniform_grid nan horizon": (lambda: uniform_grid(3, float("nan")), "horizon must be finite"),
+    "uniform_grid infinite horizon": (lambda: uniform_grid(3, float("inf")),
+                                      "horizon must be finite"),
     "kernel kind": (lambda: CovarianceKernel(kind="fgn", holder_exponent=0.5),
                     "unknown kernel kind 'fgn'"),
     "kernel holder exponent": (lambda: CovarianceKernel(kind="brownian", holder_exponent=1.5),
@@ -78,6 +82,8 @@ CASES = {
     "hit times steps": (lambda: hitting_time_stats(A0_MODEL, brownian_kernel(), 4, [1.0],
                                                    steps_per_unit=0),
                         "steps_per_unit must be >= 1"),
+    "build_quad_grid empty times": (lambda: build_quad_grid(np.array([])),
+                                    "times must be nonempty"),
     "PkParams Ka": (lambda: PkParams(**PK, Ka=-1.0), "Ka must be nonnegative"),
     "PkParams beta": (lambda: PkParams(**{**PK, "beta": 1.0}), "beta must lie in (0, 1)"),
     "ConcentrationSeries shapes": (
