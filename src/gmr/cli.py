@@ -253,16 +253,9 @@ def _grid_from(cfg: dict, ctx: str = "grid"):
 
 
 def _pk_from(cfg: dict, ctx: str = "pk") -> PkParams:
-    _check_keys(cfg, {"A0", "v", "Ka", "Ke", "sigma", "beta"}, ctx)
+    values = _numbers(cfg, ("A0", "v", "Ke", "sigma", "beta"), ctx)
     with _config_errors(ctx):
-        return PkParams(
-            A0=_get(cfg, "A0", ctx),
-            v=_get(cfg, "v", ctx),
-            **_present(cfg, ("Ka",), ctx),
-            Ke=_get(cfg, "Ke", ctx),
-            sigma=_get(cfg, "sigma", ctx),
-            beta=_get(cfg, "beta", ctx),
-        )
+        return PkParams(**values)
 
 
 def _seed_from(cfg: dict, seed) -> int:
@@ -467,12 +460,16 @@ def _cmd_pk_sensitivity(cfg: dict, seed) -> dict:
     tau_kind = _get(tau_cfg, "kind", "tau", kind=str)
     if tau_kind not in ("fixed", "hit_capped"):
         raise ConfigError("tau.kind: expected 'fixed' or 'hit_capped'")
+    if tau_kind == "hit_capped" and "time" in tau_cfg:
+        raise ConfigError("tau.time: not applicable to a hit_capped tau")
     tau_time = _get(tau_cfg, "time", "tau", required=(tau_kind == "fixed"))
     n, horizon = _grid_from(_get(cfg, "grid", "config", kind=dict))
     m_count = _count(cfg, "M", "config")
     method = _get(cfg, "method", "config", kind=str, required=False, default="pathwise")
     if method not in ("pathwise", "fd"):
         raise ConfigError("config.method: expected 'pathwise' or 'fd'")
+    if method == "pathwise" and "h" in cfg:
+        raise ConfigError("config.h: not applicable to the pathwise method")
     seed = _seed_from(cfg, seed)
     with _config_errors("tau.time"):  # M, tau.kind and the grid are checked above
         spec = SensitivitySpec(

@@ -219,7 +219,7 @@ def survival_bound_check(
     (tilde_w_variance), so neither the (M, n+1) paths nor an (n+1)^2
     matrix is held.
     """
-    if y0 <= 0:
+    if not y0 > 0:
         raise ValueError("y0 must be positive")
     if M < 1:
         raise ValueError("M must be >= 1")

@@ -61,29 +61,23 @@ class AdmissibilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class PkParams:
-    """Mono-compartment model constants.
-
-    Ka = 0 is the bolus convention (instantaneous dose, initial
-    concentration A0/v); the stochastic model always uses the bolus route.
-    """
+    """Mono-compartment model constants of a bolus dose: the initial
+    concentration is A0/v."""
 
     A0: float
     v: float
     Ke: float
     sigma: float
     beta: float
-    Ka: float = 0.0
 
     def __post_init__(self):
-        for name in ("A0", "v", "Ke", "sigma", "Ka"):
+        for name in ("A0", "v", "Ke", "sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.A0 <= 0 or self.v <= 0:
             raise ValueError("A0 and v must be positive")
         if self.Ke <= 0:
             raise ValueError("Ke must be positive")
-        if self.Ka < 0:
-            raise ValueError("Ka must be nonnegative")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if not 0.0 < self.beta < 1.0:
@@ -93,15 +87,10 @@ class PkParams:
     def initial_concentration(self) -> float:
         return self.A0 / self.v
 
-    def to_model_params(self, x0: Optional[float] = None) -> ModelParams:
+    def to_model_params(self) -> ModelParams:
         """The underlying SDE coefficients: x0 = A0/v, a = 0, b = Ke."""
         return ModelParams(
-            x0=self.initial_concentration if x0 is None else x0,
-            a=0.0,
-            b=self.Ke,
-            sigma=self.sigma,
-            beta=self.beta,
-        )
+            x0=self.initial_concentration, a=0.0, b=self.Ke, sigma=self.sigma, beta=self.beta)
 
 
 @dataclass(frozen=True)
@@ -137,20 +126,8 @@ class ConcentrationSeries:
 
 
 def deterministic_concentration(pk: PkParams, t):
-    """Classical mono-compartment solution (absorption Ka, elimination Ke).
-
-    Ka = 0 is the bolus case (A0/v) e^(-Ke t); Ka = Ke degenerates to the
-    t e^(-Ke t) profile; otherwise the usual two-exponential formula.
-    """
-    t = np.asarray(t, dtype=float)
-    c0 = pk.initial_concentration
-    if pk.Ka == 0.0:
-        out = c0 * np.exp(-pk.Ke * t)
-    elif pk.Ka == pk.Ke:
-        out = c0 * pk.Ka * t * np.exp(-pk.Ke * t)
-    else:
-        rate = c0 * pk.Ka / (pk.Ke - pk.Ka)
-        out = rate * (np.exp(-pk.Ka * t) - np.exp(-pk.Ke * t))
+    """Noise-free bolus solution (A0/v) e^(-Ke t); scalar or array t."""
+    out = pk.initial_concentration * np.exp(-pk.Ke * np.asarray(t, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -353,7 +330,7 @@ def log_likelihood(
     any observation is nonpositive (the indicator factor).
     """
     ke, sigma, beta = (float(u) for u in theta)
-    if ke <= 0 or sigma <= 0 or not 0.0 < beta < 1.0:
+    if not (0.0 < ke < math.inf and 0.0 < sigma < math.inf and 0.0 < beta < 1.0):
         raise ValueError("theta out of domain: need Ke, sigma > 0 and beta in (0, 1)")
     _check_dose(A0, v)
     if np.any(obs.concentrations <= 0):
@@ -526,6 +503,8 @@ def fit_mle(
     if not bounds.contains(init):
         raise ValueError("initial theta must lie inside the bounds")
     _check_dose(A0, v)
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     x = obs.concentrations
     if np.any(x <= 0):
         # the indicator kills the likelihood at every theta
@@ -623,9 +602,10 @@ class SensitivitySpec:
     F and its derivative are supplied by the caller (their polynomial
     growth is trusted, not verified; finiteness is checked on the
     simulated range). tau is either a fixed time capped at the zero hit,
-    or the zero hit itself capped at the horizon. A fixed time must be a
-    point of the uniform n-step grid on [0, horizon]; it is checked here,
-    before any path is drawn.
+    or the zero hit itself capped at the horizon, which is the fixed
+    tau_time = horizon: a hit-capped spec takes no tau_time and sets it so.
+    A fixed time must be a point of the uniform n-step grid on
+    [0, horizon]; it is checked here, before any path is drawn.
     """
 
     F: Callable[[np.ndarray], np.ndarray]
@@ -642,15 +622,17 @@ class SensitivitySpec:
             raise ValueError("tau_kind must be 'fixed' or 'hit_capped'")
         if not 0 < self.horizon < math.inf:
             raise ValueError("horizon must be positive and finite")
-        if self.tau_kind == "fixed":
-            if self.tau_time is None or not 0.0 <= self.tau_time <= self.horizon:
-                raise ValueError("fixed tau needs tau_time in [0, horizon]")
+        if self.tau_kind == "hit_capped":
+            if self.tau_time is not None:
+                raise ValueError("hit_capped tau takes no tau_time")
+            object.__setattr__(self, "tau_time", self.horizon)
+        elif self.tau_time is None or not 0.0 <= self.tau_time <= self.horizon:
+            raise ValueError("fixed tau needs tau_time in [0, horizon]")
         if self.M < 1:
             raise ValueError("M must be >= 1")
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.tau_kind == "fixed":
-            grid_index(uniform_grid(self.n, self.horizon), self.tau_time)
+        grid_index(uniform_grid(self.n, self.horizon), self.tau_time)
 
 
 @dataclass(frozen=True)
@@ -665,32 +647,32 @@ class SensitivityReport:
 def _stopped_levels(pk: PkParams, xs, spec: SensitivitySpec, kernel: CovarianceKernel):
     """Per-path stopping time and transformed level at each initial concentration in xs.
 
-    The level x^(1-beta) + wtilde is followed until the requested time or
-    its first nonpositive grid value, whichever comes first; absorbed
-    paths carry level 0 (they contribute F(0) and a vanishing weight).
-    wtilde does not depend on x, so one pass over the sampler's blocks
-    maps each block once for every x and keeps only per-path scalars; a
-    fixed tau maps and scans the columns up to it only. Returns, per x,
-    (model, tau, y_tau, capped) as (M,) arrays.
+    The level x^(1-beta) + wtilde is followed until spec.tau_time or its
+    first nonpositive grid value, whichever comes first; absorbed paths
+    carry level 0 (they contribute F(0) and a vanishing weight). wtilde
+    and the lift do not depend on x, so one pass over the sampler's
+    blocks maps the columns up to tau_time once for every x and keeps only
+    per-path scalars. Returns (pk's model, [(tau, y_tau, capped) per x])
+    with (M,) arrays; the model's lift reads no x0, so it serves every x.
     """
-    if any(x <= 0 for x in xs):
-        raise ValueError("initial concentration must be positive")
-    models = [pk.to_model_params(x0=x) for x in xs]
+    if not all(0.0 < x < math.inf for x in xs):
+        raise ValueError("initial concentration must be positive and finite")
+    model = pk.to_model_params()
     times = uniform_grid(spec.n, spec.horizon)
-    last = grid_index(times, spec.tau_time) if spec.tau_kind == "fixed" else spec.n
-    out = [(mp, np.empty(spec.M), np.empty(spec.M), np.empty(spec.M, dtype=bool))
-           for mp in models]
+    last = grid_index(times, spec.tau_time)
+    y0s = [x ** (1.0 - pk.beta) for x in xs]  # bitwise ModelParams(x0=x, ...).y0
+    out = [(np.empty(spec.M), np.empty(spec.M), np.empty(spec.M, dtype=bool)) for _ in xs]
     for start, rows in driver_blocks(kernel, times, spec.M, spec.seed):
-        wt = tilde_w_matrix(rows[:, :last + 1], times[:last + 1], models[0])
+        wt = tilde_w_matrix(rows[:, :last + 1], times[:last + 1], model)
         block = slice(start, start + rows.shape[0])
-        for mp, tau, y_tau, capped in out:
-            y = mp.y0 + wt
+        for y0, (tau, y_tau, capped) in zip(y0s, out):
+            y = y0 + wt
             first_dead = first_hit(y)  # == last + 1 when not absorbed by then
             tau_idx = np.minimum(first_dead, last)
             capped[block] = first_dead <= last
             tau[block] = times[tau_idx]
             y_tau[block] = np.where(capped[block], 0.0, y[np.arange(y.shape[0]), tau_idx])
-    return out
+    return model, out
 
 
 def _finite(values, name: str) -> np.ndarray:
@@ -716,7 +698,7 @@ def sensitivity_plsin(
     over the driver ensemble; paths absorbed before a fixed tau enter at
     the capped time, where the weight vanishes.
     """
-    [(mp, tau, y_tau, capped)] = _stopped_levels(pk, (x,), spec, kernel)
+    mp, [(tau, y_tau, capped)] = _stopped_levels(pk, (x,), spec, kernel)
     fdot = _finite(spec.Fdot(lift_into(np.empty_like(y_tau), y_tau, tau, mp)), "Fdot")
     return _report(x**-pk.beta * np.exp(-pk.Ke * tau) * fdot * y_tau**mp.gamma, spec, capped)
 
@@ -737,7 +719,8 @@ def sensitivity_fd(
         raise ValueError("bump must satisfy 0 < h < x")
     values = []
     capped_any = np.zeros(spec.M, dtype=bool)
-    for mp, tau, y_tau, capped in _stopped_levels(pk, (x + h, x - h), spec, kernel):
+    mp, levels = _stopped_levels(pk, (x + h, x - h), spec, kernel)
+    for tau, y_tau, capped in levels:
         values.append(_finite(spec.F(lift_into(np.empty_like(y_tau), y_tau, tau, mp)), "F"))
         capped_any |= capped
     return _report((values[0] - values[1]) / (2.0 * h), spec, capped_any)

@@ -688,6 +688,13 @@ def _with(command, **changes):
         ("pk-sensitivity", _with("pk-sensitivity", h=2.0), "config.h"),
         ("pk-sensitivity", _with("pk-sensitivity", functional="cube"), "config.functional"),
         ("pk-sensitivity", _with("pk-sensitivity", method="mc"), "config.method"),
+        ("pk-simulate", _with("pk-simulate", pk={**PK, "Ka": 2.0}), "pk: unknown key 'Ka'"),
+        ("pk-sensitivity", _with("pk-sensitivity", pk={**PK, "Ka": 2.0}),
+         "pk: unknown key 'Ka'"),
+        ("pk-sensitivity", _with("pk-sensitivity", tau={"kind": "hit_capped", "time": 1.0}),
+         "tau.time: not applicable to a hit_capped tau"),
+        ("pk-sensitivity", _with("pk-sensitivity", method="pathwise", h=0.01),
+         "config.h: not applicable to the pathwise method"),
         ("simulate", _with("simulate", grid={"n": 1.5, "T": 1.0}), "grid.n: expected an integer"),
         ("simulate", _with("simulate", kernel={"kind": 3}), "kernel.kind: expected a string"),
         ("hit-times", _with("hit-times", horizons=0.5), "config.horizons: expected an array"),
@@ -723,6 +730,8 @@ def _with(command, **changes):
          "pk-fit-empty-observations", "pk-sensitivity-zero-M",
          "pk-sensitivity-off-grid-tau-time", "pk-sensitivity-negative-x", "pk-sensitivity-large-h",
          "pk-sensitivity-unknown-functional", "pk-sensitivity-unknown-method",
+         "pk-simulate-Ka", "pk-sensitivity-Ka", "pk-sensitivity-hit-capped-tau-time",
+         "pk-sensitivity-pathwise-h",
          "fractional-grid-n", "integer-kernel-kind", "scalar-horizons", "array-model",
          "unknown-kernel-kind", "brownian-hurst", "missing-seed", "negative-seed",
          "survival-unit-beta", "pk-fit-zero-v", "pk-sensitivity-unknown-tau-kind",

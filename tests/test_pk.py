@@ -80,7 +80,7 @@ def gamma_matrix_from_theta(theta, times, kernel, quad_grid):
 
 def concentration_functional_samples(pk, x, spec, kernel):
     """Per-path values F(C_tau^x) for the spec's ensemble, as the estimators make them."""
-    [(mp, tau, y_tau, _)] = _stopped_levels(pk, (x,), spec, kernel)
+    mp, [(tau, y_tau, _)] = _stopped_levels(pk, (x,), spec, kernel)
     return _finite(spec.F(lift_into(np.empty_like(y_tau), y_tau, tau, mp)), "F")
 
 
@@ -111,7 +111,7 @@ def test_pk_params_validation_and_mapping():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["A0", "v", "Ke", "sigma", "Ka"])
+@pytest.mark.parametrize("field", ["A0", "v", "Ke", "sigma"])
 def test_pk_params_reject_nonfinite_constants(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite$"):
         PkParams(**{**FIG1, field: value})
@@ -125,17 +125,8 @@ def test_observation_block_checks_the_quadrature_grid():
 
 
 def test_deterministic_concentration_cases():
-    oral = PkParams(A0=2.0, v=1.0, Ka=1.0, Ke=4.0, sigma=1.0, beta=0.8)
-    assert deterministic_concentration(oral, 0.0) == 0.0
     bolus = PkParams(A0=3.0, v=2.0, Ke=4.0, sigma=1.0, beta=0.8)
     assert deterministic_concentration(bolus, 0.0) == 1.5
-    two_exp = PkParams(A0=1.0, v=1.0, Ka=1.0, Ke=4.0, sigma=1.0, beta=0.8)
-    expected = (1.0 / 3.0) * (math.exp(-1.0) - math.exp(-4.0))
-    assert deterministic_concentration(two_exp, 1.0) == pytest.approx(expected, rel=1e-12)
-    equal = PkParams(A0=1.0, v=1.0, Ka=4.0, Ke=4.0, sigma=1.0, beta=0.8)
-    assert deterministic_concentration(equal, 0.5) == pytest.approx(
-        4.0 * 0.5 * math.exp(-2.0), rel=1e-12
-    )
 
 
 def test_simulate_concentration_zero_noise_limit():
@@ -961,17 +952,18 @@ def test_streamed_sensitivity_matches_the_full_matrix_oracle_bitwise(route, tau_
     spec = _sens_spec(np.sin, np.cos, tau_kind=tau_kind, M=M, n=n,
                       tau_time=0.5 if tau_kind == "fixed" else None, seed=M)
     times = uniform_grid(n, spec.horizon)
-    streamed = _stopped_levels(pk, (x, x + h, x - h), spec, kernel)
+    model, streamed = _stopped_levels(pk, (x, x + h, x - h), spec, kernel)
+    assert model == pk.to_model_params()
     full = {}
-    for (mp, tau, y_tau, capped), x0 in zip(streamed, (x, x + h, x - h)):
-        assert mp == pk.to_model_params(x0=x0)
+    for (tau, y_tau, capped), x0 in zip(streamed, (x, x + h, x - h)):
+        mp = dataclasses.replace(model, x0=x0)
         wt = tilde_w_matrix(sample_path_matrix(kernel, times, M, spec.seed), times, mp)
         full[x0] = _full_matrix_stopping(mp, spec, wt, times)
         assert np.array_equal(tau, full[x0][0])
         assert np.array_equal(y_tau, full[x0][1])
         assert np.array_equal(capped, full[x0][3])
     tau, y_tau, c_tau, capped = full[x]
-    mp = pk.to_model_params(x0=x)
+    mp = dataclasses.replace(model, x0=x)
     weight = x**-pk.beta * np.exp(-pk.Ke * tau) * np.cos(c_tau) * y_tau**mp.gamma
     assert sensitivity_plsin(pk, x, spec, kernel) == _oracle_report(weight, spec, capped)
     assert np.array_equal(concentration_functional_samples(pk, x, spec, kernel), np.sin(c_tau))
@@ -1052,6 +1044,7 @@ def test_sensitivity_hit_capped_tau():
     pk = PkParams(A0=1.0, v=1.0, Ke=4.0, sigma=2.0, beta=0.8)
     spec = _sens_spec(lambda r: r**2, lambda r: 2.0 * r, tau_kind="hit_capped",
                       tau_time=None, M=500, horizon=2.0)
+    assert spec.tau_time == 2.0  # the zero hit capped at the horizon is the fixed tau = T
     pl = sensitivity_plsin(pk, 1.0, spec, fbm_kernel(0.6))
     assert 0.0 < pl.capped_fraction < 1.0
     assert np.isfinite(pl.estimate)

@@ -4,6 +4,7 @@ Each case is one call and the exact message it must raise with, before
 any path is drawn or any matrix is built.
 """
 
+import math
 import re
 
 import numpy as np
@@ -26,6 +27,8 @@ from gmr.pk import (
     ThetaBounds,
     ThetaEstimate,
     build_quad_grid,
+    fit_mle,
+    log_likelihood,
     sensitivity_fd,
     sensitivity_plsin,
 )
@@ -36,6 +39,8 @@ PK = dict(A0=1.0, v=1.0, Ke=4.0, sigma=1.0, beta=0.8)
 A0_MODEL = ModelParams(x0=1.0, a=0.0, b=1.0, sigma=1.0, beta=0.7)
 RATE_MODEL = ModelParams(x0=1.0, a=1.0, b=1.0, sigma=1.0, beta=0.7)
 GRID = uniform_grid(4, 1.0)
+OBS = ConcentrationSeries(np.array([0.5, 1.0]), np.array([0.6, 0.3]))
+THETA_DOMAIN = "theta out of domain: need Ke, sigma > 0 and beta in (0, 1)"
 
 
 def _infinite(c):
@@ -75,6 +80,9 @@ CASES = {
                        "n: must be >= 2"),
     "survival y0": (lambda: survival_bound_check(0.0, A0_MODEL, brownian_kernel(), GRID, 4),
                     "y0 must be positive"),
+    "survival nan y0": (
+        lambda: survival_bound_check(math.nan, A0_MODEL, brownian_kernel(), GRID, 4),
+        "y0 must be positive"),
     "survival M": (lambda: survival_bound_check(1.0, A0_MODEL, brownian_kernel(), GRID, 0),
                    "M must be >= 1"),
     "hit times M": (lambda: hitting_time_stats(A0_MODEL, brownian_kernel(), 0, [1.0]),
@@ -84,7 +92,6 @@ CASES = {
                         "steps_per_unit must be >= 1"),
     "build_quad_grid empty times": (lambda: build_quad_grid(np.array([])),
                                     "times must be nonempty"),
-    "PkParams Ka": (lambda: PkParams(**PK, Ka=-1.0), "Ka must be nonnegative"),
     "PkParams beta": (lambda: PkParams(**{**PK, "beta": 1.0}), "beta must lie in (0, 1)"),
     "ConcentrationSeries shapes": (
         lambda: ConcentrationSeries(np.array([0.5, 1.0]), np.array([0.3])),
@@ -92,11 +99,30 @@ CASES = {
     "ThetaBounds upper": (lambda: ThetaBounds(sigma_max=0.0), "upper bounds must be positive"),
     "ThetaBounds beta": (lambda: ThetaBounds(beta_min=0.5, beta_max=0.5),
                          "beta bounds must satisfy 0 < lo < hi < 1"),
+    "log_likelihood nan sigma": (
+        lambda: log_likelihood((4.0, math.nan, 0.8), OBS, brownian_kernel(), 1.0, 1.0),
+        THETA_DOMAIN),
+    "log_likelihood infinite sigma": (
+        lambda: log_likelihood((4.0, math.inf, 0.8), OBS, brownian_kernel(), 1.0, 1.0),
+        THETA_DOMAIN),
+    "log_likelihood nan Ke": (
+        lambda: log_likelihood((math.nan, 1.0, 0.8), OBS, brownian_kernel(), 1.0, 1.0),
+        THETA_DOMAIN),
+    "log_likelihood infinite Ke": (
+        lambda: log_likelihood((math.inf, 1.0, 0.8), OBS, brownian_kernel(), 1.0, 1.0),
+        THETA_DOMAIN),
+    "fit_mle max_iter": (
+        lambda: fit_mle(OBS, brownian_kernel(), (2.0, 0.5, 0.5), 1.0, 1.0, max_iter=-1),
+        "max_iter must be >= 0"),
     "ThetaEstimate": (lambda: ThetaEstimate(4.0, 1.0, 1.0, 0.0, True, 1),
                       "estimate out of the admissible domain"),
     "SensitivitySpec tau_kind": (
         lambda: SensitivitySpec(F=_infinite, Fdot=_infinite, tau_kind="random", M=4),
         "tau_kind must be 'fixed' or 'hit_capped'"),
+    "SensitivitySpec hit_capped tau_time": (
+        lambda: SensitivitySpec(F=_infinite, Fdot=_infinite, tau_kind="hit_capped", M=4,
+                                tau_time=0.5),
+        "hit_capped tau takes no tau_time"),
     "SensitivitySpec M": (
         lambda: SensitivitySpec(F=_infinite, Fdot=_infinite, tau_kind="hit_capped", M=0),
         "M must be >= 1"),
@@ -109,6 +135,10 @@ CASES = {
     "sensitivity_plsin Fdot": (
         lambda: sensitivity_plsin(PkParams(**PK), 1.0, _sensitivity_spec(), brownian_kernel()),
         "Fdot is not finite on the simulated range"),
+    "sensitivity_plsin infinite x": (
+        lambda: sensitivity_plsin(PkParams(**PK), math.inf, _sensitivity_spec(),
+                                  brownian_kernel()),
+        "initial concentration must be positive and finite"),
     "implicit_step_root gamma": (lambda: implicit_step_root(1.0, 1.0, 0.0),
                                  "gamma must be positive"),
     "convergence_study repeated n": (
