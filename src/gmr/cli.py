@@ -56,6 +56,7 @@ from .pk import (
     sensitivity_fd,
     sensitivity_plsin,
     simulate_concentration,
+    _check_dose,
 )
 from .solver import (
     RootSolveError,
@@ -413,8 +414,8 @@ def _cmd_pk_fit(cfg: dict, seed) -> dict:
     )
     constants = _get(cfg, "pk_constants", "config", kind=dict)
     a0, vol = _numbers(constants, ("A0", "v"), "pk_constants").values()
-    if a0 <= 0 or vol <= 0:
-        raise ConfigError("pk_constants: A0 and v must be positive")
+    with _config_errors("pk_constants"):
+        _check_dose(a0, vol)
     kernel = _kernel_from(_get(cfg, "kernel", "config", kind=dict))
     obs_path = _get(cfg, "observations", "config", kind=str)
     column = _get(cfg, "column", "config", kind=str, required=False)

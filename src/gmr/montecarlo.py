@@ -16,12 +16,11 @@ import numpy as np
 from .drivers import (
     _BLOCK,
     CovarianceKernel,
-    driver_blocks,
     grid_index,
     uniform_grid,
 )
 from .solver import solve_columns
-from .transform import ModelParams, tilde_w_matrix, tilde_w_variance
+from .transform import ModelParams, tilde_w_variance, wtilde_blocks
 
 __all__ = [
     "EnsembleSpec",
@@ -104,20 +103,19 @@ def _solved_chunks(spec: EnsembleSpec, times: np.ndarray, width: int):
     """The ensemble solved ``width`` paths at a time, in path order.
 
     Yields (first, x, y, hit) for paths first to first + len(hit) - 1.
-    Each sampled block's wtilde is written into the columns of a
-    time-major (n+1, width) array, which solve_columns then solves in
-    place, so a chunk holds two such arrays and never the driver matrix.
-    width is M or a multiple of the sampler's block, so no block
-    straddles two chunks. Every path's Newton iterates are independent of
-    the rest of its batch, so the chunks are bitwise the whole ensemble's
-    columns.
+    Each wtilde block is written into the columns of a time-major
+    (n+1, width) array, which solve_columns then solves in place, so a
+    chunk holds two such arrays and never the driver matrix. width is M
+    or a multiple of the sampler's block, so no block straddles two
+    chunks. Every path's Newton iterates are independent of the rest of
+    its batch, so the chunks are bitwise the whole ensemble's columns.
     """
-    blocks = driver_blocks(spec.kernel, times, spec.M, spec.seed)
+    blocks = wtilde_blocks(spec.kernel, times, spec.params, spec.M, spec.seed)
     for first in range(0, spec.M, width):
         wt = np.empty((times.size, min(width, spec.M - first)))
         for start, rows in blocks:
             cols = slice(start - first, start - first + rows.shape[0])
-            wt[:, cols] = tilde_w_matrix(rows, times, spec.params).T
+            wt[:, cols] = rows.T
             if cols.stop == wt.shape[1]:
                 break
         yield (first, *solve_columns(spec.params, times, wt))
@@ -223,14 +221,13 @@ def survival_bound_check(
         raise ValueError("y0 must be positive")
     if M < 1:
         raise ValueError("M must be >= 1")
-    grid = np.asarray(grid, dtype=float)
-    blocks = driver_blocks(kernel, grid, M, seed)  # checks the grid before the O(n^2) work
+    blocks = wtilde_blocks(kernel, grid, p, M, seed)  # checks the grid before the O(n^2) work
     sigma_bar_sq = float(np.max(tilde_w_variance(p, kernel, grid)))
     applicable = 2.0 * sigma_bar_sq * math.log(2.0) < y0**2
     bound = 1.0 - 2.0 * math.exp(-(y0**2) / (2.0 * sigma_bar_sq)) if sigma_bar_sq > 0 else 1.0
     survived = np.empty(M, dtype=bool)
     for start, rows in blocks:
-        survived[start:start + rows.shape[0]] = np.min(tilde_w_matrix(rows, grid, p), axis=1) > -y0
+        survived[start:start + rows.shape[0]] = np.min(rows, axis=1) > -y0
     empirical = float(np.mean(survived))
     se = math.sqrt(empirical * (1.0 - empirical) / M)
     passed = bool(applicable and empirical >= bound - 2.0 * se)

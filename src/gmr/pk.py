@@ -28,14 +28,13 @@ from .drivers import (
     SamplePath,
     checked_grid,
     covariance_matrix,
-    driver_blocks,
     grid_index,
     sample_paths,
     uniform_grid,
     _cholesky_with_jitter,
 )
 from .solver import solve_gmr
-from .transform import ModelParams, first_hit, lift_into, tilde_w_matrix
+from .transform import ModelParams, first_hit, lift_into, wtilde_blocks
 
 __all__ = [
     "AdmissibilityError",
@@ -74,8 +73,7 @@ class PkParams:
         for name in ("A0", "v", "Ke", "sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.A0 <= 0 or self.v <= 0:
-            raise ValueError("A0 and v must be positive")
+        _check_dose(self.A0, self.v)
         if self.Ke <= 0:
             raise ValueError("Ke must be positive")
         if self.sigma <= 0:
@@ -276,6 +274,8 @@ def _design_block(times, kernel: CovarianceKernel, quad_grid=None) -> _Observati
 def _check_dose(A0, v) -> None:
     if not (0.0 < A0 < math.inf and 0.0 < v < math.inf):
         raise ValueError("A0 and v must be positive and finite")
+    if not 0.0 < A0 / v < math.inf:  # the initial concentration
+        raise ValueError("A0 / v must be positive and finite")
 
 
 def _likelihood_core(ke, beta, obs, block, A0, v):
@@ -650,10 +650,10 @@ def _stopped_levels(pk: PkParams, xs, spec: SensitivitySpec, kernel: CovarianceK
     The level x^(1-beta) + wtilde is followed until spec.tau_time or its
     first nonpositive grid value, whichever comes first; absorbed paths
     carry level 0 (they contribute F(0) and a vanishing weight). wtilde
-    and the lift do not depend on x, so one pass over the sampler's
-    blocks maps the columns up to tau_time once for every x and keeps only
-    per-path scalars. Returns (pk's model, [(tau, y_tau, capped) per x])
-    with (M,) arrays; the model's lift reads no x0, so it serves every x.
+    and the lift do not depend on x, so one pass over wtilde_blocks, cut
+    at tau_time's column, serves every x and keeps only per-path scalars.
+    Returns (pk's model, [(tau, y_tau, capped) per x]) with (M,) arrays;
+    the model's lift reads no x0, so it serves every x.
     """
     if not all(0.0 < x < math.inf for x in xs):
         raise ValueError("initial concentration must be positive and finite")
@@ -662,9 +662,8 @@ def _stopped_levels(pk: PkParams, xs, spec: SensitivitySpec, kernel: CovarianceK
     last = grid_index(times, spec.tau_time)
     y0s = [x ** (1.0 - pk.beta) for x in xs]  # bitwise ModelParams(x0=x, ...).y0
     out = [(np.empty(spec.M), np.empty(spec.M), np.empty(spec.M, dtype=bool)) for _ in xs]
-    for start, rows in driver_blocks(kernel, times, spec.M, spec.seed):
-        wt = tilde_w_matrix(rows[:, :last + 1], times[:last + 1], model)
-        block = slice(start, start + rows.shape[0])
+    for start, wt in wtilde_blocks(kernel, times, model, spec.M, spec.seed, stop=last + 1):
+        block = slice(start, start + wt.shape[0])
         for y0, (tau, y_tau, capped) in zip(y0s, out):
             y = y0 + wt
             first_dead = first_hit(y)  # == last + 1 when not absorbed by then

@@ -25,6 +25,7 @@ from .drivers import (
     checked_grid,
     covariance_matrix,
     covariance_rows,
+    driver_blocks,
 )
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "theta_weight",
     "tilde_w_path",
     "tilde_w_matrix",
+    "wtilde_blocks",
     "tilde_w_covariance_matrix",
     "tilde_w_variance",
     "lift_into",
@@ -129,6 +131,22 @@ def tilde_w_matrix(drivers: np.ndarray, times: np.ndarray, p: ModelParams) -> np
     trapezoids /= 2.0
     out[:, 1:] -= np.cumsum(trapezoids, axis=1, out=trapezoids)
     return out
+
+
+def wtilde_blocks(kernel: CovarianceKernel, grid: np.ndarray, p: ModelParams, count: int,
+                  seed: int, stop: int | None = None):
+    """wtilde of the rows of sample_path_matrix, one sampler block at a time.
+
+    The one place where driver paths become wtilde: an iterator of
+    ``(start, tilde_w_matrix(rows[:, :stop], grid[:stop], p))`` over
+    driver_blocks(kernel, grid, count, seed), which checks the grid and
+    the count at this call, before any row is drawn. Column k of wtilde
+    reads driver columns 0 to k only, so a block cut at ``stop`` is bitwise
+    the first columns of the whole rows' wtilde; stop = None keeps them whole.
+    """
+    grid = np.asarray(grid, dtype=float)
+    blocks = driver_blocks(kernel, grid, count, seed)
+    return ((start, tilde_w_matrix(rows[:, :stop], grid[:stop], p)) for start, rows in blocks)
 
 
 def tilde_w_covariance_matrix(

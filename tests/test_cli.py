@@ -710,6 +710,14 @@ def _with(command, **changes):
          "model.beta: must lie in (0, 1)"),
         ("pk-fit", _with("pk-fit", pk_constants={"A0": 1.0, "v": 0}),
          "pk_constants: A0 and v must be positive"),
+        ("pk-fit", _with("pk-fit", pk_constants={"A0": 1e200, "v": 1e-200}),
+         "pk_constants: A0 / v must be positive and finite"),
+        ("pk-fit", _with("pk-fit", pk_constants={"A0": 1e-200, "v": 1e200}),
+         "pk_constants: A0 / v must be positive and finite"),
+        ("pk-simulate", _with("pk-simulate", pk={**PK, "A0": 1e200, "v": 1e-200}),
+         "pk: A0 / v must be positive and finite"),
+        ("pk-sensitivity", _with("pk-sensitivity", pk={**PK, "A0": 1e-200, "v": 1e200}),
+         "pk: A0 / v must be positive and finite"),
         ("pk-sensitivity", _with("pk-sensitivity", tau={"kind": "random"}),
          "tau.kind: expected 'fixed' or 'hit_capped'"),
         ("pk-fit", _with("pk-fit", observations="no_t.csv"),
@@ -734,7 +742,9 @@ def _with(command, **changes):
          "pk-sensitivity-pathwise-h",
          "fractional-grid-n", "integer-kernel-kind", "scalar-horizons", "array-model",
          "unknown-kernel-kind", "brownian-hurst", "missing-seed", "negative-seed",
-         "survival-unit-beta", "pk-fit-zero-v", "pk-sensitivity-unknown-tau-kind",
+         "survival-unit-beta", "pk-fit-zero-v", "pk-fit-overflowing-dose",
+         "pk-fit-underflowing-dose", "pk-simulate-overflowing-dose",
+         "pk-sensitivity-underflowing-dose", "pk-sensitivity-unknown-tau-kind",
          "pk-fit-observations-without-t", "pk-fit-observations-without-usable-row",
          "top-level-array"],
 )

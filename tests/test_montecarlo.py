@@ -29,14 +29,14 @@ from gmr.solver import (
     solve_matrix,
 )
 from gmr.transform import ModelParams, first_hit, tilde_w_covariance_matrix, tilde_w_matrix
-from test_pk import ROUTES, traced_peak
+from test_pk import traced_peak
 from test_solver import (
     deterministic_ode_solution,
     ensemble_sup_bounds,
     explicit_a0_oracle,
     scalar_scheme,
 )
-from test_transform import lift
+from test_transform import ROUTES, lift
 
 
 def _spec(**kw):

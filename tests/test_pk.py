@@ -50,7 +50,7 @@ from gmr.transform import (
     tilde_w_covariance_matrix,
     tilde_w_matrix,
 )
-from test_transform import lift
+from test_transform import ROUTES, lift
 
 FIG1 = dict(A0=1.0, v=1.0, Ke=4.0, sigma=1.0, beta=0.8)
 
@@ -926,31 +926,26 @@ def _oracle_report(samples, spec, capped):
                                     capped_fraction=float(np.mean(capped)))
 
 
-def _custom_fbm_kernel(n, horizon):
-    grid = uniform_grid(n, horizon)
-    mixed = 0.5 * (np.minimum.outer(grid, grid) + covariance_matrix(fbm_kernel(0.4), grid))
-    return custom_kernel(grid, mixed, holder_exponent=0.4)
-
-
-# (kernel, n) on [0, horizon] for each sampler route: Brownian cumsum,
-# Cholesky GEMM, circulant embedding and a custom kernel's Cholesky factor
-ROUTES = {
-    "brownian": lambda horizon: (brownian_kernel(), 64),
-    "cholesky": lambda horizon: (fbm_kernel(0.7), 64),
-    "circulant": lambda horizon: (fbm_kernel(0.7), 1024),
-    "custom": lambda horizon: (_custom_fbm_kernel(64, horizon), 64),
+# (tau_kind, tau_time) of the streamed estimators' oracle test: a fixed
+# time inside the grid and at both its ends (wtilde cut after its first
+# column, and not cut), and the hit-capped tau
+TAUS = {
+    "fixed": ("fixed", 0.5),
+    "fixed_at_0": ("fixed", 0.0),
+    "fixed_at_horizon": ("fixed", 1.0),
+    "hit_capped": ("hit_capped", None),
 }
 
 
 @pytest.mark.parametrize("M", [1, 31, 32, 33, 70])
-@pytest.mark.parametrize("tau_kind", ["fixed", "hit_capped"])
+@pytest.mark.parametrize("tau_case", list(TAUS))
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_streamed_sensitivity_matches_the_full_matrix_oracle_bitwise(route, tau_kind, M):
+def test_streamed_sensitivity_matches_the_full_matrix_oracle_bitwise(route, tau_case, M):
     kernel, n = ROUTES[route](1.0)
     pk = PkParams(A0=1.0, v=1.0, Ke=2.0, sigma=4.0, beta=0.8)
     x, h = 0.5, 0.05
-    spec = _sens_spec(np.sin, np.cos, tau_kind=tau_kind, M=M, n=n,
-                      tau_time=0.5 if tau_kind == "fixed" else None, seed=M)
+    tau_kind, tau_time = TAUS[tau_case]
+    spec = _sens_spec(np.sin, np.cos, tau_kind=tau_kind, M=M, n=n, tau_time=tau_time, seed=M)
     times = uniform_grid(n, spec.horizon)
     model, streamed = _stopped_levels(pk, (x, x + h, x - h), spec, kernel)
     assert model == pk.to_model_params()
@@ -970,7 +965,9 @@ def test_streamed_sensitivity_matches_the_full_matrix_oracle_bitwise(route, tau_
     diff = (np.sin(full[x + h][2]) - np.sin(full[x - h][2])) / (2.0 * h)
     assert sensitivity_fd(pk, x, spec, kernel, h) == _oracle_report(
         diff, spec, full[x + h][3] | full[x - h][3])
-    if M == 70:
+    if tau_time == 0.0:
+        assert not np.any(capped)  # no path is absorbed at time 0
+    elif M == 70:
         assert 0 < np.sum(capped) < M
 
 

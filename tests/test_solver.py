@@ -28,8 +28,7 @@ from gmr.solver import (
     solve_matrix,
 )
 from gmr.transform import ModelParams, first_hit, tilde_w_matrix, tilde_w_path
-from test_pk import ROUTES
-from test_transform import lift
+from test_transform import ROUTES, lift
 
 
 def bisect_root(A, B, gamma, iters=200):

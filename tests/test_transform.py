@@ -10,6 +10,7 @@ from gmr.drivers import (
     covariance_matrix,
     custom_kernel,
     fbm_kernel,
+    sample_path_matrix,
     sample_paths,
     uniform_grid,
 )
@@ -24,6 +25,7 @@ from gmr.transform import (
     tilde_w_matrix,
     tilde_w_path,
     tilde_w_variance,
+    wtilde_blocks,
 )
 
 
@@ -34,6 +36,22 @@ def lift(y, times, p):
     one time per entry (such as a per-row stopping time).
     """
     return y ** (p.gamma + 1.0) * np.exp(-p.b * times)
+
+
+def _custom_fbm_kernel(n, horizon):
+    grid = uniform_grid(n, horizon)
+    mixed = 0.5 * (np.minimum.outer(grid, grid) + covariance_matrix(fbm_kernel(0.4), grid))
+    return custom_kernel(grid, mixed, holder_exponent=0.4)
+
+
+# (kernel, n) on [0, horizon] for each sampler route: Brownian cumsum,
+# Cholesky GEMM, circulant embedding and a custom kernel's Cholesky factor
+ROUTES = {
+    "brownian": lambda horizon: (brownian_kernel(), 64),
+    "cholesky": lambda horizon: (fbm_kernel(0.7), 64),
+    "circulant": lambda horizon: (fbm_kernel(0.7), 1024),
+    "custom": lambda horizon: (_custom_fbm_kernel(64, horizon), 64),
+}
 
 
 def _params(**kw):
@@ -118,6 +136,37 @@ def test_tilde_w_matrix_is_scipy_cumulative_trapezoid_bitwise(b):
         scipy_form = th[None, :] * rows - cumulative_trapezoid(
             (p.b * (1.0 - p.beta) * th)[None, :] * rows, grid, axis=1, initial=0.0)
         assert np.array_equal(tilde_w_matrix(rows, grid, p), scipy_form)
+
+
+# wtilde_blocks' stop column on an n-step grid: the first column, about
+# half the grid, the whole grid, and no cut
+STOPS = {"first": lambda n: 1, "half": lambda n: n // 2 + 1, "whole": lambda n: n + 1,
+         "none": lambda n: None}
+
+
+@pytest.mark.parametrize("stop", list(STOPS))
+@pytest.mark.parametrize("M", [1, 31, 32, 33, 70])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_wtilde_blocks_are_the_full_matrix_prefix_bitwise(route, M, stop):
+    kernel, n = ROUTES[route](1.0)
+    times = uniform_grid(n, 1.0)
+    p = _params(b=2.0, sigma=1.5, beta=0.6)
+    stop = STOPS[stop](n)
+    full = tilde_w_matrix(sample_path_matrix(kernel, times, M, M), times, p)
+    covered = np.zeros(M, dtype=int)
+    for start, rows in wtilde_blocks(kernel, times, p, M, M, stop=stop):
+        assert np.array_equal(rows, full[start:start + rows.shape[0], :stop])
+        covered[start:start + rows.shape[0]] += 1
+    assert np.all(covered == 1)
+
+
+def test_wtilde_blocks_check_the_grid_and_count_at_the_call():
+    # the call raises, so a caller can check before its own O(n^2) work
+    p = _params()
+    with pytest.raises(ValueError, match="^grid must start at 0"):
+        wtilde_blocks(brownian_kernel(), np.array([0.0, 0.5, 0.6]), p, 4, 0)
+    with pytest.raises(ValueError, match="^count must be >= 1$"):
+        wtilde_blocks(brownian_kernel(), uniform_grid(4, 1.0), p, 0, 0)
 
 
 def test_tilde_w_covariance_zero_noise():

@@ -41,6 +41,7 @@ RATE_MODEL = ModelParams(x0=1.0, a=1.0, b=1.0, sigma=1.0, beta=0.7)
 GRID = uniform_grid(4, 1.0)
 OBS = ConcentrationSeries(np.array([0.5, 1.0]), np.array([0.6, 0.3]))
 THETA_DOMAIN = "theta out of domain: need Ke, sigma > 0 and beta in (0, 1)"
+DOSE_RATIO = "A0 / v must be positive and finite"
 
 
 def _infinite(c):
@@ -93,6 +94,15 @@ CASES = {
     "build_quad_grid empty times": (lambda: build_quad_grid(np.array([])),
                                     "times must be nonempty"),
     "PkParams beta": (lambda: PkParams(**{**PK, "beta": 1.0}), "beta must lie in (0, 1)"),
+    "PkParams overflowing dose": (lambda: PkParams(**{**PK, "A0": 1e200, "v": 1e-200}),
+                                  DOSE_RATIO),
+    "PkParams underflowing dose": (lambda: PkParams(**{**PK, "A0": 1e-200, "v": 1e200}),
+                                   DOSE_RATIO),
+    "log_likelihood overflowing dose": (
+        lambda: log_likelihood((4.0, 1.0, 0.8), OBS, brownian_kernel(), 1e200, 1e-200),
+        DOSE_RATIO),
+    "fit_mle underflowing dose": (
+        lambda: fit_mle(OBS, brownian_kernel(), (2.0, 0.5, 0.5), 1e-200, 1e200), DOSE_RATIO),
     "ConcentrationSeries shapes": (
         lambda: ConcentrationSeries(np.array([0.5, 1.0]), np.array([0.3])),
         "times and concentrations must be equal-length 1-d arrays"),
